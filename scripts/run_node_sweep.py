@@ -19,11 +19,12 @@ from rescomp.caldata import error_profile, partition_even_odd
 from rescomp.network import NetworkShape, dataset_from_profile, init_network
 from rescomp.optim import (
     DEFAULT_SWEEP_NODES,
+    OPTIMIZERS,
     TrainingConfig,
     node_sweep,
-    train_backprop,
-    train_lm,
+    trainer,
 )
+from rescomp.pipeline import write_history_csv
 from rescomp.simgen import archetype_spec, synthesize
 
 
@@ -66,15 +67,12 @@ def main(argv=None) -> int:
         print(f"wrote {path} ({time.perf_counter() - start:.0f}s)")
 
     print(f"optimizer comparison at width {args.hidden} ...")
-    for name, train_fn in (("lm", train_lm), ("backprop", train_backprop)):
+    for name in OPTIMIZERS:
         net0 = init_network(NetworkShape(1, args.hidden, 1), args.seed)
         start = time.perf_counter()
-        _trained, history = train_fn(net0, data, cfg)
+        _trained, history = trainer(name)(net0, data, cfg)
         path = outdir / f"convergence_{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iteration,mse\n")
-            for i, m in enumerate(history.mse_per_iteration, start=1):
-                fh.write(f"{i},{m!r}\n")
+        write_history_csv(path, history)
         print(
             f"  {name}: {history.iterations_run} iterations, "
             f"final MSE {history.mse_per_iteration[-1]:.4e} "

@@ -9,6 +9,7 @@ downstream models (network and Fourier) are fit to that profile.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,9 @@ def wrap_signed_deg(delta_deg: float) -> float:
 
 
 def wrap_angle_deg(angle_deg: float) -> float:
-    """Map an angle in degrees into [0, 360)."""
+    """Map a finite angle in degrees into [0, 360); NaN and +-inf raise OutOfRange."""
+    if not math.isfinite(angle_deg):
+        raise OutOfRange(f"angle {angle_deg!r} is not finite")
     wrapped = math.fmod(angle_deg, 360.0)
     if wrapped < 0.0:
         wrapped += 360.0
@@ -165,6 +168,13 @@ def save_calibration(path, cal: CalibrationSet) -> None:
         fh.write(CSV_HEADER + "\n")
         for s in cal.samples:
             fh.write(f"{s.table_angle_deg!r},{s.encoder_angle_deg!r}\n")
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document indented by two spaces, with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def error_profile(cal: CalibrationSet) -> ErrorProfile:

@@ -10,11 +10,10 @@ process prints `ErrorName: detail` on stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import caldata, fourier, network, optim, pipeline, prune, simgen
-from .errors import RescompError
+from .errors import MalformedRow, RescompError
 
 
 def _training_config(args) -> optim.TrainingConfig:
@@ -67,7 +66,7 @@ def _train_network(args):
     )
     data = network.dataset_from_profile(profile, net0)
     cfg = _training_config(args)
-    train_fn = optim.train_lm if args.optimizer == "lm" else optim.train_backprop
+    train_fn = optim.trainer(args.optimizer)
     return cal, data, cfg, train_fn, net0
 
 
@@ -98,17 +97,7 @@ def _cmd_prune(args) -> int:
     model = pipeline.CompensationModel(pipeline.KIND_ANN, cal.encoder_id, pruned_net)
     pipeline.save_model(args.out, model)
     if args.report:
-        doc = {
-            "initial_hidden": report.initial_hidden,
-            "pruned_hidden": report.pruned_hidden,
-            "mse_initial": report.mse_initial,
-            "mse_pruned": report.mse_pruned,
-            "spectrum_initial": list(report.spectrum_initial),
-            "spectrum_pruned": list(report.spectrum_pruned),
-        }
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        caldata.write_json(args.report, pipeline.prune_doc(report))
     print(f"pruned hidden layer {report.initial_hidden} -> {report.pruned_hidden}")
     print(f"wrote {args.out}")
     return 0
@@ -124,10 +113,7 @@ def _cmd_fourier(args) -> int:
         args.out, pipeline.CompensationModel(pipeline.KIND_FOURIER, cal.encoder_id, model)
     )
     if args.spectrum:
-        with open(args.spectrum, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("order,amplitude_arcmin\n")
-            for e in spectrum.entries:
-                fh.write(f"{e.order},{e.amplitude_arcmin!r}\n")
+        pipeline.write_spectrum_csv(args.spectrum, spectrum)
     print(f"fit orders {orders}")
     print(f"wrote {args.out}")
     return 0
@@ -145,9 +131,7 @@ def _cmd_evaluate(args) -> int:
             "post": pipeline.stats_doc(report.post_stats),
             "max_abs_residual_arcmin": report.max_abs_residual_arcmin,
         }
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        caldata.write_json(args.report, doc)
     if args.residuals:
         pipeline.write_residuals_csv(args.residuals, report)
     pre, post = report.pre_stats, report.post_stats
@@ -162,11 +146,15 @@ def _cmd_correct(args) -> int:
     if args.angle is not None:
         print(f"{pipeline.correct(model, args.angle):.6f}")
         return 0
-    for line in sys.stdin:
+    for lineno, line in enumerate(sys.stdin, start=1):
         line = line.strip()
         if not line:
             continue
-        print(f"{pipeline.correct(model, float(line)):.6f}")
+        try:
+            angle = float(line)
+        except ValueError as exc:
+            raise MalformedRow(f"stdin line {lineno}: not an angle: {line!r}") from exc
+        print(f"{pipeline.correct(model, angle):.6f}")
     return 0
 
 
@@ -224,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a compensation network")
     p.add_argument("--data", required=True, help="training calibration CSV")
-    p.add_argument("--optimizer", choices=("lm", "backprop"), default="lm")
+    p.add_argument("--optimizer", choices=optim.OPTIMIZERS, default="lm")
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--history", help="optional convergence CSV (iteration,mse)")
     p.add_argument("--encoder-id", default="unknown")
@@ -233,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="train, estimate redundancy, retrain smaller")
     p.add_argument("--data", required=True, help="training calibration CSV")
-    p.add_argument("--optimizer", choices=("lm", "backprop"), default="lm")
+    p.add_argument("--optimizer", choices=optim.OPTIMIZERS, default="lm")
     p.add_argument("--rel-tol", type=float, default=prune.DEFAULT_RANK_REL_TOL,
                    help="singular-value threshold relative to the largest")
     p.add_argument("--out", required=True, help="output model JSON")
@@ -273,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthesis grid step (synthetic runs; default 1)")
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--outdir", required=True, help="report bundle directory")
-    p.add_argument("--optimizer", choices=("lm", "backprop"), default="lm")
+    p.add_argument("--optimizer", choices=optim.OPTIMIZERS, default="lm")
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--prune", action="store_true", help="prune and retrain the network")
     p.add_argument("--rel-tol", type=float, default=prune.DEFAULT_RANK_REL_TOL)

@@ -1,14 +1,16 @@
-"""Single-hidden-layer sigmoid feed-forward network.
+"""Single-hidden-layer 1:J:1 sigmoid feed-forward network.
 
-The net maps one normalized encoder angle to one normalized error value:
+The net maps one normalized encoder angle x to one normalized error value:
 
-    F_i = g( sum_j w_ij * g( sum_k w_jk x_k + theta_j ) + theta_i )
+    F = g( sum_j w_j * g( v_j x + theta_j ) + theta )
 
 with g the logistic sigmoid.  Because g at the output layer confines
 predictions to (0, 1), raw arc-minute errors are unreachable as targets;
 an affine map sends a configurable error range onto [0.1, 0.9] (margins
 keep targets away from sigmoid saturation), and the inverse map converts
-predictions back to arc-minutes.  Inputs use degrees / 360.
+predictions back to arc-minutes.  Inputs use degrees / 360.  One kernel,
+`_activations`, feeds the forward pass, the residual Jacobian (and from it
+the gradient) and the pruning activation matrix.
 
 All operations are pure; a Network is immutable and optimizers build new
 instances via `with_params`.  Double precision throughout: the damped
@@ -17,28 +19,28 @@ normal equations used in training are ill-conditioned in single precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .caldata import ErrorProfile
 from .errors import DegenerateBounds, EmptyDataset, ShapeMismatch
 
-# expit saturates to exactly 0.0 / 1.0 in float64 for |z| beyond ~745 / ~37;
-# clamping one ulp inside keeps outputs in the open interval (0, 1) for
-# every parameter configuration.
-_SIGMOID_LO = np.nextafter(0.0, 1.0)
-_SIGMOID_HI = np.nextafter(1.0, 0.0)
-
 
 def sigmoid(z):
-    return np.clip(expit(z), _SIGMOID_LO, _SIGMOID_HI)
+    """Logistic 1 / (1 + exp(-z)), strictly inside (0, 1) for every input.
+
+    Clamping -z to [-36, 709] keeps exp(-z) finite and 1 + exp(-z) above
+    1 + 2**-53, so the result never rounds to exactly 0.0 or 1.0 and no
+    overflow warning is raised, even for +-inf.
+    """
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -709.0), 36.0)))
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Invertible affine map [lo, hi] -> [out_lo, out_hi]."""
+    """Invertible affine map [lo, hi] -> [out_lo, out_hi] between finite bounds."""
 
     lo: float
     hi: float
@@ -46,6 +48,8 @@ class AffineMap:
     out_hi: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.lo, self.hi, self.out_lo, self.out_hi)):
+            raise DegenerateBounds(f"bounds must be finite, got {self}")
         if not (self.hi > self.lo):
             raise DegenerateBounds(f"need hi > lo, got [{self.lo!r}, {self.hi!r}]")
         if self.out_hi == self.out_lo:
@@ -69,18 +73,19 @@ DEFAULT_TARGET_BOUNDS_ARCMIN = (-6.0, 6.0)  # manufacturer tolerance band
 
 @dataclass(frozen=True)
 class NetworkShape:
+    """Layer sizes K:J:I; only K = I = 1 (one angle in, one error out) exists."""
+
     n_inputs: int
     n_hidden: int
     n_outputs: int
 
     def __post_init__(self) -> None:
-        if min(self.n_inputs, self.n_hidden, self.n_outputs) < 1:
-            raise ValueError(f"all layer sizes must be >= 1, got {self}")
+        if self.n_inputs != 1 or self.n_outputs != 1 or self.n_hidden < 1:
+            raise ShapeMismatch(f"need a 1:J:1 network with J >= 1, got {self}")
 
     @property
     def n_params(self) -> int:
-        k, j, i = self.n_inputs, self.n_hidden, self.n_outputs
-        return j * k + j + i * j + i
+        return 3 * self.n_hidden + 1
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -91,83 +96,70 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Network:
-    """Weights, thresholds and normalization metadata of a K:J:I sigmoid net."""
+    """A 1:J:1 sigmoid net: its parameters and normalization maps.
+
+    `params` holds the 3J + 1 parameters in canonical order: hidden
+    weights, hidden thresholds, output weights, output threshold.
+    """
 
     shape: NetworkShape
-    w_hidden: np.ndarray    # (J, K)
-    theta_hidden: np.ndarray  # (J,)
-    w_output: np.ndarray    # (I, J)
-    theta_output: np.ndarray  # (I,)
+    params: np.ndarray
     input_norm: AffineMap
     target_norm: AffineMap
 
     def __post_init__(self) -> None:
-        k, j, i = self.shape.n_inputs, self.shape.n_hidden, self.shape.n_outputs
-        object.__setattr__(self, "w_hidden", _readonly(self.w_hidden).reshape(j, k))
-        object.__setattr__(self, "theta_hidden", _readonly(self.theta_hidden).reshape(j))
-        object.__setattr__(self, "w_output", _readonly(self.w_output).reshape(i, j))
-        object.__setattr__(self, "theta_output", _readonly(self.theta_output).reshape(i))
-        for arr in (self.w_hidden, self.theta_hidden, self.w_output, self.theta_output):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("network parameters must be finite")
+        params = _readonly(self.params)
+        if params.shape != (self.n_params,):
+            raise ShapeMismatch(
+                f"expected parameter vector of length {self.n_params}, got {params.shape}"
+            )
+        if not np.all(np.isfinite(params)):
+            raise ValueError("network parameters must be finite")
+        object.__setattr__(self, "params", params)
 
     @property
     def n_params(self) -> int:
         return self.shape.n_params
 
+    @property
+    def w_hidden(self) -> np.ndarray:
+        return self.params[:self.shape.n_hidden]
+
+    @property
+    def theta_hidden(self) -> np.ndarray:
+        return self.params[self.shape.n_hidden:2 * self.shape.n_hidden]
+
+    @property
+    def w_output(self) -> np.ndarray:
+        return self.params[2 * self.shape.n_hidden:-1]
+
+    @property
+    def theta_output(self) -> np.ndarray:
+        return self.params[-1:]
+
     def to_vector(self) -> np.ndarray:
-        """Flatten parameters in the canonical order: hidden weights
-        (row-major), hidden thresholds, output weights (row-major),
-        output thresholds."""
-        return np.concatenate([
-            self.w_hidden.ravel(),
-            self.theta_hidden,
-            self.w_output.ravel(),
-            self.theta_output,
-        ])
+        """The parameters in canonical order (read-only)."""
+        return self.params
 
     def with_params(self, vector: np.ndarray) -> "Network":
         """New network with the same shape/normalization, parameters from
         a flat vector in canonical order."""
-        k, j, i = self.shape.n_inputs, self.shape.n_hidden, self.shape.n_outputs
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (self.n_params,):
-            raise ShapeMismatch(
-                f"expected parameter vector of length {self.n_params}, got {vector.shape}"
-            )
-        a = j * k
-        b = a + j
-        c = b + i * j
-        return replace(
-            self,
-            w_hidden=vector[:a].reshape(j, k),
-            theta_hidden=vector[a:b],
-            w_output=vector[b:c].reshape(i, j),
-            theta_output=vector[c:],
-        )
+        return replace(self, params=vector)
 
 
 @dataclass(frozen=True)
 class Gradient:
-    """d(MSE)/d(parameter), arrays shaped like the Network's."""
+    """d(MSE)/d(parameter) as a flat vector in canonical parameter order."""
 
-    w_hidden: np.ndarray
-    theta_hidden: np.ndarray
-    w_output: np.ndarray
-    theta_output: np.ndarray
+    vector: np.ndarray
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.w_hidden.ravel(),
-            self.theta_hidden,
-            self.w_output.ravel(),
-            self.theta_output,
-        ])
+        return self.vector
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Normalized training patterns: inputs (P, K), targets (P, I) in [0, 1]."""
+    """Normalized training patterns: inputs (P, 1), targets (P, 1) in [0, 1]."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -175,21 +167,17 @@ class Dataset:
     def __post_init__(self) -> None:
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
+        if inputs.shape[1] != 1 or targets.shape != inputs.shape:
+            raise ShapeMismatch(
+                f"need (P, 1) inputs and targets, got {inputs.shape} and {targets.shape}"
+            )
         if inputs.shape[0] == 0:
             raise EmptyDataset("dataset needs at least one pattern")
-        if targets.shape[0] != inputs.shape[0]:
-            raise ShapeMismatch(
-                f"inputs have {inputs.shape[0]} patterns, targets {targets.shape[0]}"
-            )
         for name, arr in (("inputs", inputs), ("targets", targets)):
             if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         object.__setattr__(self, "inputs", _readonly(inputs))
         object.__setattr__(self, "targets", _readonly(targets))
-
-    @property
-    def n_patterns(self) -> int:
-        return self.inputs.shape[0]
 
 
 def init_network(
@@ -198,133 +186,67 @@ def init_network(
     norm_bounds: tuple[float, float] = DEFAULT_TARGET_BOUNDS_ARCMIN,
 ) -> Network:
     """Fresh network: weights uniform in [-0.5, 0.5] from `seed`, thresholds zero."""
-    lo, hi = norm_bounds
-    if not hi > lo:
-        raise DegenerateBounds(f"need hi > lo arc-min bounds, got ({lo!r}, {hi!r})")
-    k, j, i = shape.n_inputs, shape.n_hidden, shape.n_outputs
+    j = shape.n_hidden
     rng = np.random.default_rng(seed)
+    w_hidden = rng.uniform(-0.5, 0.5, size=j)
+    w_output = rng.uniform(-0.5, 0.5, size=j)
     return Network(
         shape=shape,
-        w_hidden=rng.uniform(-0.5, 0.5, size=(j, k)),
-        theta_hidden=np.zeros(j),
-        w_output=rng.uniform(-0.5, 0.5, size=(i, j)),
-        theta_output=np.zeros(i),
+        params=np.concatenate([w_hidden, np.zeros(j), w_output, np.zeros(1)]),
         input_norm=INPUT_NORM,
-        target_norm=AffineMap(lo, hi, *TARGET_OUT_RANGE),
+        target_norm=AffineMap(*norm_bounds, *TARGET_OUT_RANGE),
     )
 
 
-def _check_compat(net: Network, data: Dataset) -> None:
-    if data.inputs.shape[1] != net.shape.n_inputs:
-        raise ShapeMismatch(
-            f"dataset has {data.inputs.shape[1]} inputs, network expects {net.shape.n_inputs}"
-        )
-    if data.targets.shape[1] != net.shape.n_outputs:
-        raise ShapeMismatch(
-            f"dataset has {data.targets.shape[1]} targets, network expects {net.shape.n_outputs}"
-        )
+def _activations(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden (P, J) and output (P, 1) activations for normalized inputs (P, 1)."""
+    hidden = sigmoid(x * net.w_hidden + net.theta_hidden)
+    return hidden, sigmoid(hidden @ net.w_output[:, np.newaxis] + net.theta_output)
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Outputs for a (P, K) batch of normalized inputs; returns (P, I) in (0, 1)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    hidden = sigmoid(x @ net.w_hidden.T + net.theta_hidden)
-    return sigmoid(hidden @ net.w_output.T + net.theta_output)
+    """Outputs for a (P, 1) batch of normalized inputs; returns (P, 1) in (0, 1)."""
+    return _activations(net, np.atleast_2d(np.asarray(x, dtype=float)))[1]
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Output I-vector for one normalized input K-vector."""
+    """Output 1-vector for one normalized input 1-vector."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return forward_batch(net, x[np.newaxis, :])[0]
 
 
 def mse(net: Network, data: Dataset) -> float:
-    """Mean-squared error over all patterns and outputs, in normalized units."""
-    _check_compat(net, data)
-    out = forward_batch(net, data.inputs)
-    diff = data.targets - out
+    """Mean-squared error over all patterns, in normalized units."""
+    diff = data.targets - forward_batch(net, data.inputs)
     return float(np.mean(diff * diff))
 
 
-def gradient(net: Network, data: Dataset) -> Gradient:
-    """Analytic d(MSE)/d(parameter) by reverse accumulation."""
-    _check_compat(net, data)
-    x = data.inputs                      # (P, K)
-    pre_hidden = x @ net.w_hidden.T + net.theta_hidden
-    hidden = sigmoid(pre_hidden)         # (P, J)
-    out = sigmoid(hidden @ net.w_output.T + net.theta_output)  # (P, I)
-
-    p, i = data.targets.shape
-    # d(MSE)/d(pre_output), shape (P, I)
-    delta_out = (2.0 / (p * i)) * (out - data.targets) * out * (1.0 - out)
-    g_w_output = delta_out.T @ hidden    # (I, J)
-    g_theta_output = delta_out.sum(axis=0)
-    # back through the hidden sigmoid
-    delta_hidden = (delta_out @ net.w_output) * hidden * (1.0 - hidden)  # (P, J)
-    g_w_hidden = delta_hidden.T @ x      # (J, K)
-    g_theta_hidden = delta_hidden.sum(axis=0)
-    return Gradient(g_w_hidden, g_theta_hidden, g_w_output, g_theta_output)
-
-
 def residual_jacobian(net: Network, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals r = D - O flattened to (P*I,) and their Jacobian.
+    """Residuals r = D - O, shape (P,), and their (P, n_params) Jacobian.
 
-    J[m, q] = d r_m / d param_q with parameters in canonical vector order,
-    so grad(MSE) = (2 / (P*I)) * J^T r holds against `gradient`.
+    J[p, q] = d r_p / d param_q with parameters in canonical vector order,
+    so grad(MSE) = (2 / P) * J^T r (see `gradient`).
     """
-    _check_compat(net, data)
     x = data.inputs
-    pre_hidden = x @ net.w_hidden.T + net.theta_hidden
-    hidden = sigmoid(pre_hidden)                     # (P, J)
-    out = sigmoid(hidden @ net.w_output.T + net.theta_output)  # (P, I)
-
-    p, k = x.shape
-    j = net.shape.n_hidden
-    i = net.shape.n_outputs
-
-    residuals = (data.targets - out).ravel()         # row-major: m = p*I + i
-
-    s_out = out * (1.0 - out)                        # (P, I)
-    s_hidden = hidden * (1.0 - hidden)               # (P, J)
-
-    # d r_{pi} / d w_out[i', j]  = -delta_{ii'} s_out[p,i] hidden[p,j]
-    jac_w_output = np.zeros((p, i, i, j))
-    for ii in range(i):
-        jac_w_output[:, ii, ii, :] = -s_out[:, ii, np.newaxis] * hidden
-    # d r_{pi} / d theta_out[i'] = -delta_{ii'} s_out[p,i]
-    jac_theta_output = np.zeros((p, i, i))
-    for ii in range(i):
-        jac_theta_output[:, ii, ii] = -s_out[:, ii]
-    # chain to the hidden layer: common factor (P, I, J)
-    chain = -np.einsum("pi,ij,pj->pij", s_out, net.w_output, s_hidden)
-    jac_w_hidden = np.einsum("pij,pk->pijk", chain, x)   # (P, I, J, K)
-    jac_theta_hidden = chain                             # (P, I, J)
-
-    m = p * i
-    jacobian = np.concatenate(
-        [
-            jac_w_hidden.reshape(m, j * k),
-            jac_theta_hidden.reshape(m, j),
-            jac_w_output.reshape(m, i * j),
-            jac_theta_output.reshape(m, i),
-        ],
-        axis=1,
-    )
-    return residuals, jacobian
+    hidden, out = _activations(net, x)
+    s_out = out * (1.0 - out)                                        # (P, 1)
+    # d r_p / d theta_hidden[j]; the hidden weights add the factor x_p
+    chain = -(s_out * net.w_output * (hidden * (1.0 - hidden)))      # (P, J)
+    jacobian = np.concatenate([chain * x, chain, -s_out * hidden, -s_out], axis=1)
+    return (data.targets - out).ravel(), jacobian
 
 
-def dataset_from_profile(profile: ErrorProfile, net_or_maps) -> Dataset:
-    """Build a normalized 1-input/1-output Dataset from an error profile.
+def gradient(net: Network, data: Dataset) -> Gradient:
+    """Analytic d(MSE)/d(parameter) = (2 / P) * J^T r from the residual Jacobian."""
+    residuals, jac = residual_jacobian(net, data)
+    return Gradient((2.0 / residuals.size) * (jac.T @ residuals))
 
-    `net_or_maps` is either a Network or an (input_norm, target_norm) pair.
-    """
-    if isinstance(net_or_maps, Network):
-        input_norm, target_norm = net_or_maps.input_norm, net_or_maps.target_norm
-    else:
-        input_norm, target_norm = net_or_maps
+
+def dataset_from_profile(profile: ErrorProfile, net: Network) -> Dataset:
+    """Build a normalized Dataset from an error profile with `net`'s maps."""
     angles = np.array(profile.angles_deg(), dtype=float)
     errors = np.array(profile.errors_arcmin(), dtype=float)
     return Dataset(
-        inputs=input_norm.normalize(angles)[:, np.newaxis],
-        targets=target_norm.normalize(errors)[:, np.newaxis],
+        inputs=net.input_norm.normalize(angles)[:, np.newaxis],
+        targets=net.target_norm.normalize(errors)[:, np.newaxis],
     )

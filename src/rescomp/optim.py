@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DivergenceDetected, SingularNormalEquations
 from .network import (
-    DEFAULT_TARGET_BOUNDS_ARCMIN,
     Dataset,
     Network,
     NetworkShape,
@@ -199,6 +198,16 @@ def train_lm(
     return current, TrainingHistory(tuple(history), stop_reason, iterations)
 
 
+OPTIMIZERS = ("lm", "backprop")
+
+
+def trainer(optimizer: str):
+    """The training function for an optimizer name in OPTIMIZERS."""
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"optimizer must be 'lm' or 'backprop', got {optimizer!r}")
+    return train_lm if optimizer == "lm" else train_backprop
+
+
 DEFAULT_SWEEP_NODES = tuple(range(10, 111, 10))
 
 
@@ -207,18 +216,15 @@ def node_sweep(
     nodes=DEFAULT_SWEEP_NODES,
     train_fn=train_lm,
     cfg: TrainingConfig = TrainingConfig(),
-    norm_bounds: tuple[float, float] = DEFAULT_TARGET_BOUNDS_ARCMIN,
 ) -> list[tuple[int, float]]:
     """Train one network per hidden-layer width, report (width, final MSE).
 
     Every width starts from the same seed so the comparison isolates the
     effect of network size.
     """
-    k = data.inputs.shape[1]
-    i = data.targets.shape[1]
     results = []
     for j in nodes:
-        net = init_network(NetworkShape(k, int(j), i), cfg.seed, norm_bounds)
+        net = init_network(NetworkShape(1, int(j), 1), cfg.seed)
         trained, _history = train_fn(net, data, cfg)
         results.append((int(j), mse(trained, data)))
     return results

@@ -29,11 +29,13 @@ from .caldata import (
     partition_even_odd,
     stats,
     wrap_angle_deg,
+    write_json,
 )
-from .errors import CorruptFile, KindMismatch, UnsupportedVersion
+from .errors import CorruptFile, DegenerateBounds, KindMismatch, ShapeMismatch, UnsupportedVersion
 from .fourier import (
     FourierModel,
     FourierTerm,
+    HarmonicSpectrum,
     eval_fourier,
     fit_fourier,
     harmonic_spectrum,
@@ -48,7 +50,7 @@ from .network import (
     forward_batch,
     init_network,
 )
-from .optim import TrainingConfig, TrainingHistory, train_backprop, train_lm
+from .optim import TrainingConfig, TrainingHistory, trainer
 from .prune import DEFAULT_RANK_REL_TOL, PruneReport, prune_and_retrain
 
 FORMAT_VERSION = 1
@@ -90,7 +92,7 @@ def _affine_from_doc(doc) -> AffineMap:
     try:
         return AffineMap(float(doc["lo"]), float(doc["hi"]),
                          float(doc["out_lo"]), float(doc["out_hi"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DegenerateBounds) as exc:
         raise CorruptFile(f"bad affine map entry: {doc!r}") from exc
 
 
@@ -111,17 +113,15 @@ def save_model(path, model: CompensationModel) -> None:
         }
         doc["input_norm"] = _affine_to_doc(net.input_norm)
         doc["target_norm"] = _affine_to_doc(net.target_norm)
-        doc["hidden_weights"] = net.w_hidden.ravel().tolist()
+        doc["hidden_weights"] = net.w_hidden.tolist()
         doc["hidden_thresholds"] = net.theta_hidden.tolist()
-        doc["output_weights"] = net.w_output.ravel().tolist()
+        doc["output_weights"] = net.w_output.tolist()
         doc["output_thresholds"] = net.theta_output.tolist()
     else:
         fm = model.payload
         doc["a0"] = fm.a0
         doc["terms"] = [{"n": t.n, "a": t.a, "b": t.b} for t in fm.terms]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _float_list(doc, key, expected_len) -> list[float]:
@@ -169,18 +169,14 @@ def load_model(path) -> CompensationModel:
                 int(doc["shape"]["n_hidden"]),
                 int(doc["shape"]["n_outputs"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
             raise CorruptFile(f"bad or missing shape: {exc}") from exc
-        k, j, i = shape.n_inputs, shape.n_hidden, shape.n_outputs
-        net = Network(
-            shape=shape,
-            w_hidden=np.array(_float_list(doc, "hidden_weights", j * k)).reshape(j, k),
-            theta_hidden=np.array(_float_list(doc, "hidden_thresholds", j)),
-            w_output=np.array(_float_list(doc, "output_weights", i * j)).reshape(i, j),
-            theta_output=np.array(_float_list(doc, "output_thresholds", i)),
-            input_norm=_affine_from_doc(doc.get("input_norm")),
-            target_norm=_affine_from_doc(doc.get("target_norm")),
-        )
+        j = shape.n_hidden
+        params = (_float_list(doc, "hidden_weights", j) + _float_list(doc, "hidden_thresholds", j)
+                  + _float_list(doc, "output_weights", j)
+                  + _float_list(doc, "output_thresholds", 1))
+        net = Network(shape, params, _affine_from_doc(doc.get("input_norm")),
+                      _affine_from_doc(doc.get("target_norm")))
         return CompensationModel(KIND_ANN, encoder_id, net, version)
 
     try:
@@ -266,8 +262,7 @@ class ExperimentConfig:
     training: TrainingConfig = TrainingConfig(seed=42)
 
     def __post_init__(self) -> None:
-        if self.optimizer not in ("lm", "backprop"):
-            raise ValueError(f"optimizer must be 'lm' or 'backprop', got {self.optimizer!r}")
+        trainer(self.optimizer)  # ValueError for an unknown optimizer name
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
 
@@ -294,6 +289,24 @@ def stats_doc(s: ProfileStats) -> dict:
     }
 
 
+def prune_doc(report: PruneReport) -> dict:
+    return {
+        "initial_hidden": report.initial_hidden,
+        "pruned_hidden": report.pruned_hidden,
+        "mse_initial": report.mse_initial,
+        "mse_pruned": report.mse_pruned,
+        "spectrum_initial": list(report.spectrum_initial),
+        "spectrum_pruned": list(report.spectrum_pruned),
+    }
+
+
+def write_spectrum_csv(path, spectrum: HarmonicSpectrum) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("order,amplitude_arcmin\n")
+        for e in spectrum.entries:
+            fh.write(f"{e.order},{e.amplitude_arcmin!r}\n")
+
+
 def write_history_csv(path, history: TrainingHistory) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,mse\n")
@@ -318,9 +331,6 @@ def run_experiment(
     outdir.mkdir(parents=True, exist_ok=True)
 
     train_set, test_set = partition_even_odd(cal)
-    train_angles = {s.table_angle_deg for s in train_set.samples}
-    test_angles = {s.table_angle_deg for s in test_set.samples}
-    assert not train_angles & test_angles, "train/test grids overlap"
 
     train_prof = error_profile(train_set)
     full_stats = stats(error_profile(cal))
@@ -329,7 +339,7 @@ def run_experiment(
     prune_report = None
     net0 = init_network(NetworkShape(1, cfg.hidden, 1), cfg.training.seed, cfg.norm_bounds)
     data = dataset_from_profile(train_prof, net0)
-    train_fn = train_lm if cfg.optimizer == "lm" else train_backprop
+    train_fn = trainer(cfg.optimizer)
     if cfg.prune:
         trained, prune_report = prune_and_retrain(
             data, cfg.hidden, cfg.training,
@@ -364,14 +374,7 @@ def run_experiment(
     _emit("history.csv", lambda p: write_history_csv(p, history))
     _emit("residuals_ann.csv", lambda p: write_residuals_csv(p, ann_report))
     _emit("residuals_fourier.csv", lambda p: write_residuals_csv(p, fourier_report))
-
-    def _write_spectrum(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("order,amplitude_arcmin\n")
-            for e in spectrum.entries:
-                fh.write(f"{e.order},{e.amplitude_arcmin!r}\n")
-
-    _emit("spectrum.csv", _write_spectrum)
+    _emit("spectrum.csv", lambda p: write_spectrum_csv(p, spectrum))
 
     def _write_comparison(path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -423,35 +426,12 @@ def run_experiment(
             },
         }
         if prune_report is not None:
-            doc["prune"] = {
-                "initial_hidden": prune_report.initial_hidden,
-                "pruned_hidden": prune_report.pruned_hidden,
-                "mse_initial": prune_report.mse_initial,
-                "mse_pruned": prune_report.mse_pruned,
-                "spectrum_initial": list(prune_report.spectrum_initial),
-                "spectrum_pruned": list(prune_report.spectrum_pruned),
-            }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            doc["prune"] = prune_doc(prune_report)
+        write_json(path, doc)
 
     _emit("report.json", _write_report)
-
     if prune_report is not None:
-        def _write_prune(path):
-            doc = {
-                "initial_hidden": prune_report.initial_hidden,
-                "pruned_hidden": prune_report.pruned_hidden,
-                "mse_initial": prune_report.mse_initial,
-                "mse_pruned": prune_report.mse_pruned,
-                "spectrum_initial": list(prune_report.spectrum_initial),
-                "spectrum_pruned": list(prune_report.spectrum_pruned),
-            }
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-
-        _emit("prune_report.json", _write_prune)
+        _emit("prune_report.json", lambda p: write_json(p, prune_doc(prune_report)))
 
     return ExperimentResult(
         ann_model=ann_model,

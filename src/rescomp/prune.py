@@ -21,15 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
 from .network import (
     DEFAULT_TARGET_BOUNDS_ARCMIN,
     Dataset,
     Network,
     NetworkShape,
+    _activations,
     init_network,
     mse,
-    sigmoid,
 )
 from .optim import TrainingConfig, TrainingHistory, train_lm
 
@@ -38,11 +37,7 @@ DEFAULT_RANK_REL_TOL = 1e-3
 
 def activation_matrix(net: Network, data: Dataset) -> np.ndarray:
     """Hidden-node outputs for every pattern: (P, J) matrix."""
-    if data.inputs.shape[1] != net.shape.n_inputs:
-        raise ShapeMismatch(
-            f"dataset has {data.inputs.shape[1]} inputs, network expects {net.shape.n_inputs}"
-        )
-    return sigmoid(data.inputs @ net.w_hidden.T + net.theta_hidden)
+    return _activations(net, data.inputs)[0]
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -91,15 +86,12 @@ def prune_and_retrain(
     """
     if initial_hidden < 2:
         raise ValueError(f"initial_hidden must be >= 2, got {initial_hidden}")
-    k = data.inputs.shape[1]
-    i = data.targets.shape[1]
-
-    net_full = init_network(NetworkShape(k, initial_hidden, i), cfg.seed, norm_bounds)
+    net_full = init_network(NetworkShape(1, initial_hidden, 1), cfg.seed, norm_bounds)
     trained_full, hist_full = train_fn(net_full, data, cfg)
     spectrum_full = singular_values(activation_matrix(trained_full, data))
     rank = max(effective_rank(spectrum_full, rel_tol), 1)
 
-    net_small = init_network(NetworkShape(k, rank, i), cfg.seed, norm_bounds)
+    net_small = init_network(NetworkShape(1, rank, 1), cfg.seed, norm_bounds)
     trained_small, hist_small = train_fn(net_small, data, cfg)
     spectrum_small = singular_values(activation_matrix(trained_small, data))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caldata import ARCMIN_PER_DEG, CalibrationSample, CalibrationSet, wrap_angle_deg
+from .caldata import ARCMIN_PER_DEG, CalibrationSample, CalibrationSet, wrap_angle_deg, write_json
 from .errors import BadGrid
 
 # One least-significant bit of a 16-bit single-turn encoder, in degrees.
@@ -122,9 +122,7 @@ def spec_to_json(spec: HarmonicSpec, path) -> None:
         "noise_sigma_arcmin": spec.noise_sigma_arcmin,
         "seed": spec.seed,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def spec_from_json(path) -> HarmonicSpec:

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rescomp
 from rescomp.caldata import load_calibration
 from rescomp.cli import main
 from rescomp.pipeline import load_model
@@ -115,6 +120,30 @@ def test_correct_stdin_stream(tiny_model, capsys, monkeypatch):
     assert len(lines) == 3
     for line in lines:
         assert 0.0 <= float(line) < 360.0
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_non_finite_angle_fails_with_error_name(tiny_model, capsys, angle):
+    assert main(["correct", "--model", str(tiny_model), f"--angle={angle}"]) == 1
+    assert capsys.readouterr().err.startswith("OutOfRange: ")
+
+
+@pytest.mark.parametrize("line, error", [
+    ("nan", "OutOfRange"), ("-inf", "OutOfRange"), ("12,5", "MalformedRow"),
+    ("ten", "MalformedRow"),
+])
+def test_bad_stdin_line_fails_with_error_name(tiny_model, capsys, monkeypatch, line, error):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"10.0\n{line}\n20.0\n"))
+    assert main(["correct", "--model", str(tiny_model), "--stdin"]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1
+    assert captured.err.startswith(f"{error}: ")
+
+
+def test_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(rescomp.__file__).parents[1]))
+    code = "import sys, rescomp.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_prune_subcommand(tmp_path, train_csv):

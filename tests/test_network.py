@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rescomp.network import (
     init_network,
     mse,
     residual_jacobian,
+    sigmoid,
 )
 
 
@@ -108,6 +110,22 @@ def test_norm_roundtrip_tight():
     assert np.max(np.abs(m.denormalize(m.normalize(values)) - values)) < 1e-12
 
 
+# --- logistic ---
+
+@settings(max_examples=300)
+@given(z=st.floats(allow_nan=False) | st.sampled_from([np.inf, -np.inf, 1e308, -1e308]))
+def test_sigmoid_open_interval_without_warnings(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = float(sigmoid(z))
+        batch = sigmoid(np.array([z, -z]))
+    assert 0.0 < y < 1.0
+    assert np.all((batch > 0.0) & (batch < 1.0))
+    if abs(z) <= 30.0:
+        reference = 1.0 / (1.0 + math.exp(-z))
+        assert abs(y - reference) <= 2 * math.ulp(reference)
+
+
 # --- forward pass ---
 
 def test_forward_zero_network_gives_half():
@@ -178,10 +196,10 @@ def test_dataset_requires_unit_interval():
 
 
 def test_shape_mismatch():
-    net = init_network(NetworkShape(2, 3, 1), seed=0)
-    data = Dataset([[0.1]], [[0.5]])
-    with pytest.raises(ShapeMismatch):
-        mse(net, data)
+    # only 1:J:1 nets exist; any other shape is rejected where it is declared
+    for k, j, i in ((2, 3, 1), (1, 3, 2), (1, 0, 1)):
+        with pytest.raises(ShapeMismatch):
+            NetworkShape(k, j, i)
 
 
 # --- gradient ---

@@ -120,6 +120,33 @@ def test_wrong_array_length_rejected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("k, i", [(2, 1), (1, 2)])
+def test_non_1_j_1_shape_rejected(tmp_path, k, i):
+    # array lengths match the declared shape, so only the shape itself is wrong
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=4)))
+    doc = json.loads(path.read_text())
+    doc["shape"] = {"n_inputs": k, "n_hidden": 4, "n_outputs": i}
+    doc["hidden_weights"] = [0.25] * (4 * k)
+    doc["output_weights"] = [0.25] * (4 * i)
+    doc["output_thresholds"] = [0.0] * i
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["input_norm", "target_norm"])
+@pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (-6.0, math.nan)])
+def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=4)))
+    doc = json.loads(path.read_text())
+    doc[key]["lo"], doc[key]["hi"] = lo, hi
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile):
+        load_model(path)
+
+
 def test_constructor_rejects_mismatched_payload():
     with pytest.raises(KindMismatch):
         CompensationModel(KIND_ANN, "enc", fourier_model())

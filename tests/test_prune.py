@@ -47,9 +47,12 @@ def test_activation_matrix_dimensions(arch1_data, arch1_lm80):
 
 
 def test_activation_matrix_shape_mismatch():
-    net = init_network(NetworkShape(2, 3, 1), seed=0)
+    # a 2-input net or a 2-input dataset cannot be built, so neither reaches
+    # activation_matrix
     with pytest.raises(ShapeMismatch):
-        activation_matrix(net, Dataset([[0.1]], [[0.5]]))
+        NetworkShape(2, 3, 1)
+    with pytest.raises(ShapeMismatch):
+        Dataset([[0.1, 0.2]], [[0.5]])
 
 
 # --- singular values ---
