@@ -32,11 +32,7 @@ def main(argv=None) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    training = TrainingConfig(
-        max_iterations=args.max_iterations,
-        stall_window=min(200, max(1, args.max_iterations // 3)),
-        seed=args.seed,
-    )
+    training = TrainingConfig(max_iterations=args.max_iterations, seed=args.seed)
     rows = []
     for k in range(1, 5):
         encoder_id = f"archetype-{k}"

@@ -48,11 +48,7 @@ def main(argv=None) -> int:
     profile = error_profile(train_set)
     probe = init_network(NetworkShape(1, 2, 1), seed=args.seed)
     data = dataset_from_profile(profile, probe)
-    cfg = TrainingConfig(
-        max_iterations=args.max_iterations,
-        stall_window=min(200, max(1, args.max_iterations // 3)),
-        seed=args.seed,
-    )
+    cfg = TrainingConfig(max_iterations=args.max_iterations, seed=args.seed)
 
     if not args.skip_sweep:
         print(f"width sweep over {DEFAULT_SWEEP_NODES} ...")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    CorruptFile,
     DuplicateGridAngle,
     EmptyProfile,
     MalformedRow,
@@ -175,6 +176,15 @@ def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def json_int(doc, key: str) -> int:
+    """`doc[key]` where `doc` is a JSON object holding an integer there (a
+    bool or a float such as 2.0 is not one); CorruptFile otherwise."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if type(value) is not int:
+        raise CorruptFile(f"missing or non-integer {key!r}: {value!r}")
+    return value
 
 
 def error_profile(cal: CalibrationSet) -> ErrorProfile:

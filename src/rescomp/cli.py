@@ -12,19 +12,27 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import caldata, fourier, network, optim, pipeline, prune, simgen
+from . import caldata, optim, pipeline, prune, simgen
 from .errors import MalformedRow, RescompError
 
 
-def _training_config(args) -> optim.TrainingConfig:
-    return optim.TrainingConfig(
-        max_iterations=args.max_iterations,
-        learning_rate=args.learning_rate,
-        lm_lambda0=args.lm_lambda0,
-        lm_factor=args.lm_factor,
-        stall_window=args.stall_window,
-        stall_tol=args.stall_tol,
-        seed=args.seed,
+def _experiment_config(args) -> pipeline.ExperimentConfig:
+    return pipeline.ExperimentConfig(
+        hidden=args.hidden,
+        optimizer=args.optimizer,
+        top_orders=args.top,
+        prune=args.prune,
+        prune_rel_tol=args.rel_tol,
+        norm_bounds=(args.norm_lo, args.norm_hi),
+        training=optim.TrainingConfig(
+            max_iterations=args.max_iterations,
+            learning_rate=args.learning_rate,
+            lm_lambda0=args.lm_lambda0,
+            lm_factor=args.lm_factor,
+            stall_window=args.stall_window,
+            stall_tol=args.stall_tol,
+            seed=args.seed,
+        ),
     )
 
 
@@ -58,21 +66,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _train_network(args):
-    cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
-    profile = caldata.error_profile(cal)
-    net0 = network.init_network(
-        network.NetworkShape(1, args.hidden, 1), args.seed, (args.norm_lo, args.norm_hi)
-    )
-    data = network.dataset_from_profile(profile, net0)
-    cfg = _training_config(args)
-    train_fn = optim.trainer(args.optimizer)
-    return cal, data, cfg, train_fn, net0
-
-
 def _cmd_train(args) -> int:
-    cal, data, cfg, train_fn, net0 = _train_network(args)
-    trained, history = train_fn(net0, data, cfg)
+    cfg = _experiment_config(args)
+    cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
+    trained, history, _report = pipeline.fit_network(caldata.error_profile(cal), cfg)
     model = pipeline.CompensationModel(pipeline.KIND_ANN, cal.encoder_id, trained)
     pipeline.save_model(args.out, model)
     if args.history:
@@ -87,13 +84,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    cal, data, cfg, train_fn, _net0 = _train_network(args)
-    pruned_net, report = prune.prune_and_retrain(
-        data, args.hidden, cfg,
-        rel_tol=args.rel_tol,
-        norm_bounds=(args.norm_lo, args.norm_hi),
-        train_fn=train_fn,
-    )
+    cfg = _experiment_config(args)
+    cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
+    pruned_net, _history, report = pipeline.fit_network(caldata.error_profile(cal), cfg)
     model = pipeline.CompensationModel(pipeline.KIND_ANN, cal.encoder_id, pruned_net)
     pipeline.save_model(args.out, model)
     if args.report:
@@ -105,10 +98,7 @@ def _cmd_prune(args) -> int:
 
 def _cmd_fourier(args) -> int:
     cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
-    profile = caldata.error_profile(cal)
-    spectrum = fourier.harmonic_spectrum(profile)
-    orders = fourier.select_top(spectrum, min(args.top, len(spectrum)))
-    model = fourier.fit_fourier(profile, orders)
+    model, spectrum, orders = pipeline.fit_fourier_baseline(caldata.error_profile(cal), args.top)
     pipeline.save_model(
         args.out, pipeline.CompensationModel(pipeline.KIND_FOURIER, cal.encoder_id, model)
     )
@@ -159,6 +149,7 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_run_experiment(args) -> int:
+    cfg = _experiment_config(args)
     if args.spec:
         spec = simgen.spec_from_json(args.spec)
         cal = simgen.synthesize(
@@ -167,15 +158,6 @@ def _cmd_run_experiment(args) -> int:
         )
     else:
         cal = caldata.load_calibration(args.csv, encoder_id=args.encoder_id)
-    cfg = pipeline.ExperimentConfig(
-        hidden=args.hidden,
-        optimizer=args.optimizer,
-        top_orders=args.top,
-        prune=args.prune,
-        prune_rel_tol=args.rel_tol,
-        norm_bounds=(args.norm_lo, args.norm_hi),
-        training=_training_config(args),
-    )
     result = pipeline.run_experiment(cal, args.outdir, cfg)
     pre = result.pre_full_stats
     ann = result.ann_report.post_stats
@@ -217,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", help="optional convergence CSV (iteration,mse)")
     p.add_argument("--encoder-id", default="unknown")
     _add_training_flags(p)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, prune=False, top=10, rel_tol=prune.DEFAULT_RANK_REL_TOL)
 
     p = sub.add_parser("prune", help="train, estimate redundancy, retrain smaller")
     p.add_argument("--data", required=True, help="training calibration CSV")
@@ -228,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="optional prune report JSON")
     p.add_argument("--encoder-id", default="unknown")
     _add_training_flags(p)
-    p.set_defaults(func=_cmd_prune)
+    p.set_defaults(func=_cmd_prune, prune=True, top=10)
 
     p = sub.add_parser("fourier", help="fit the Fourier-series baseline")
     p.add_argument("--data", required=True, help="training calibration CSV")

@@ -86,7 +86,7 @@ class UnsupportedVersion(RescompError):
 
 
 class CorruptFile(RescompError):
-    """Model file is malformed or inconsistent."""
+    """Model or spec file is malformed or inconsistent."""
 
 
 class KindMismatch(RescompError):

@@ -26,6 +26,7 @@ from .caldata import (
     ErrorProfile,
     ProfileStats,
     error_profile,
+    json_int,
     partition_even_odd,
     stats,
     wrap_angle_deg,
@@ -146,9 +147,7 @@ def load_model(path) -> CompensationModel:
     if not isinstance(doc, dict):
         raise CorruptFile("model file must hold a JSON object")
 
-    version = doc.get("format_version")
-    if not isinstance(version, int):
-        raise CorruptFile(f"missing or non-integer format_version: {version!r}")
+    version = json_int(doc, "format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"unsupported format version {version}")
 
@@ -164,12 +163,9 @@ def load_model(path) -> CompensationModel:
 
     if kind == KIND_ANN:
         try:
-            shape = NetworkShape(
-                int(doc["shape"]["n_inputs"]),
-                int(doc["shape"]["n_hidden"]),
-                int(doc["shape"]["n_outputs"]),
-            )
-        except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
+            shape = NetworkShape(*(json_int(doc.get("shape"), key)
+                                   for key in ("n_inputs", "n_hidden", "n_outputs")))
+        except ShapeMismatch as exc:
             raise CorruptFile(f"bad or missing shape: {exc}") from exc
         j = shape.n_hidden
         params = (_float_list(doc, "hidden_weights", j) + _float_list(doc, "hidden_thresholds", j)
@@ -182,7 +178,7 @@ def load_model(path) -> CompensationModel:
     try:
         a0 = float(doc["a0"])
         terms = tuple(
-            FourierTerm(int(t["n"]), float(t["a"]), float(t["b"])) for t in doc["terms"]
+            FourierTerm(json_int(t, "n"), float(t["a"]), float(t["b"])) for t in doc["terms"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"bad fourier payload: {exc}") from exc
@@ -265,6 +261,8 @@ class ExperimentConfig:
         trainer(self.optimizer)  # ValueError for an unknown optimizer name
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
+        if self.prune and self.hidden < 2:
+            raise ValueError("pruning needs hidden >= 2")
 
 
 @dataclass(frozen=True)
@@ -321,6 +319,35 @@ def write_residuals_csv(path, report: EvaluationReport) -> None:
             fh.write(f"{angle!r},{obs!r},{pred!r},{res!r}\n")
 
 
+def fit_network(
+    profile: ErrorProfile, cfg: ExperimentConfig
+) -> tuple[Network, TrainingHistory, PruneReport | None]:
+    """Train the 1:J:1 net on an error profile as `cfg` says: one training
+    run, or with `cfg.prune` train, prune and retrain.  Returns the net, the
+    history of its training and the prune report (None without pruning)."""
+    net0 = init_network(NetworkShape(1, cfg.hidden, 1), cfg.training.seed, cfg.norm_bounds)
+    data = dataset_from_profile(profile, net0)
+    train_fn = trainer(cfg.optimizer)
+    if not cfg.prune:
+        return (*train_fn(net0, data, cfg.training), None)
+    net, report = prune_and_retrain(
+        data, cfg.hidden, cfg.training,
+        rel_tol=cfg.prune_rel_tol, norm_bounds=cfg.norm_bounds, train_fn=train_fn,
+    )
+    return net, report.history_pruned, report
+
+
+def fit_fourier_baseline(
+    profile: ErrorProfile, top: int
+) -> tuple[FourierModel, HarmonicSpectrum, list[int]]:
+    """Fit the Fourier series on the `top` strongest harmonics of a profile
+    (all of them if it has fewer).  Returns the model, the spectrum and the
+    fitted orders."""
+    spectrum = harmonic_spectrum(profile)
+    orders = select_top(spectrum, min(top, len(spectrum)))
+    return fit_fourier(profile, orders), spectrum, orders
+
+
 def run_experiment(
     cal: CalibrationSet, outdir, cfg: ExperimentConfig = ExperimentConfig()
 ) -> ExperimentResult:
@@ -331,107 +358,73 @@ def run_experiment(
     outdir.mkdir(parents=True, exist_ok=True)
 
     train_set, test_set = partition_even_odd(cal)
-
     train_prof = error_profile(train_set)
     full_stats = stats(error_profile(cal))
 
-    # network branch
-    prune_report = None
-    net0 = init_network(NetworkShape(1, cfg.hidden, 1), cfg.training.seed, cfg.norm_bounds)
-    data = dataset_from_profile(train_prof, net0)
-    train_fn = trainer(cfg.optimizer)
-    if cfg.prune:
-        trained, prune_report = prune_and_retrain(
-            data, cfg.hidden, cfg.training,
-            rel_tol=cfg.prune_rel_tol, norm_bounds=cfg.norm_bounds, train_fn=train_fn,
-        )
-        history = prune_report.history_pruned
-    else:
-        trained, history = train_fn(net0, data, cfg.training)
-
+    trained, history, prune_report = fit_network(train_prof, cfg)
+    series, spectrum, orders = fit_fourier_baseline(train_prof, cfg.top_orders)
     ann_model = CompensationModel(KIND_ANN, cal.encoder_id, trained)
-
-    # fourier branch
-    spectrum = harmonic_spectrum(train_prof)
-    orders = select_top(spectrum, min(cfg.top_orders, len(spectrum)))
-    fourier_model = CompensationModel(
-        KIND_FOURIER, cal.encoder_id, fit_fourier(train_prof, orders)
-    )
-
+    fourier_model = CompensationModel(KIND_FOURIER, cal.encoder_id, series)
     ann_report = evaluate(ann_model, test_set)
     fourier_report = evaluate(fourier_model, test_set)
 
-    # report bundle
-    files = []
-
-    def _emit(name, writer):
-        path = outdir / name
-        writer(path)
-        files.append(name)
-
-    _emit("ann_model.json", lambda p: save_model(p, ann_model))
-    _emit("fourier_model.json", lambda p: save_model(p, fourier_model))
-    _emit("history.csv", lambda p: write_history_csv(p, history))
-    _emit("residuals_ann.csv", lambda p: write_residuals_csv(p, ann_report))
-    _emit("residuals_fourier.csv", lambda p: write_residuals_csv(p, fourier_report))
-    _emit("spectrum.csv", lambda p: write_spectrum_csv(p, spectrum))
-
-    def _write_comparison(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                "encoder_id,pre_mae_arcmin,pre_rms_arcmin,"
-                "fourier_mae_arcmin,fourier_rms_arcmin,"
-                "ann_mae_arcmin,ann_rms_arcmin\n"
-            )
-            fh.write(
-                f"{cal.encoder_id},"
-                f"{full_stats.mae_arcmin!r},{full_stats.rms_arcmin!r},"
-                f"{fourier_report.post_stats.mae_arcmin!r},"
-                f"{fourier_report.post_stats.rms_arcmin!r},"
-                f"{ann_report.post_stats.mae_arcmin!r},"
-                f"{ann_report.post_stats.rms_arcmin!r}\n"
-            )
-
-    _emit("comparison.csv", _write_comparison)
-
-    def _write_report(path):
-        doc = {
-            "encoder_id": cal.encoder_id,
-            "epoch": cal.epoch,
-            "config": {
-                "hidden": cfg.hidden,
-                "optimizer": cfg.optimizer,
-                "top_orders": cfg.top_orders,
-                "prune": cfg.prune,
-                "prune_rel_tol": cfg.prune_rel_tol,
-                "norm_bounds": list(cfg.norm_bounds),
-                "max_iterations": cfg.training.max_iterations,
-                "seed": cfg.training.seed,
-            },
-            "n_train": len(train_set),
-            "n_test": len(test_set),
-            "pre_full": stats_doc(full_stats),
-            "pre_test": stats_doc(ann_report.pre_stats),
-            "ann": {
-                "post": stats_doc(ann_report.post_stats),
-                "max_abs_residual_arcmin": ann_report.max_abs_residual_arcmin,
-                "iterations_run": history.iterations_run,
-                "stop_reason": history.stop_reason.value,
-                "final_mse": history.mse_per_iteration[-1],
-            },
-            "fourier": {
-                "post": stats_doc(fourier_report.post_stats),
-                "max_abs_residual_arcmin": fourier_report.max_abs_residual_arcmin,
-                "orders": orders,
-            },
-        }
-        if prune_report is not None:
-            doc["prune"] = prune_doc(prune_report)
-        write_json(path, doc)
-
-    _emit("report.json", _write_report)
+    save_model(outdir / "ann_model.json", ann_model)
+    save_model(outdir / "fourier_model.json", fourier_model)
+    write_history_csv(outdir / "history.csv", history)
+    write_residuals_csv(outdir / "residuals_ann.csv", ann_report)
+    write_residuals_csv(outdir / "residuals_fourier.csv", fourier_report)
+    write_spectrum_csv(outdir / "spectrum.csv", spectrum)
+    with open(outdir / "comparison.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(
+            "encoder_id,pre_mae_arcmin,pre_rms_arcmin,"
+            "fourier_mae_arcmin,fourier_rms_arcmin,"
+            "ann_mae_arcmin,ann_rms_arcmin\n"
+        )
+        fh.write(
+            f"{cal.encoder_id},"
+            f"{full_stats.mae_arcmin!r},{full_stats.rms_arcmin!r},"
+            f"{fourier_report.post_stats.mae_arcmin!r},"
+            f"{fourier_report.post_stats.rms_arcmin!r},"
+            f"{ann_report.post_stats.mae_arcmin!r},"
+            f"{ann_report.post_stats.rms_arcmin!r}\n"
+        )
+    doc = {
+        "encoder_id": cal.encoder_id,
+        "epoch": cal.epoch,
+        "config": {
+            "hidden": cfg.hidden,
+            "optimizer": cfg.optimizer,
+            "top_orders": cfg.top_orders,
+            "prune": cfg.prune,
+            "prune_rel_tol": cfg.prune_rel_tol,
+            "norm_bounds": list(cfg.norm_bounds),
+            "max_iterations": cfg.training.max_iterations,
+            "seed": cfg.training.seed,
+        },
+        "n_train": len(train_set),
+        "n_test": len(test_set),
+        "pre_full": stats_doc(full_stats),
+        "pre_test": stats_doc(ann_report.pre_stats),
+        "ann": {
+            "post": stats_doc(ann_report.post_stats),
+            "max_abs_residual_arcmin": ann_report.max_abs_residual_arcmin,
+            "iterations_run": history.iterations_run,
+            "stop_reason": history.stop_reason.value,
+            "final_mse": history.mse_per_iteration[-1],
+        },
+        "fourier": {
+            "post": stats_doc(fourier_report.post_stats),
+            "max_abs_residual_arcmin": fourier_report.max_abs_residual_arcmin,
+            "orders": orders,
+        },
+    }
+    files = ("ann_model.json", "fourier_model.json", "history.csv", "residuals_ann.csv",
+             "residuals_fourier.csv", "spectrum.csv", "comparison.csv", "report.json")
     if prune_report is not None:
-        _emit("prune_report.json", lambda p: write_json(p, prune_doc(prune_report)))
+        doc["prune"] = prune_doc(prune_report)
+        write_json(outdir / "prune_report.json", doc["prune"])
+        files += ("prune_report.json",)
+    write_json(outdir / "report.json", doc)
 
     return ExperimentResult(
         ann_model=ann_model,
@@ -441,5 +434,5 @@ def run_experiment(
         history=history,
         prune_report=prune_report,
         pre_full_stats=full_stats,
-        files=tuple(files),
+        files=files,
     )

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caldata import ARCMIN_PER_DEG, CalibrationSample, CalibrationSet, wrap_angle_deg, write_json
-from .errors import BadGrid
+from .caldata import (ARCMIN_PER_DEG, CalibrationSample, CalibrationSet, json_int,
+                      wrap_angle_deg, write_json)
+from .errors import BadGrid, CorruptFile
 
 # One least-significant bit of a 16-bit single-turn encoder, in degrees.
 LSB_DEG = 360.0 / 65536.0
@@ -52,8 +53,8 @@ class HarmonicSpec:
         orders = [t.n for t in self.terms]
         if len(set(orders)) != len(orders):
             raise ValueError(f"harmonic orders must be distinct, got {orders}")
-        if self.noise_sigma_arcmin < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if not self.noise_sigma_arcmin >= 0:
+            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma_arcmin!r}")
 
 
 def harmonic_error_arcmin(terms, theta_deg: float) -> float:
@@ -126,18 +127,26 @@ def spec_to_json(spec: HarmonicSpec, path) -> None:
 
 
 def spec_from_json(path) -> HarmonicSpec:
-    """Read a HarmonicSpec from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    terms = tuple(
-        HarmonicTerm(int(t["n"]), float(t["amp_arcmin"]), float(t["phase_rad"]))
-        for t in doc.get("terms", [])
-    )
-    return HarmonicSpec(
-        terms=terms,
-        noise_sigma_arcmin=float(doc.get("noise_sigma_arcmin", 0.0)),
-        seed=int(doc.get("seed", 0)),
-    )
+    """Read a HarmonicSpec from a JSON file; CorruptFile if it is malformed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptFile(f"not a valid spec file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorruptFile("spec file must hold a JSON object")
+    try:
+        terms = tuple(
+            HarmonicTerm(json_int(t, "n"), float(t["amp_arcmin"]), float(t["phase_rad"]))
+            for t in doc.get("terms", [])
+        )
+        return HarmonicSpec(
+            terms=terms,
+            noise_sigma_arcmin=float(doc.get("noise_sigma_arcmin", 0.0)),
+            seed=int(doc.get("seed", 0)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFile(f"bad spec: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,38 @@ def test_prune_subcommand(tmp_path, train_csv):
     assert load_model(model).payload.shape.n_hidden == doc["pruned_hidden"]
 
 
+def test_train_budget_below_default_stall_window(tmp_path, train_csv):
+    args = ["train", "--data", str(train_csv), "--hidden", "6", "--max-iterations", "150",
+            "--out", str(tmp_path / "m.json")]
+    assert main(args) == 0
+
+
+@pytest.mark.parametrize("command", ["run-experiment", "prune"])
+def test_prune_one_node_net_fails_before_writing(tmp_path, spec_file, train_csv, capsys, command):
+    out = tmp_path / "out"
+    args = {"run-experiment": ["--prune", "--spec", str(spec_file), "--outdir", str(out)],
+            "prune": ["--data", str(train_csv), "--out", str(out)]}[command]
+    assert main([command, *args, "--hidden", "1"]) == 1
+    assert capsys.readouterr().err.startswith("ValueError: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"terms": [{"amp_arcmin": 1.0, "phase_rad": 0.0}]}',
+    '{"terms": [{"n": 2.5, "amp_arcmin": 1.0, "phase_rad": 0.0}]}',
+    '[{"n": 1, "amp_arcmin": 1.0, "phase_rad": 0.0}]',
+    '{"terms": [], "noise_sigma_arcmin": NaN}',
+    "{ not json",
+])
+def test_bad_spec_file_fails_with_error_name(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "cal.csv"
+    assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("CorruptFile: ")
+    assert not out.exists()
+
+
 def test_run_experiment_subcommand(tmp_path, spec_file, capsys):
     outdir = tmp_path / "bundle"
     args = ["run-experiment", "--spec", str(spec_file), "--outdir", str(outdir),

@@ -135,6 +135,30 @@ def test_non_1_j_1_shape_rejected(tmp_path, k, i):
         load_model(path)
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    (KIND_ANN, "format_version", True),
+    (KIND_ANN, "n_inputs", True),
+    (KIND_ANN, "n_hidden", 4.0),
+    (KIND_ANN, "n_outputs", "1"),
+    (KIND_FOURIER, "n", 16.9),
+    (KIND_FOURIER, "n", True),
+])
+def test_non_integer_field_rejected(tmp_path, kind, field, value):
+    path = tmp_path / "model.json"
+    payload = trained_like_net(hidden=4) if kind == KIND_ANN else fourier_model()
+    save_model(path, CompensationModel(kind, "enc", payload))
+    doc = json.loads(path.read_text())
+    if field == "n":
+        doc["terms"][1]["n"] = value
+    elif field.startswith("n_"):
+        doc["shape"][field] = value
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile):
+        load_model(path)
+
+
 @pytest.mark.parametrize("key", ["input_norm", "target_norm"])
 @pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (-6.0, math.nan)])
 def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
