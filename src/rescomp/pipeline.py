@@ -263,6 +263,8 @@ class ExperimentConfig:
             raise ValueError("hidden must be >= 1")
         if self.prune and self.hidden < 2:
             raise ValueError("pruning needs hidden >= 2")
+        if not 0.0 < self.prune_rel_tol < 1.0:
+            raise ValueError(f"prune_rel_tol must be in (0, 1), got {self.prune_rel_tol!r}")
 
 
 @dataclass(frozen=True)

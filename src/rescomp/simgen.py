@@ -55,6 +55,8 @@ class HarmonicSpec:
             raise ValueError(f"harmonic orders must be distinct, got {orders}")
         if not self.noise_sigma_arcmin >= 0:
             raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma_arcmin!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def harmonic_error_arcmin(terms, theta_deg: float) -> float:
@@ -143,7 +145,7 @@ def spec_from_json(path) -> HarmonicSpec:
         return HarmonicSpec(
             terms=terms,
             noise_sigma_arcmin=float(doc.get("noise_sigma_arcmin", 0.0)),
-            seed=int(doc.get("seed", 0)),
+            seed=json_int(doc, "seed") if "seed" in doc else 0,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"bad spec: {exc!r}") from exc

@@ -164,12 +164,21 @@ def test_train_budget_below_default_stall_window(tmp_path, train_csv):
     assert main(args) == 0
 
 
-@pytest.mark.parametrize("command", ["run-experiment", "prune"])
-def test_prune_one_node_net_fails_before_writing(tmp_path, spec_file, train_csv, capsys, command):
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("run-experiment", ["--hidden", "1"], id="run-experiment"),
+    pytest.param("prune", ["--hidden", "1"], id="prune"),
+    *(pytest.param(command, ["--hidden", "4", "--max-iterations", "30", "--rel-tol", tol],
+                   id=f"{command}-rel-tol-{tol}")
+      for command in ("run-experiment", "prune") for tol in ("0", "2", "nan")),
+])
+def test_prune_one_node_net_fails_before_writing(
+    tmp_path, spec_file, train_csv, capsys, command, flags
+):
+    """Also any prune rel_tol outside (0, 1): both fail before training."""
     out = tmp_path / "out"
     args = {"run-experiment": ["--prune", "--spec", str(spec_file), "--outdir", str(out)],
             "prune": ["--data", str(train_csv), "--out", str(out)]}[command]
-    assert main([command, *args, "--hidden", "1"]) == 1
+    assert main([command, *args, *flags]) == 1
     assert capsys.readouterr().err.startswith("ValueError: ")
     assert not out.exists()
 
@@ -180,6 +189,10 @@ def test_prune_one_node_net_fails_before_writing(tmp_path, spec_file, train_csv,
     '[{"n": 1, "amp_arcmin": 1.0, "phase_rad": 0.0}]',
     '{"terms": [], "noise_sigma_arcmin": NaN}',
     "{ not json",
+    '{"terms": [], "seed": 2.7}',
+    '{"terms": [], "seed": true}',
+    '{"terms": [], "seed": "3"}',
+    '{"terms": [], "seed": -1}',
 ])
 def test_bad_spec_file_fails_with_error_name(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"

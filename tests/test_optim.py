@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from rescomp.network import Dataset, NetworkShape, forward_batch, init_network, mse
+from rescomp.network import (
+    Dataset,
+    NetworkShape,
+    forward_batch,
+    init_network,
+    mse,
+    residual_jacobian,
+)
 from rescomp.optim import (
     DEFAULT_SWEEP_NODES,
     StopReason,
@@ -25,6 +32,10 @@ def test_config_validation():
         TrainingConfig(lm_factor=1.0)
     with pytest.raises(ValueError):
         TrainingConfig(stall_window=0)
+    for name in ("learning_rate", "lm_lambda0", "lm_factor", "stall_tol"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                TrainingConfig(**{name: value})
 
 
 def test_history_length_must_match():
@@ -134,6 +145,26 @@ def test_lm_recorded_mse_non_increasing():
     _, history = train_lm(net, data, TrainingConfig(max_iterations=150, stall_window=60, seed=9))
     h = history.mse_per_iteration
     assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
+
+
+@pytest.mark.parametrize("hidden, patterns", [(4, 8), (3, 20)])
+def test_lm_step_solves_damped_normal_equations(hidden, patterns):
+    # 1:4:1 on 8 patterns has more parameters than patterns (13 > 8), so the
+    # step goes through the 8 x 8 system; 1:3:1 on 20 patterns (10 <= 20)
+    # solves the 10 x 10 normal equations themselves
+    net = init_network(NetworkShape(1, hidden, 1), seed=13)
+    rng = np.random.default_rng(13)
+    data = Dataset(rng.uniform(0, 1, (patterns, 1)), rng.uniform(0.2, 0.8, (patterns, 1)))
+    cfg = TrainingConfig(max_iterations=1, seed=13)
+    trained, history = train_lm(net, data, cfg)
+    assert history.mse_per_iteration[0] < mse(net, data)  # the lambda0 step was accepted
+    residuals, jac = residual_jacobian(net, data)
+    damped = jac.T @ jac + cfg.lm_lambda0 * np.eye(net.n_params)
+    expected = net.to_vector() - np.linalg.solve(damped, jac.T @ residuals)
+    if net.n_params <= patterns:
+        assert np.array_equal(trained.to_vector(), expected)
+    else:
+        np.testing.assert_allclose(trained.to_vector(), expected, rtol=1e-9)
 
 
 def test_lm_deterministic():
