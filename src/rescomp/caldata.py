@@ -45,7 +45,7 @@ def wrap_signed_deg(delta_deg: float) -> float:
 def wrap_angle_deg(angle_deg: float) -> float:
     """Map a finite angle in degrees into [0, 360); NaN and +-inf raise OutOfRange."""
     if not math.isfinite(angle_deg):
-        raise OutOfRange(f"angle {angle_deg!r} is not finite")
+        raise OutOfRange(f"angle {float(angle_deg)!r} is not finite")
     wrapped = math.fmod(angle_deg, 360.0)
     if wrapped < 0.0:
         wrapped += 360.0
@@ -138,11 +138,15 @@ class ProfileStats:
 def load_calibration(path, encoder_id: str = "unknown", epoch: str = "unknown") -> CalibrationSet:
     """Read a calibration CSV (header + one sample per line) into a CalibrationSet.
 
-    Raises MalformedRow for unparseable lines, OutOfRange for angles
-    outside [0, 360), DuplicateGridAngle / NonMonotonicGrid for bad grids.
+    Raises MalformedRow for unparseable lines or bytes that are not UTF-8,
+    OutOfRange for angles outside [0, 360), DuplicateGridAngle /
+    NonMonotonicGrid for bad grids.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != CSV_HEADER:
         raise MalformedRow(f"missing or wrong header line, expected {CSV_HEADER!r}")
     samples = []

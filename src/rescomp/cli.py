@@ -10,10 +10,19 @@ process prints `ErrorName: detail` on stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import caldata, optim, pipeline, prune, simgen
-from .errors import MalformedRow, RescompError
+from .errors import MalformedRow, OutOfRange, RescompError
+
+# Lines of `correct --stdin` corrected by one `pipeline.correct` call.  Keep
+# every per-batch temporary under glibc's default 128 KiB mmap threshold: the
+# (128, 80) float64 hidden block of a 1:80:1 net is 80 KiB.  A larger block is
+# mmapped, and freeing it raises glibc's threshold to its size, so later
+# temporaries of that size (the linear algebra of a fit in the same process)
+# come from the heap instead of fresh mmaps and run at a different speed.
+STDIN_BATCH_LINES = 128
 
 
 def _experiment_config(args) -> pipeline.ExperimentConfig:
@@ -131,20 +140,39 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _write_corrected(model, angles: list[float]) -> None:
+    if angles:
+        corrected = pipeline.correct(model, angles).tolist()
+        sys.stdout.write("".join(f"{c:.6f}\n" for c in corrected))
+
+
 def _cmd_correct(args) -> int:
     model = pipeline.load_model(args.model)
     if args.angle is not None:
         print(f"{pipeline.correct(model, args.angle):.6f}")
         return 0
-    for lineno, line in enumerate(sys.stdin, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            angle = float(line)
-        except ValueError as exc:
-            raise MalformedRow(f"stdin line {lineno}: not an angle: {line!r}") from exc
-        print(f"{pipeline.correct(model, angle):.6f}")
+    # on a terminal each line is answered before the next one is read
+    batch_lines = 1 if sys.stdin.isatty() else STDIN_BATCH_LINES
+    batch: list[float] = []
+    try:
+        for lineno, line in enumerate(sys.stdin, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                angle = float(line)
+            except ValueError as exc:
+                raise MalformedRow(f"stdin line {lineno}: not an angle: {line!r}") from exc
+            if not math.isfinite(angle):
+                raise OutOfRange(f"stdin line {lineno}: angle {angle!r} is not finite")
+            batch.append(angle)
+            if len(batch) == batch_lines:
+                _write_corrected(model, batch)
+                batch.clear()
+    except RescompError:
+        _write_corrected(model, batch)  # the lines before the bad one
+        raise
+    _write_corrected(model, batch)
     return 0
 
 

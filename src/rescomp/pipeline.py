@@ -29,10 +29,16 @@ from .caldata import (
     json_int,
     partition_even_odd,
     stats,
-    wrap_angle_deg,
     write_json,
 )
-from .errors import CorruptFile, DegenerateBounds, KindMismatch, ShapeMismatch, UnsupportedVersion
+from .errors import (
+    CorruptFile,
+    DegenerateBounds,
+    KindMismatch,
+    OutOfRange,
+    ShapeMismatch,
+    UnsupportedVersion,
+)
 from .fourier import (
     FourierModel,
     FourierTerm,
@@ -93,7 +99,7 @@ def _affine_from_doc(doc) -> AffineMap:
     try:
         return AffineMap(float(doc["lo"]), float(doc["hi"]),
                          float(doc["out_lo"]), float(doc["out_hi"]))
-    except (KeyError, TypeError, ValueError, DegenerateBounds) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DegenerateBounds) as exc:
         raise CorruptFile(f"bad affine map entry: {doc!r}") from exc
 
 
@@ -128,7 +134,7 @@ def save_model(path, model: CompensationModel) -> None:
 def _float_list(doc, key, expected_len) -> list[float]:
     try:
         values = [float(v) for v in doc[key]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptFile(f"missing or non-numeric {key!r}") from exc
     if len(values) != expected_len:
         raise CorruptFile(f"{key!r} has {len(values)} entries, expected {expected_len}")
@@ -142,7 +148,9 @@ def load_model(path) -> CompensationModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError: bad JSON, bad UTF-8 or an integer past Python's digit limit;
+    # RecursionError: arrays or objects nested too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise CorruptFile(f"not a valid model file: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptFile("model file must hold a JSON object")
@@ -177,36 +185,52 @@ def load_model(path) -> CompensationModel:
 
     try:
         a0 = float(doc["a0"])
-        terms = tuple(
+        series = FourierModel(a0, tuple(
             FourierTerm(json_int(t, "n"), float(t["a"]), float(t["b"])) for t in doc["terms"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        ))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptFile(f"bad fourier payload: {exc}") from exc
     if not math.isfinite(a0) or not all(
-        math.isfinite(t.a) and math.isfinite(t.b) for t in terms
+        math.isfinite(t.a) and math.isfinite(t.b) for t in series.terms
     ):
         raise CorruptFile("fourier coefficients must be finite")
-    return CompensationModel(KIND_FOURIER, encoder_id, FourierModel(a0, terms), version)
+    return CompensationModel(KIND_FOURIER, encoder_id, series, version)
+
+
+def _wrap_deg(theta: np.ndarray) -> np.ndarray:
+    """`caldata.wrap_angle_deg` on every element of a 1-D array, with the same
+    fmod arithmetic; OutOfRange names the first non-finite value."""
+    finite = np.isfinite(theta)
+    if not finite.all():
+        raise OutOfRange(f"angle {float(theta[~finite][0])!r} is not finite")
+    wrapped = np.fmod(theta, 360.0)
+    wrapped[wrapped < 0.0] += 360.0
+    # fmod can return -eps, which rounds up to 360.0 after +=
+    wrapped[wrapped >= 360.0] -= 360.0
+    return wrapped
 
 
 def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray:
-    """Model-predicted systematic error (arc-min) at encoder angle(s) in degrees."""
-    scalar = np.isscalar(theta_enc_deg) or np.ndim(theta_enc_deg) == 0
-    theta = np.atleast_1d(np.asarray(theta_enc_deg, dtype=float))
-    wrapped = np.array([wrap_angle_deg(t) for t in theta])
+    """Model-predicted systematic error (arc-min) at an encoder angle in
+    degrees (returns a float) or at a 1-D array of them (returns an array)."""
+    theta = np.asarray(theta_enc_deg, dtype=float)
+    wrapped = _wrap_deg(np.atleast_1d(theta))
     if model.kind == KIND_ANN:
         net = model.payload
         x = net.input_norm.normalize(wrapped)[:, np.newaxis]
         pred = net.target_norm.denormalize(forward_batch(net, x)[:, 0])
     else:
-        pred = np.atleast_1d(eval_fourier(model.payload, wrapped))
-    return float(pred[0]) if scalar else pred
+        pred = eval_fourier(model.payload, wrapped)
+    return float(pred[0]) if theta.ndim == 0 else pred
 
 
-def correct(model: CompensationModel, theta_enc_deg: float) -> float:
-    """Corrected angle: measured minus predicted error, wrapped into [0, 360)."""
-    predicted = predict_error(model, theta_enc_deg)
-    return wrap_angle_deg(float(theta_enc_deg) - predicted / ARCMIN_PER_DEG)
+def correct(model: CompensationModel, theta_enc_deg) -> float | np.ndarray:
+    """Corrected angle(s): measured minus predicted error, wrapped into
+    [0, 360).  A float for one angle, an array for a 1-D array of them."""
+    theta = np.asarray(theta_enc_deg, dtype=float)
+    flat = np.atleast_1d(theta)
+    corrected = _wrap_deg(flat - predict_error(model, flat) / ARCMIN_PER_DEG)
+    return float(corrected[0]) if theta.ndim == 0 else corrected
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,9 @@ def spec_from_json(path) -> HarmonicSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # as in `pipeline.load_model`: ValueError for bad JSON or UTF-8 or an
+    # over-long integer, RecursionError for nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise CorruptFile(f"not a valid spec file: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptFile("spec file must hold a JSON object")
@@ -147,7 +149,7 @@ def spec_from_json(path) -> HarmonicSpec:
             noise_sigma_arcmin=float(doc.get("noise_sigma_arcmin", 0.0)),
             seed=json_int(doc, "seed") if "seed" in doc else 0,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptFile(f"bad spec: {exc!r}") from exc
 
 

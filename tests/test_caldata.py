@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescomp.caldata import (
+    CSV_HEADER,
     CalibrationSample,
     CalibrationSet,
     ErrorProfile,
@@ -20,6 +21,7 @@ from rescomp.errors import (
     NonIntegerGrid,
     NonMonotonicGrid,
     OutOfRange,
+    RescompError,
 )
 from rescomp.simgen import archetype_spec, synthesize
 
@@ -84,6 +86,25 @@ def test_load_full_grid_roundtrip(tmp_path):
     assert again.samples == cal.samples
     assert p.read_text().endswith("\n")
     assert "\r" not in p.read_text()
+
+
+# pieces of calibration rows, and bytes that are not UTF-8
+CSV_TOKENS = st.sampled_from([b"0", b"1", b"2", b"9", b".", b",", b"-", b"e", b"nan", b"inf",
+                              b"\n", b"\r", b" ", b"\xff", b"\xc3"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.binary(max_size=200)
+       | st.lists(CSV_TOKENS, max_size=60).map(
+           lambda parts: CSV_HEADER.encode() + b"\n" + b"".join(parts)))
+def test_load_calibration_fuzz(tmp_path_factory, blob):
+    # any bytes either load or raise a RescompError
+    path = tmp_path_factory.getbasetemp() / "fuzz_cal.csv"
+    path.write_bytes(blob)
+    try:
+        load_calibration(path)
+    except RescompError:
+        pass
 
 
 # --- error profile ---

@@ -5,13 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rescomp
 from rescomp.caldata import load_calibration
-from rescomp.cli import main
-from rescomp.pipeline import load_model
-from rescomp.simgen import archetype_spec, spec_to_json
+from rescomp.cli import STDIN_BATCH_LINES, main
+from rescomp.fourier import FourierModel, FourierTerm
+from rescomp.network import NetworkShape, init_network
+from rescomp.pipeline import CompensationModel, correct, load_model, save_model
+from rescomp.simgen import LSB_DEG, archetype_spec, spec_to_json
 
 
 @pytest.fixture()
@@ -125,7 +128,7 @@ def test_correct_stdin_stream(tiny_model, capsys, monkeypatch):
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_non_finite_angle_fails_with_error_name(tiny_model, capsys, angle):
     assert main(["correct", "--model", str(tiny_model), f"--angle={angle}"]) == 1
-    assert capsys.readouterr().err.startswith("OutOfRange: ")
+    assert capsys.readouterr().err == f"OutOfRange: angle {angle} is not finite\n"
 
 
 @pytest.mark.parametrize("line, error", [
@@ -137,7 +140,90 @@ def test_bad_stdin_line_fails_with_error_name(tiny_model, capsys, monkeypatch, l
     assert main(["correct", "--model", str(tiny_model), "--stdin"]) == 1
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 1
-    assert captured.err.startswith(f"{error}: ")
+    assert captured.err.startswith(f"{error}: stdin line 2: ")
+
+
+# --- the batched stream, on models that need no training ---
+
+ALL_CODES = [k * LSB_DEG for k in range(65536)]  # every 16-bit encoder reading
+
+
+@pytest.fixture(scope="module", params=["ann", "fourier"])
+def stream_case(request, tmp_path_factory):
+    """A seeded random 1:80:1 net or 10-term Fourier model, saved, with the
+    line `correct --stdin` must print for each 16-bit code, from per-angle
+    `pipeline.correct` calls."""
+    rng = np.random.default_rng(2009)
+    if request.param == "ann":
+        net = init_network(NetworkShape(1, 80, 1), seed=7)
+        payload = net.with_params(rng.normal(0.0, 3.0, net.n_params))
+    else:
+        payload = FourierModel(0.3, tuple(
+            FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in range(1, 11)))
+    path = tmp_path_factory.mktemp("stream") / "model.json"
+    save_model(path, CompensationModel(request.param, "stream", payload))
+    model = load_model(path)
+    return path, model, [correct(model, a) for a in ALL_CODES]
+
+
+def stream(path, monkeypatch, angles, extra=""):
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{a!r}\n" for a in angles) + extra))
+    return main(["correct", "--model", str(path), "--stdin"])
+
+
+def test_stdin_stream_prints_per_angle_lines(stream_case, capsys, monkeypatch):
+    path, _model, scalar = stream_case
+    assert stream(path, monkeypatch, ALL_CODES) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar]
+
+
+def test_array_correct_agrees_with_scalar(stream_case):
+    _path, model, scalar = stream_case
+    gap = np.abs(correct(model, np.array(ALL_CODES)) - scalar)
+    assert np.minimum(gap, 360.0 - gap).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [STDIN_BATCH_LINES - 1, STDIN_BATCH_LINES, STDIN_BATCH_LINES + 1])
+def test_stdin_batch_edges(stream_case, capsys, monkeypatch, n):
+    path, _model, scalar = stream_case
+    assert stream(path, monkeypatch, ALL_CODES[:n]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar[:n]]
+
+
+@pytest.mark.parametrize("line, error", [("inf", "OutOfRange"), ("x", "MalformedRow")])
+def test_stdin_lines_before_bad_one_are_written(stream_case, capsys, monkeypatch, line, error):
+    path, _model, scalar = stream_case
+    n = STDIN_BATCH_LINES + 1
+    assert stream(path, monkeypatch, ALL_CODES[:n], extra=f"{line}\n1.0\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"{c:.6f}" for c in scalar[:n]]
+    assert captured.err.startswith(f"{error}: stdin line {n + 1}: ")
+
+
+class TerminalStdin(io.StringIO):
+    """A stdin that says it is a terminal and records, at each line read, how
+    many answers had been written to `out` so far."""
+
+    def __init__(self, text, out):
+        super().__init__(text)
+        self.out = out
+        self.answers_at_read = []
+
+    def isatty(self):
+        return True
+
+    def __next__(self):
+        self.answers_at_read.append(self.out.getvalue().count("\n"))
+        return super().__next__()
+
+
+def test_terminal_stdin_answers_each_line_before_the_next(tiny_model, monkeypatch):
+    out = io.StringIO()
+    stdin = TerminalStdin("10.0\n\n200.5\n359.99\n", out)
+    monkeypatch.setattr("sys.stdout", out)
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["correct", "--model", str(tiny_model), "--stdin"]) == 0
+    assert stdin.answers_at_read == [0, 1, 1, 2, 3]  # the last read meets EOF
 
 
 def test_import_leaves_scipy_unloaded():
@@ -189,6 +275,7 @@ def test_prune_one_node_net_fails_before_writing(
     '[{"n": 1, "amp_arcmin": 1.0, "phase_rad": 0.0}]',
     '{"terms": [], "noise_sigma_arcmin": NaN}',
     "{ not json",
+    pytest.param("[" * 200_000, id="nested-200000"),
     '{"terms": [], "seed": 2.7}',
     '{"terms": [], "seed": true}',
     '{"terms": [], "seed": "3"}',
@@ -224,15 +311,17 @@ def test_missing_file_fails_with_error_name(tmp_path, capsys):
 
 def test_corrupt_model_fails_with_error_name(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{ not json")
-    code = main(["correct", "--model", str(bad), "--angle", "10"])
-    assert code == 1
-    assert "CorruptFile" in capsys.readouterr().err
+    for text in ("{ not json", "[" * 200_000):
+        bad.write_text(text)
+        code = main(["correct", "--model", str(bad), "--angle", "10"])
+        assert code == 1
+        assert "CorruptFile" in capsys.readouterr().err
 
 
 def test_malformed_csv_fails_with_error_name(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("table_angle_deg,encoder_angle_deg\n1,zzz\n")
-    code = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.json")])
-    assert code == 1
-    assert "MalformedRow" in capsys.readouterr().err
+    for row in (b"1,zzz\n", b"1,1\xff\n"):  # non-numeric field, non-UTF-8 byte
+        bad.write_bytes(b"table_angle_deg,encoder_angle_deg\n" + row)
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "MalformedRow" in capsys.readouterr().err

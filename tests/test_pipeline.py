@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescomp.caldata import CalibrationSample, CalibrationSet, stats
-from rescomp.errors import CorruptFile, KindMismatch, UnsupportedVersion
+from rescomp.errors import CorruptFile, KindMismatch, OutOfRange, RescompError, UnsupportedVersion
 from rescomp.fourier import FourierModel, FourierTerm
 from rescomp.network import NetworkShape, init_network
 from rescomp.optim import TrainingConfig
@@ -171,6 +171,72 @@ def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
         load_model(path)
 
 
+# values that have broken loaders: zero, a duplicate order, an int too large
+# for a float, non-finite floats, a bool and a string where numbers belong
+EDGE_VALUES = st.sampled_from([0, 1, -1, 10 ** 400, 1e308, math.nan, math.inf, True, "1",
+                               None, [], {}])
+JSON_VALUES = EDGE_VALUES | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_model_file(draw, texts):
+    """A valid model file with one value at any depth deleted or replaced by
+    any JSON value, then maybe truncated."""
+    doc = json.loads(draw(st.sampled_from(texts)))
+    *path, key = draw(st.sampled_from(list(json_paths(doc))))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    blob = json.dumps(doc).encode()
+    return blob[:draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@pytest.fixture(scope="module")
+def model_texts(tmp_path_factory):
+    texts = []
+    for kind, payload in ((KIND_ANN, trained_like_net(hidden=3)), (KIND_FOURIER, fourier_model())):
+        path = tmp_path_factory.mktemp("docs") / "model.json"
+        save_model(path, CompensationModel(kind, "enc", payload))
+        texts.append(path.read_text())
+    return texts
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_model_fuzz(tmp_path_factory, model_texts, data):
+    # any bytes either load or raise a RescompError: no bare ValueError,
+    # OverflowError or RecursionError
+    blob = data.draw(st.binary(max_size=200) | mutated_model_file(model_texts))
+    path = tmp_path_factory.getbasetemp() / "fuzz_model.json"
+    path.write_bytes(blob)
+    try:
+        load_model(path)
+    except RescompError:
+        pass
+
+
 def test_constructor_rejects_mismatched_payload():
     with pytest.raises(KindMismatch):
         CompensationModel(KIND_ANN, "enc", fourier_model())
@@ -207,6 +273,13 @@ def test_correct_wraps_across_seam():
 def test_correct_hand_value():
     model = CompensationModel(KIND_FOURIER, "enc", FourierModel(-1.2, ()))
     assert correct(model, 100.0) == pytest.approx(100.02, abs=1e-12)
+
+
+def test_array_non_finite_angle_named():
+    model = CompensationModel(KIND_FOURIER, "enc", fourier_model())
+    for call in (predict_error, correct):
+        with pytest.raises(OutOfRange, match=r"^angle -inf is not finite$"):
+            call(model, np.array([10.0, -math.inf, math.nan]))
 
 
 @settings(max_examples=200)
