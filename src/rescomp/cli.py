@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice
 
 from . import caldata, optim, pipeline, prune, simgen
 from .errors import MalformedRow, OutOfRange, RescompError
 
-# Lines of `correct --stdin` corrected by one `pipeline.correct` call.  Keep
-# every per-batch temporary under glibc's default 128 KiB mmap threshold: the
+# Lines of `correct --stdin` read per block, one `pipeline.correct` call each.  Keep
+# every per-block temporary under glibc's default 128 KiB mmap threshold: the
 # (128, 80) float64 hidden block of a 1:80:1 net is 80 KiB.  A larger block is
 # mmapped, and freeing it raises glibc's threshold to its size, so later
 # temporaries of that size (the linear algebra of a fit in the same process)
@@ -143,19 +144,15 @@ def _cmd_evaluate(args) -> int:
 def _write_corrected(model, angles: list[float]) -> None:
     if angles:
         corrected = pipeline.correct(model, angles).tolist()
-        sys.stdout.write("".join(f"{c:.6f}\n" for c in corrected))
+        sys.stdout.write(("%.6f\n" * len(corrected)) % tuple(corrected))
 
 
-def _cmd_correct(args) -> int:
-    model = pipeline.load_model(args.model)
-    if args.angle is not None:
-        print(f"{pipeline.correct(model, args.angle):.6f}")
-        return 0
-    # on a terminal each line is answered before the next one is read
-    batch_lines = 1 if sys.stdin.isatty() else STDIN_BATCH_LINES
-    batch: list[float] = []
+def _correct_lines(model, lines: list[str], first_lineno: int) -> None:
+    """Correct a block line by line: skip blank lines, and on a malformed or
+    non-finite line write the lines before it, then raise."""
+    angles: list[float] = []
     try:
-        for lineno, line in enumerate(sys.stdin, start=1):
+        for lineno, line in enumerate(lines, start=first_lineno):
             line = line.strip()
             if not line:
                 continue
@@ -165,14 +162,34 @@ def _cmd_correct(args) -> int:
                 raise MalformedRow(f"stdin line {lineno}: not an angle: {line!r}") from exc
             if not math.isfinite(angle):
                 raise OutOfRange(f"stdin line {lineno}: angle {angle!r} is not finite")
-            batch.append(angle)
-            if len(batch) == batch_lines:
-                _write_corrected(model, batch)
-                batch.clear()
+            angles.append(angle)
     except RescompError:
-        _write_corrected(model, batch)  # the lines before the bad one
+        _write_corrected(model, angles)  # the lines before the bad one
         raise
-    _write_corrected(model, batch)
+    _write_corrected(model, angles)
+
+
+def _cmd_correct(args) -> int:
+    model = pipeline.load_model(args.model)
+    if args.angle is not None:
+        print(f"{pipeline.correct(model, args.angle):.6f}")
+        return 0
+    # on a terminal each line is answered before the next one is read
+    block_lines = 1 if sys.stdin.isatty() else STDIN_BATCH_LINES
+    lines_read = 0
+    while lines := list(islice(sys.stdin, block_lines)):
+        # float() strips whitespace itself; a blank, malformed or non-finite
+        # line sends the block down the line-by-line path
+        try:
+            angles = list(map(float, lines))
+            fast = all(map(math.isfinite, angles))
+        except ValueError:
+            fast = False
+        if fast:
+            _write_corrected(model, angles)
+        else:
+            _correct_lines(model, lines, lines_read + 1)
+        lines_read += len(lines)
     return 0
 
 

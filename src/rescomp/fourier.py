@@ -180,9 +180,12 @@ def fit_fourier(profile: ErrorProfile, orders) -> FourierModel:
 def eval_fourier(model: FourierModel, theta_enc_deg) -> float | np.ndarray:
     """Model error in arc-minutes at the given encoder angle(s) in degrees."""
     theta = np.radians(np.asarray(theta_enc_deg, dtype=float))
-    value = np.full_like(theta, model.a0, dtype=float)
-    for t in model.terms:
-        value += t.a * np.cos(t.n * theta) + t.b * np.sin(t.n * theta)
+    orders, a, b = np.array([(t.n, t.a, t.b) for t in model.terms], dtype=float).reshape(-1, 3).T
+    angle = np.multiply.outer(orders, theta.ravel())
+    terms = a[:, np.newaxis] * np.cos(angle) + b[:, np.newaxis] * np.sin(angle)
+    value = np.full(theta.size, model.a0)
+    for row in terms:  # term by term, so the sum rounds as a per-term loop does
+        value += row
     if np.isscalar(theta_enc_deg) or np.ndim(theta_enc_deg) == 0:
-        return float(value)
-    return value
+        return float(value[0])
+    return value.reshape(theta.shape)

@@ -63,6 +63,9 @@ from .prune import DEFAULT_RANK_REL_TOL, PruneReport, prune_and_retrain
 FORMAT_VERSION = 1
 KIND_ANN = "ann"
 KIND_FOURIER = "fourier"
+# the largest Fourier order a model file may hold: every integer up to 2**53 is
+# an exact float64
+MAX_FOURIER_ORDER = 2 ** 53
 
 _ANN_KEYS = ("shape", "input_norm", "target_norm", "hidden_weights",
              "hidden_thresholds", "output_weights", "output_thresholds")
@@ -194,6 +197,9 @@ def load_model(path) -> CompensationModel:
         math.isfinite(t.a) and math.isfinite(t.b) for t in series.terms
     ):
         raise CorruptFile("fourier coefficients must be finite")
+    for i, t in enumerate(series.terms):
+        if t.n > MAX_FOURIER_ORDER:  # eval_fourier takes orders as floats
+            raise CorruptFile(f"fourier term {i}: order n is above 2**53")
     return CompensationModel(KIND_FOURIER, encoder_id, series, version)
 
 

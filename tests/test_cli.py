@@ -166,9 +166,17 @@ def stream_case(request, tmp_path_factory):
     return path, model, [correct(model, a) for a in ALL_CODES]
 
 
-def stream(path, monkeypatch, angles, extra=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{a!r}\n" for a in angles) + extra))
+def angle_lines(angles, pad="", end="\n"):
+    return "".join(f"{pad}{a!r}{pad}{end}" for a in angles)
+
+
+def stream_text(path, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
     return main(["correct", "--model", str(path), "--stdin"])
+
+
+def stream(path, monkeypatch, angles, extra=""):
+    return stream_text(path, monkeypatch, angle_lines(angles) + extra)
 
 
 def test_stdin_stream_prints_per_angle_lines(stream_case, capsys, monkeypatch):
@@ -198,6 +206,42 @@ def test_stdin_lines_before_bad_one_are_written(stream_case, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [f"{c:.6f}" for c in scalar[:n]]
     assert captured.err.startswith(f"{error}: stdin line {n + 1}: ")
+
+
+def test_stdin_blank_run_across_blocks(stream_case, capsys, monkeypatch):
+    # 100 angles, 200 blank lines over the first and second block boundary,
+    # then 50 angles: the third block is 94 lines long
+    path, _model, scalar = stream_case
+    text = angle_lines(ALL_CODES[:100]) + "\n" * 200 + angle_lines(ALL_CODES[100:150])
+    assert stream_text(path, monkeypatch, text) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar[:150]]
+
+
+@pytest.mark.parametrize("pad", ["", " \t"])
+def test_stdin_crlf_and_padded_lines(stream_case, capsys, monkeypatch, pad):
+    # 300 lines: two full blocks and a partial one, with a whitespace-only
+    # line in the second block
+    path, _model, scalar = stream_case
+    text = (angle_lines(ALL_CODES[:200], pad, "\r\n") + f"{pad}\r\n"
+            + angle_lines(ALL_CODES[200:299], pad, "\r\n"))
+    assert stream_text(path, monkeypatch, text) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar[:299]]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("inf", "OutOfRange: stdin line 263: angle inf is not finite"),
+    (" x\r", "MalformedRow: stdin line 263: not an angle: 'x'"),
+])
+def test_stdin_bad_line_in_third_block(stream_case, capsys, monkeypatch, line, message):
+    # two full blocks hold 255 angles and a blank line (101); the third block
+    # holds a blank line (257), 5 angles (258-262) and the bad line (263)
+    path, _model, scalar = stream_case
+    text = (angle_lines(ALL_CODES[:100]) + "\n" + angle_lines(ALL_CODES[100:255]) + "\n"
+            + angle_lines(ALL_CODES[255:260]) + f"{line}\n1.0\n")
+    assert stream_text(path, monkeypatch, text) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"{c:.6f}" for c in scalar[:260]]
+    assert captured.err == message + "\n"
 
 
 class TerminalStdin(io.StringIO):

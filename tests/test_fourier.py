@@ -234,6 +234,26 @@ def test_eval_periodicity():
         )
 
 
+def eval_term_by_term(model, theta_deg):
+    """Reference series: one term at a time, summed in term order."""
+    theta = np.radians(np.asarray(theta_deg, dtype=float))
+    value = np.full_like(theta, model.a0)
+    for t in model.terms:
+        value += t.a * np.cos(t.n * theta) + t.b * np.sin(t.n * theta)
+    return value
+
+
+@pytest.mark.parametrize("orders", [range(1, 11), [2 ** k for k in range(16)]])
+def test_eval_bit_identical_to_term_by_term(orders):
+    rng = np.random.default_rng(61)
+    model = FourierModel(rng.normal(), tuple(
+        FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in orders))
+    angles = rng.uniform(-720.0, 720.0, 1000)
+    assert np.array_equal(eval_fourier(model, angles), eval_term_by_term(model, angles))
+    for theta in angles[:50].tolist():
+        assert eval_fourier(model, theta) == float(eval_term_by_term(model, theta))
+
+
 def test_model_rejects_duplicate_orders():
     with pytest.raises(ValueError):
         FourierModel(a0=0.0, terms=(FourierTerm(1, 1.0, 0.0), FourierTerm(1, 0.5, 0.0)))

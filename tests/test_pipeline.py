@@ -171,10 +171,11 @@ def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
         load_model(path)
 
 
-# values that have broken loaders: zero, a duplicate order, an int too large
-# for a float, non-finite floats, a bool and a string where numbers belong
-EDGE_VALUES = st.sampled_from([0, 1, -1, 10 ** 400, 1e308, math.nan, math.inf, True, "1",
-                               None, [], {}])
+# values that have broken loaders: zero, a duplicate order, an order past
+# 2**53, an int too large for a float, non-finite floats, a bool and a string
+# where numbers belong
+EDGE_VALUES = st.sampled_from([0, 1, -1, 2 ** 53, 2 ** 53 + 1, 10 ** 400, 1e308, math.nan,
+                               math.inf, True, "1", None, [], {}])
 JSON_VALUES = EDGE_VALUES | st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -232,9 +233,35 @@ def test_load_model_fuzz(tmp_path_factory, model_texts, data):
     path = tmp_path_factory.getbasetemp() / "fuzz_model.json"
     path.write_bytes(blob)
     try:
-        load_model(path)
+        model = load_model(path)
     except RescompError:
-        pass
+        return
+    # and every model that loads corrects an angle and an array of them, or
+    # raises a RescompError (a predicted error past the float range)
+    for angles in (10.0, np.array([0.0, 123.4, 359.99])):
+        try:
+            corrected = correct(model, angles)
+        except RescompError:
+            continue
+        assert np.all((0.0 <= corrected) & (corrected < 360.0))
+
+
+@pytest.mark.parametrize("order, loads", [
+    pytest.param(2 ** 53, True, id="2**53"),
+    pytest.param(2 ** 53 + 1, False, id="2**53+1"),
+    pytest.param(10 ** 400, False, id="10**400"),
+])
+def test_fourier_order_bounded(tmp_path, order, loads):
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel(KIND_FOURIER, "enc", fourier_model()))
+    doc = json.loads(path.read_text())
+    doc["terms"][1]["n"] = order
+    path.write_text(json.dumps(doc))
+    if loads:
+        assert 0.0 <= correct(load_model(path), 10.0) < 360.0
+    else:
+        with pytest.raises(CorruptFile, match=r"^fourier term 1: order n is above 2\*\*53$"):
+            load_model(path)
 
 
 def test_constructor_rejects_mismatched_payload():

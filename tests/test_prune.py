@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from rescomp.errors import ShapeMismatch
 from rescomp.network import Dataset, NetworkShape, init_network, sigmoid
-from rescomp.optim import TrainingConfig
+from rescomp.optim import TrainingConfig, train_lm
 from rescomp.prune import (
     activation_matrix,
     effective_rank,
@@ -130,21 +130,30 @@ def test_prune_and_retrain_small_problem():
     assert 1 <= report.pruned_hidden <= 2
     assert net.shape.n_hidden == report.pruned_hidden
     assert len(report.spectrum_initial) == 2
+    # the full net trained beforehand gives the same result
+    trained_full = train_lm(init_network(NetworkShape(1, 2, 1), cfg.seed), data, cfg)
+    net2, report2 = prune_and_retrain(data, initial_hidden=2, cfg=cfg, trained_full=trained_full)
+    assert np.array_equal(net2.to_vector(), net.to_vector())
+    assert report2 == report
 
 
 def test_prune_and_retrain_validates_width():
     data = Dataset([[0.5]], [[0.5]])
     with pytest.raises(ValueError):
         prune_and_retrain(data, initial_hidden=1, cfg=TrainingConfig())
+    wrong_width = (init_network(NetworkShape(1, 3, 1), seed=0), None)
+    with pytest.raises(ValueError):
+        prune_and_retrain(data, initial_hidden=2, cfg=TrainingConfig(), trained_full=wrong_width)
 
 
 def test_prune_reference_profile(arch1_data, arch1_lm80):
     """Width shrinks strictly below 80 and held-out accuracy is preserved."""
     data = arch1_data["dataset"]
     cfg = TrainingConfig(max_iterations=10000, seed=42)
-    pruned_net, report = prune_and_retrain(data, initial_hidden=80, cfg=cfg)
+    pruned_net, report = prune_and_retrain(data, initial_hidden=80, cfg=cfg,
+                                           trained_full=arch1_lm80)
     assert report.pruned_hidden < 80
-    # deterministic training: the report's initial net is the fixture net
+    # the report's initial net is the fixture net
     assert report.mse_initial == pytest.approx(
         arch1_lm80[1].mse_per_iteration[-1], rel=1e-12
     )
