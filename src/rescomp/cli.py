@@ -148,8 +148,8 @@ def _write_corrected(model, angles: list[float]) -> None:
 
 
 def _correct_lines(model, lines: list[str], first_lineno: int) -> None:
-    """Correct a block line by line: skip blank lines, and on a malformed or
-    non-finite line write the lines before it, then raise."""
+    """Correct a block line by line, skipping blank lines; a malformed or
+    non-finite line raises once the lines before it are written."""
     angles: list[float] = []
     try:
         for lineno, line in enumerate(lines, start=first_lineno):
@@ -163,10 +163,8 @@ def _correct_lines(model, lines: list[str], first_lineno: int) -> None:
             if not math.isfinite(angle):
                 raise OutOfRange(f"stdin line {lineno}: angle {angle!r} is not finite")
             angles.append(angle)
-    except RescompError:
-        _write_corrected(model, angles)  # the lines before the bad one
-        raise
-    _write_corrected(model, angles)
+    finally:
+        _write_corrected(model, angles)
 
 
 def _cmd_correct(args) -> int:
@@ -178,10 +176,11 @@ def _cmd_correct(args) -> int:
     block_lines = 1 if sys.stdin.isatty() else STDIN_BATCH_LINES
     lines_read = 0
     while lines := list(islice(sys.stdin, block_lines)):
-        # float() strips whitespace itself; a blank, malformed or non-finite
-        # line sends the block down the line-by-line path
+        # blank lines are skipped and float() strips whitespace itself; a
+        # malformed or non-finite line sends the block down the line-by-line
+        # path, which names it
         try:
-            angles = list(map(float, lines))
+            angles = list(map(float, filter(str.strip, lines)))
             fast = all(map(math.isfinite, angles))
         except ValueError:
             fast = False

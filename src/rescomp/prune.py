@@ -77,26 +77,18 @@ def prune_and_retrain(
     rel_tol: float = DEFAULT_RANK_REL_TOL,
     norm_bounds: tuple[float, float] = DEFAULT_TARGET_BOUNDS_ARCMIN,
     train_fn=train_lm,
-    trained_full: tuple[Network, TrainingHistory] | None = None,
 ) -> tuple[Network, PruneReport]:
     """Train at `initial_hidden`, estimate the non-redundant width from the
     activation-matrix spectrum, retrain a fresh net at that width.
 
-    `trained_full` is the (net, history) pair that training at
-    `initial_hidden` with these arguments returned earlier; when given, it
-    stands in for that training.  Returns the pruned network and a report
-    carrying both spectra and both final MSEs.
+    Returns the pruned network and a report carrying both spectra and both
+    final MSEs.
     """
     if initial_hidden < 2:
         raise ValueError(f"initial_hidden must be >= 2, got {initial_hidden}")
-    if trained_full is None:
-        net0 = init_network(NetworkShape(1, initial_hidden, 1), cfg.seed, norm_bounds)
-        trained_full = train_fn(net0, data, cfg)
-    net_full, hist_full = trained_full
-    if net_full.shape.n_hidden != initial_hidden:
-        raise ValueError(f"trained net has {net_full.shape.n_hidden} hidden nodes, "
-                         f"expected {initial_hidden}")
-    spectrum_full = singular_values(activation_matrix(net_full, data))
+    net_full = init_network(NetworkShape(1, initial_hidden, 1), cfg.seed, norm_bounds)
+    trained_full, hist_full = train_fn(net_full, data, cfg)
+    spectrum_full = singular_values(activation_matrix(trained_full, data))
     rank = max(effective_rank(spectrum_full, rel_tol), 1)
 
     net_small = init_network(NetworkShape(1, rank, 1), cfg.seed, norm_bounds)
@@ -108,7 +100,7 @@ def prune_and_retrain(
         pruned_hidden=rank,
         spectrum_initial=tuple(float(s) for s in spectrum_full),
         spectrum_pruned=tuple(float(s) for s in spectrum_small),
-        mse_initial=mse(net_full, data),
+        mse_initial=mse(trained_full, data),
         mse_pruned=mse(trained_small, data),
         history_initial=hist_full,
         history_pruned=hist_small,
