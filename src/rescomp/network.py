@@ -10,7 +10,10 @@ an affine map sends a configurable error range onto [0.1, 0.9] (margins
 keep targets away from sigmoid saturation), and the inverse map converts
 predictions back to arc-minutes.  Inputs use degrees / 360.  One kernel,
 `_activations`, feeds the forward pass, the residual Jacobian (and from it
-the gradient) and the pruning activation matrix.
+the gradient) and the pruning activation matrix.  `mse`, `residual_jacobian`
+and `gradient` also take a net's `(hidden, out)` activations already
+computed, so a trainer runs each candidate's forward pass once: the
+accepted candidate's activations feed the next Jacobian or gradient.
 
 All operations are pure; a Network is immutable and optimizers build new
 instances via `with_params`.  Double precision throughout: the damped
@@ -54,6 +57,10 @@ class AffineMap:
             raise DegenerateBounds(f"need hi > lo, got [{self.lo!r}, {self.hi!r}]")
         if self.out_hi == self.out_lo:
             raise DegenerateBounds("output range is degenerate")
+        span, out_span = self.hi - self.lo, self.out_hi - self.out_lo
+        if not all(math.isfinite(v) and v != 0.0
+                   for v in (span, out_span, out_span / span, span / out_span)):
+            raise DegenerateBounds(f"spans and scale factors must be finite and nonzero: {self}")
 
     def normalize(self, x):
         return self.out_lo + (np.asarray(x, dtype=float) - self.lo) * (
@@ -198,7 +205,12 @@ def init_network(
     )
 
 
-def _activations(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# hidden (P, J) and output (P, 1) activations of a net on a dataset's inputs;
+# `mse`, `residual_jacobian` and `gradient` compute them when not given
+Activations = tuple[np.ndarray, np.ndarray]
+
+
+def _activations(net: Network, x: np.ndarray) -> Activations:
     """Hidden (P, J) and output (P, 1) activations for normalized inputs (P, 1)."""
     hidden = sigmoid(x * net.w_hidden + net.theta_hidden)
     return hidden, sigmoid(hidden @ net.w_output[:, np.newaxis] + net.theta_output)
@@ -215,30 +227,39 @@ def forward(net: Network, x) -> np.ndarray:
     return forward_batch(net, x[np.newaxis, :])[0]
 
 
-def mse(net: Network, data: Dataset) -> float:
+def mse(net: Network, data: Dataset, activations: Activations | None = None) -> float:
     """Mean-squared error over all patterns, in normalized units."""
-    diff = data.targets - forward_batch(net, data.inputs)
+    out = forward_batch(net, data.inputs) if activations is None else activations[1]
+    diff = data.targets - out
     return float(np.mean(diff * diff))
 
 
-def residual_jacobian(net: Network, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def residual_jacobian(
+    net: Network, data: Dataset, activations: Activations | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Residuals r = D - O, shape (P,), and their (P, n_params) Jacobian.
 
     J[p, q] = d r_p / d param_q with parameters in canonical vector order,
     so grad(MSE) = (2 / P) * J^T r (see `gradient`).
     """
     x = data.inputs
-    hidden, out = _activations(net, x)
-    s_out = out * (1.0 - out)                                        # (P, 1)
+    hidden, out = _activations(net, x) if activations is None else activations
+    j = net.shape.n_hidden
+    jacobian = np.empty((x.shape[0], 3 * j + 1))
+    # negating s_out before the products is exact, so each block matches
+    # the same products negated afterwards bit for bit
+    neg_s_out = np.negative(out * (1.0 - out), out=jacobian[:, 3 * j:])      # (P, 1)
     # d r_p / d theta_hidden[j]; the hidden weights add the factor x_p
-    chain = -(s_out * net.w_output * (hidden * (1.0 - hidden)))      # (P, J)
-    jacobian = np.concatenate([chain * x, chain, -s_out * hidden, -s_out], axis=1)
+    chain = np.multiply(neg_s_out * net.w_output, hidden * (1.0 - hidden),
+                        out=jacobian[:, j:2 * j])                             # (P, J)
+    np.multiply(chain, x, out=jacobian[:, :j])
+    np.multiply(neg_s_out, hidden, out=jacobian[:, 2 * j:3 * j])
     return (data.targets - out).ravel(), jacobian
 
 
-def gradient(net: Network, data: Dataset) -> Gradient:
+def gradient(net: Network, data: Dataset, activations: Activations | None = None) -> Gradient:
     """Analytic d(MSE)/d(parameter) = (2 / P) * J^T r from the residual Jacobian."""
-    residuals, jac = residual_jacobian(net, data)
+    residuals, jac = residual_jacobian(net, data, activations)
     return Gradient((2.0 / residuals.size) * (jac.T @ residuals))
 
 

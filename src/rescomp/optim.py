@@ -10,8 +10,10 @@ normal equations when the n parameters are at most the P patterns, from
 the P x P system (J J^T + lambda I) x = r, d = J^T x, when they outnumber
 them (the paper's 1:80:1 net: n = 241, P = 180).  It only accepts steps
 that strictly lower the MSE, so its recorded MSE sequence is
-non-increasing.  Training is deterministic: identical inputs give
-bit-identical histories.
+non-increasing.  Each candidate network's forward pass runs once: the
+activations that score it are carried, once it is accepted, into the next
+iteration's gradient or Jacobian.  Training is deterministic: identical
+inputs give bit-identical histories.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ import numpy as np
 
 from .errors import DivergenceDetected, SingularNormalEquations
 from .network import (
+    Activations,
     Dataset,
     Network,
     NetworkShape,
+    _activations,
     gradient,
     init_network,
     mse,
@@ -95,25 +99,33 @@ def stopping_rule(mse_history, cfg: TrainingConfig) -> bool:
     return (old - new) / abs(old) < cfg.stall_tol
 
 
+def _scored(net: Network, data: Dataset) -> tuple[float, Activations]:
+    """`net`'s MSE on `data` and the activations it was computed from."""
+    activations = _activations(net, data.inputs)
+    return mse(net, data, activations), activations
+
+
 def _train(
     net: Network, data: Dataset, cfg: TrainingConfig, step
 ) -> tuple[Network, TrainingHistory]:
     """The loop both optimizers share.
 
-    `step(current, current_mse)` returns the next `(network, mse)`, or None
-    when no step lowers the MSE, which stops training as stalled.  Returns
-    the best-MSE network seen and the per-iteration MSE history.
+    `step(current, current_mse, activations)`, given the current network's
+    activations on `data`, returns the next `(network, mse, activations)`,
+    or None when no step lowers the MSE, which stops training as stalled.
+    Returns the best-MSE network seen and the per-iteration MSE history.
     """
-    current, current_mse = net, mse(net, data)
+    current = net
+    current_mse, activations = _scored(net, data)
     if not np.isfinite(current_mse):
         raise DivergenceDetected(f"initial MSE is {current_mse!r}")
     best, best_mse = current, current_mse
     history: list[float] = []
     stop_reason = StopReason.MAX_ITERATIONS
     for _ in range(cfg.max_iterations):
-        moved = step(current, current_mse)
+        moved = step(current, current_mse, activations)
         if moved is not None:
-            current, current_mse = moved
+            current, current_mse, activations = moved
             if current_mse < best_mse:
                 best, best_mse = current, current_mse
         history.append(current_mse)
@@ -132,15 +144,16 @@ def train_backprop(
     MSE or any parameter becomes non-finite.
     """
 
-    def step(current: Network, _current_mse: float):
-        params = current.to_vector() - cfg.learning_rate * gradient(current, data).to_vector()
+    def step(current: Network, _current_mse: float, activations: Activations):
+        grad = gradient(current, data, activations).to_vector()
+        params = current.to_vector() - cfg.learning_rate * grad
         if not np.all(np.isfinite(params)):
             raise DivergenceDetected("parameters became non-finite")
         current = current.with_params(params)
-        m = mse(current, data)
+        m, activations = _scored(current, data)
         if not np.isfinite(m):
             raise DivergenceDetected(f"MSE became {m!r}")
-        return current, m
+        return current, m, activations
 
     return _train(net, data, cfg, step)
 
@@ -170,9 +183,9 @@ def train_lm(
     # of about 17 500.
     jac = gram = None
 
-    def step(current: Network, current_mse: float):
+    def step(current: Network, current_mse: float, activations: Activations):
         nonlocal lam, jac, gram
-        residuals, jac = residual_jacobian(current, data)
+        residuals, jac = residual_jacobian(current, data, activations)
         # (J^T J + lambda I)^-1 J^T r = J^T (J J^T + lambda I)^-1 r
         wide = jac.shape[0] < jac.shape[1]
         gram = jac @ jac.T if wide else jac.T @ jac
@@ -193,12 +206,12 @@ def train_lm(
                 lam *= cfg.lm_factor
                 continue
             cand_net = current.with_params(params - delta)
-            cand_mse = mse(cand_net, data)
+            cand_mse, cand_activations = _scored(cand_net, data)
             if np.isfinite(cand_mse):
                 any_finite_candidate = True
                 if cand_mse < current_mse:
                     lam = max(lam / cfg.lm_factor, _LAMBDA_MIN)
-                    return cand_net, cand_mse
+                    return cand_net, cand_mse, cand_activations
             lam *= cfg.lm_factor
         if not any_finite_candidate:
             raise SingularNormalEquations(

@@ -200,6 +200,10 @@ def load_model(path) -> CompensationModel:
     for i, t in enumerate(series.terms):
         if t.n > MAX_FOURIER_ORDER:  # eval_fourier takes orders as floats
             raise CorruptFile(f"fourier term {i}: order n is above 2**53")
+    # bounds every partial sum of the series, so a finite bound keeps the
+    # correction finite at every angle
+    if not math.isfinite(abs(a0) + sum(abs(t.a) + abs(t.b) for t in series.terms)):
+        raise CorruptFile(f"fourier model {encoder_id!r}: the series can overflow")
     return CompensationModel(KIND_FOURIER, encoder_id, series, version)
 
 

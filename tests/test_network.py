@@ -13,6 +13,7 @@ from rescomp.network import (
     AffineMap,
     Dataset,
     NetworkShape,
+    _activations,
     dataset_from_profile,
     forward,
     forward_batch,
@@ -281,6 +282,30 @@ def test_determinism_bitwise():
     r1, j1 = residual_jacobian(net, data)
     r2, j2 = residual_jacobian(net, data)
     assert np.array_equal(r1, r2) and np.array_equal(j1, j2)
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 80])
+def test_jacobian_buffer_matches_concatenated_blocks(hidden):
+    # the four blocks written into one buffer equal the same products
+    # concatenated, bit for bit; spread 500 saturates most hidden units
+    rng = np.random.default_rng(hidden)
+    data = random_data(rng, n=60)
+    for spread in (0.5, 5.0, 500.0):
+        net = random_net(rng, hidden, spread)
+        acts = _activations(net, data.inputs)
+        h, out = acts
+        if spread == 500.0:
+            assert np.any(h * (1.0 - h) < 1e-15)
+        s_out = out * (1.0 - out)
+        chain = -(s_out * net.w_output * (h * (1.0 - h)))
+        expected = np.concatenate([chain * data.inputs, chain, -s_out * h, -s_out], axis=1)
+        for carried in (None, acts):
+            residuals, jac = residual_jacobian(net, data, carried)
+            assert np.array_equal(jac, expected)
+            assert np.array_equal(residuals, (data.targets - out).ravel())
+        assert mse(net, data, acts) == mse(net, data)
+        assert np.array_equal(gradient(net, data, acts).to_vector(),
+                              gradient(net, data).to_vector())
 
 
 # --- dataset construction ---

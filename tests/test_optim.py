@@ -5,6 +5,7 @@ from rescomp.network import (
     Dataset,
     NetworkShape,
     forward_batch,
+    gradient,
     init_network,
     mse,
     residual_jacobian,
@@ -184,6 +185,66 @@ def test_lm_never_returns_nonfinite():
     data = Dataset(rng.uniform(0, 1, (9, 1)), rng.uniform(0.1, 0.9, (9, 1)))
     trained, _ = train_lm(net, data, TrainingConfig(max_iterations=60, stall_window=30))
     assert np.all(np.isfinite(trained.to_vector()))
+
+
+
+# --- carried activations: bit-identical to recomputing every forward pass ---
+
+def _uncarried_train(net, data, cfg, lm):
+    """The training loop with every forward pass recomputed: `mse`,
+    `residual_jacobian` and `gradient` get no activations.  Returns the
+    best network and the MSE history."""
+    lam = cfg.lm_lambda0
+    current, current_mse = net, mse(net, data)
+    best, best_mse = current, current_mse
+    history = []
+    for _ in range(cfg.max_iterations):
+        moved = None
+        if lm:
+            residuals, jac = residual_jacobian(current, data)
+            wide = jac.shape[0] < jac.shape[1]
+            gram = jac @ jac.T if wide else jac.T @ jac
+            rhs = residuals if wide else jac.T @ residuals
+            diagonal = gram.diagonal().copy()
+            for _attempt in range(31):
+                np.fill_diagonal(gram, diagonal + lam)
+                delta = np.linalg.solve(gram, rhs)
+                if wide:
+                    delta = jac.T @ delta
+                cand = current.with_params(current.to_vector() - delta)
+                cand_mse = mse(cand, data)
+                if cand_mse < current_mse:
+                    lam = max(lam / cfg.lm_factor, 1e-15)
+                    moved = cand, cand_mse
+                    break
+                lam *= cfg.lm_factor
+        else:
+            grad = gradient(current, data).to_vector()
+            cand = current.with_params(current.to_vector() - cfg.learning_rate * grad)
+            moved = cand, mse(cand, data)
+        if moved is not None:
+            current, current_mse = moved
+            if current_mse < best_mse:
+                best, best_mse = moved
+        history.append(current_mse)
+        if moved is None or stopping_rule(history, cfg):
+            break
+    return best, tuple(history)
+
+
+@pytest.mark.parametrize("hidden, iterations, train_fn", [
+    (80, 50, train_lm),         # 241 parameters > 180 patterns: the J J^T system
+    (10, 50, train_lm),         # 31 parameters: the J^T J system
+    (80, 200, train_backprop),
+])
+def test_training_matches_uncarried_loop(arch1_data, hidden, iterations, train_fn):
+    net = init_network(NetworkShape(1, hidden, 1), seed=42)
+    data = arch1_data["dataset"]
+    cfg = TrainingConfig(max_iterations=iterations, seed=42)
+    trained, history = train_fn(net, data, cfg)
+    expected_net, expected_history = _uncarried_train(net, data, cfg, train_fn is train_lm)
+    assert history.mse_per_iteration == expected_history
+    assert np.array_equal(trained.to_vector(), expected_net.to_vector())
 
 
 # --- reference-profile convergence (shared heavyweight fixtures) ---

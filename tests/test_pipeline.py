@@ -160,7 +160,8 @@ def test_non_integer_field_rejected(tmp_path, kind, field, value):
 
 
 @pytest.mark.parametrize("key", ["input_norm", "target_norm"])
-@pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (-6.0, math.nan)])
+@pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (-6.0, math.nan),
+                                    (-1e308, 1e308)])  # finite bounds, span past the float range
 def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
     path = tmp_path / "model.json"
     save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=4)))
@@ -169,6 +170,19 @@ def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptFile):
         load_model(path)
+
+
+@pytest.mark.parametrize("a, loads", [(0.5e308, True), (1e308, False)])
+def test_fourier_series_past_float_range_rejected(tmp_path, a, loads):
+    # |a0| + sum(|a| + |b|) bounds the series: 1.5e308 loads, 2e308 does not
+    path = tmp_path / "model.json"
+    series = FourierModel(1e308, (FourierTerm(1, a, 0.0),))
+    save_model(path, CompensationModel(KIND_FOURIER, "enc", series))
+    if loads:
+        assert 0.0 <= correct(load_model(path), 10.0) < 360.0
+    else:
+        with pytest.raises(CorruptFile, match=r"^fourier model 'enc': the series can overflow$"):
+            load_model(path)
 
 
 # values that have broken loaders: zero, a duplicate order, an order past
