@@ -9,11 +9,12 @@ predictions to (0, 1), raw arc-minute errors are unreachable as targets;
 an affine map sends a configurable error range onto [0.1, 0.9] (margins
 keep targets away from sigmoid saturation), and the inverse map converts
 predictions back to arc-minutes.  Inputs use degrees / 360.  One kernel,
-`_activations`, feeds the forward pass, the residual Jacobian (and from it
-the gradient) and the pruning activation matrix.  `mse`, `residual_jacobian`
-and `gradient` also take a net's `(hidden, out)` activations already
-computed, so a trainer runs each candidate's forward pass once: the
-accepted candidate's activations feed the next Jacobian or gradient.
+`_activations`, feeds the forward pass, the residual Jacobian, the gradient
+(which contracts J^T r block by block without building J) and the pruning
+activation matrix.  `mse`, `residual_jacobian` and `gradient` also take a
+net's `(hidden, out)` activations already computed, so a trainer runs each
+candidate's forward pass once: the accepted candidate's activations feed
+the next Jacobian or gradient.
 
 All operations are pure; a Network is immutable and optimizers build new
 instances via `with_params`.  Double precision throughout: the damped
@@ -258,9 +259,22 @@ def residual_jacobian(
 
 
 def gradient(net: Network, data: Dataset, activations: Activations | None = None) -> Gradient:
-    """Analytic d(MSE)/d(parameter) = (2 / P) * J^T r from the residual Jacobian."""
-    residuals, jac = residual_jacobian(net, data, activations)
-    return Gradient((2.0 / residuals.size) * (jac.T @ residuals))
+    """Analytic d(MSE)/d(parameter) = (2 / P) * J^T r, contracted block by block.
+
+    With e = -out (1 - out) r (P,) and slope = h (1 - h) (P, J), J^T r is
+    w_out * (slope^T (x e)) for the hidden weights, w_out * (slope^T e) for
+    the hidden thresholds, h^T e for the output weights and sum(e) for the
+    output threshold.  The (P, 3J + 1) Jacobian of `residual_jacobian` is
+    never built; the largest temporary is P x J.
+    """
+    x = data.inputs.ravel()
+    hidden, out = _activations(net, data.inputs) if activations is None else activations
+    e = ((out * (1.0 - out)) * (out - data.targets)).ravel()
+    slope = 1.0 - hidden
+    slope *= hidden                      # h (1 - h) in one P x J buffer
+    w_out = net.w_output
+    blocks = (w_out * ((x * e) @ slope), w_out * (e @ slope), e @ hidden, [e.sum()])
+    return Gradient((2.0 / x.size) * np.concatenate(blocks))
 
 
 def dataset_from_profile(profile: ErrorProfile, net: Network) -> Dataset:

@@ -184,6 +184,14 @@ def load_model(path) -> CompensationModel:
                   + _float_list(doc, "output_thresholds", 1))
         net = Network(shape, params, _affine_from_doc(doc.get("input_norm")),
                       _affine_from_doc(doc.get("target_norm")))
+        # the net sees wrapped angles in [0, 360) and outputs in (0, 1); an
+        # affine map finite at both ends of its range is finite inside it
+        with np.errstate(over="ignore"):
+            ends = (("input_norm", net.input_norm.normalize([0.0, 360.0])),
+                    ("target_norm", net.target_norm.denormalize([0.0, 1.0])))
+        for key, values in ends:
+            if not np.all(np.isfinite(values)):
+                raise CorruptFile(f"ann model {encoder_id!r}: {key} maps past the float range")
         return CompensationModel(KIND_ANN, encoder_id, net, version)
 
     try:

@@ -250,11 +250,18 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_gradient_consistency():
-    # grad(MSE) = (2 / (P*I)) * J^T r for the residual convention r = D - O
+    # grad(MSE) = (2 / (P*I)) * J^T r for the residual convention r = D - O;
+    # `gradient` contracts it without building J, so J^T r is the reference
     rng = np.random.default_rng(14)
-    for _ in range(10):
-        net = random_net(rng, hidden=int(rng.integers(1, 5)))
-        data = random_data(rng, n=int(rng.integers(1, 6)))
+    cases = [(random_net(rng, hidden=int(rng.integers(1, 5))),
+              random_data(rng, n=int(rng.integers(1, 6)))) for _ in range(10)]
+    # the width the fits run: 1:80:1 on 180 patterns, spread 500 saturating
+    # hidden units
+    net, data = random_net(rng, hidden=80, spread=500.0), random_data(rng, n=180)
+    hidden, _out = _activations(net, data.inputs)
+    assert np.any(hidden * (1.0 - hidden) < 1e-15)
+    cases.append((net, data))
+    for net, data in cases:
         r, jac = residual_jacobian(net, data)
         via_jac = (2.0 / r.size) * (jac.T @ r)
         direct = gradient(net, data).to_vector()

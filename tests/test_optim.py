@@ -115,6 +115,22 @@ def test_backprop_deterministic():
     assert h1.mse_per_iteration == h2.mse_per_iteration
 
 
+def test_backprop_never_builds_the_jacobian(monkeypatch):
+    # gradient descent contracts (2 / P) J^T r block by block; the
+    # (P, 3J + 1) residual Jacobian belongs to LM alone
+    def no_jacobian(*_args, **_kwargs):
+        raise AssertionError("gradient descent built the residual Jacobian")
+
+    monkeypatch.setattr("rescomp.network.residual_jacobian", no_jacobian)
+    monkeypatch.setattr("rescomp.optim.residual_jacobian", no_jacobian)
+    net = init_network(NetworkShape(1, 80, 1), seed=9)
+    data = Dataset(np.linspace(0, 1, 180)[:, None], np.linspace(0.2, 0.8, 180)[:, None])
+    cfg = TrainingConfig(max_iterations=20, stall_window=50, seed=9)
+    trained, history = train_backprop(net, data, cfg)
+    assert history.iterations_run == 20
+    assert mse(trained, data) < mse(net, data)
+
+
 # --- Levenberg-Marquardt ---
 
 def test_lm_recovers_teacher_network():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,25 @@ def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptFile):
         load_model(path)
+
+
+@pytest.mark.parametrize("key, bounds", [
+    # finite spans and scale factors, but the net's outputs (0, 1) land past
+    # the float range: scale 1e22 applied to about -1e300
+    ("target_norm", (-1e307, 1e307, 1e300, 1e300 + 2e285)),
+    # scale 1e306 sends the angle 360 to 3.6e308
+    ("input_norm", (0.0, 1.0, 0.0, 1e306)),
+])
+def test_norm_map_past_float_range_rejected(tmp_path, key, bounds):
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=4)))
+    doc = json.loads(path.read_text())
+    doc[key] = dict(zip(("lo", "hi", "out_lo", "out_hi"), bounds))
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(CorruptFile, match=rf"^ann model 'enc': {key} maps past the float range$"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("a, loads", [(0.5e308, True), (1e308, False)])
