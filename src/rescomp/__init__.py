@@ -8,7 +8,6 @@ learned correction to measured angles.
 """
 
 from .caldata import (
-    CalibrationSample,
     CalibrationSet,
     ErrorProfile,
     ProfileStats,

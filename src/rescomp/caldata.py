@@ -10,8 +10,9 @@ downstream models (network and Fourier) are fit to that profile.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     CorruptFile,
@@ -21,6 +22,7 @@ from .errors import (
     NonIntegerGrid,
     NonMonotonicGrid,
     OutOfRange,
+    TooFewSamples,
 )
 
 ARCMIN_PER_DEG = 60.0
@@ -32,96 +34,101 @@ INTEGER_GRID_TOL_DEG = 1e-9
 CSV_HEADER = "table_angle_deg,encoder_angle_deg"
 
 
-def wrap_signed_deg(delta_deg: float) -> float:
-    """Map an angle difference in degrees into (-180, +180]."""
-    wrapped = math.fmod(delta_deg, 360.0)
-    if wrapped <= -180.0:
-        wrapped += 360.0
-    elif wrapped > 180.0:
-        wrapped -= 360.0
+def wrap_signed_deg(delta_deg):
+    """Map angle differences in degrees into (-180, +180], element by element."""
+    wrapped = np.fmod(delta_deg, 360.0)
+    wrapped = np.where(wrapped <= -180.0, wrapped + 360.0, wrapped)
+    return np.where(wrapped > 180.0, wrapped - 360.0, wrapped)
+
+
+def wrap_deg(angle_deg):
+    """Map finite angles in degrees into [0, 360), element by element;
+    OutOfRange names the first non-finite one."""
+    angle = np.asarray(angle_deg, dtype=float)
+    finite = np.isfinite(angle)
+    if not finite.all():
+        raise OutOfRange(f"angle {float(angle[~finite][0])!r} is not finite")
+    # in place (each `correct` batch wraps twice), into an array even for a scalar
+    wrapped = np.fmod(angle, 360.0, out=np.empty_like(angle))
+    wrapped[wrapped < 0.0] += 360.0
+    # fmod can return -eps, which rounds up to 360.0 after the += 360
+    wrapped[wrapped >= 360.0] -= 360.0
     return wrapped
 
 
-def wrap_angle_deg(angle_deg: float) -> float:
-    """Map a finite angle in degrees into [0, 360); NaN and +-inf raise OutOfRange."""
-    if not math.isfinite(angle_deg):
-        raise OutOfRange(f"angle {float(angle_deg)!r} is not finite")
-    wrapped = math.fmod(angle_deg, 360.0)
-    if wrapped < 0.0:
-        wrapped += 360.0
-    # fmod can return 360.0 - eps rounding back up to 360.0 after +=
-    if wrapped >= 360.0:
-        wrapped -= 360.0
-    return wrapped
-
-
-@dataclass(frozen=True)
-class CalibrationSample:
-    """One calibration point: reference table angle vs reported encoder angle."""
-
-    table_angle_deg: float
-    encoder_angle_deg: float
-
-    def __post_init__(self) -> None:
-        for name in ("table_angle_deg", "encoder_angle_deg"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and 0.0 <= value < 360.0):
-                raise OutOfRange(f"{name}={value!r} not in [0, 360)")
+def readonly(values, order: str = "K") -> np.ndarray:
+    """A read-only float64 copy of `values`, laid out in `order`."""
+    a = np.array(values, dtype=float, order=order)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Ordered calibration samples for one encoder at one epoch.
+    """Calibration columns for one encoder at one epoch.
 
-    Table angles must be strictly increasing; at least two samples.
-    Immutable after construction.
+    `table_deg[i]` is a reference table angle and `encoder_deg[i]` the angle
+    the encoder reported there; both are read-only float64 columns with
+    values in [0, 360).  Table angles strictly increase; at least two samples.
     """
 
-    samples: tuple[CalibrationSample, ...]
+    table_deg: np.ndarray
+    encoder_deg: np.ndarray
     encoder_id: str = "unknown"
     epoch: str = "unknown"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) < 2:
-            raise ValueError(
-                f"calibration set needs >= 2 samples, got {len(self.samples)}"
+        table, encoder = readonly(self.table_deg), readonly(self.encoder_deg)
+        if table.ndim != 1 or table.shape != encoder.shape:
+            raise MalformedRow(f"calibration columns of shapes {table.shape} and "
+                               f"{encoder.shape}: need two 1-D columns of one length")
+        for name, column in (("table_deg", table), ("encoder_deg", encoder)):
+            outside = ~((column >= 0.0) & (column < 360.0))  # NaN is outside too
+            if outside.any():
+                raise OutOfRange(f"{name}={float(column[outside][0])!r} not in [0, 360)")
+        if table.size < 2:
+            raise TooFewSamples(f"calibration set needs >= 2 samples, got {table.size}")
+        steps = np.diff(table)
+        bad = np.flatnonzero(steps <= 0.0)
+        if bad.size:
+            i = bad[0]
+            if steps[i] == 0.0:
+                raise DuplicateGridAngle(f"duplicate table angle {float(table[i])!r}")
+            raise NonMonotonicGrid(
+                f"table angles not strictly increasing at {float(table[i + 1])!r}"
             )
-        prev = None
-        for s in self.samples:
-            if prev is not None:
-                if s.table_angle_deg == prev:
-                    raise DuplicateGridAngle(f"duplicate table angle {prev!r}")
-                if s.table_angle_deg < prev:
-                    raise NonMonotonicGrid(
-                        f"table angles not strictly increasing at {s.table_angle_deg!r}"
-                    )
-            prev = s.table_angle_deg
+        object.__setattr__(self, "table_deg", table)
+        object.__setattr__(self, "encoder_deg", encoder)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.table_deg.size
 
 
 @dataclass(frozen=True)
 class ErrorProfile:
     """Signed encoder error in arc-minutes as a function of encoder angle.
 
-    Points are ordered by encoder angle.
+    `points` is a read-only (P, 2) float64 array of (encoder angle in
+    degrees, error in arc-minutes) rows, from any sequence of pairs.  It is
+    stored column-major, so `angles_deg()` and `errors_arcmin()` are
+    contiguous views: the Fourier fit's dot products then sum in the same
+    order as over a fresh array, and its output keeps its last bits.
     """
 
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
+        points = readonly(np.reshape(self.points, (len(self.points), 2)), order="F")
+        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def angles_deg(self) -> list[float]:
-        return [p[0] for p in self.points]
+    def angles_deg(self) -> np.ndarray:
+        return self.points[:, 0]
 
-    def errors_arcmin(self) -> list[float]:
-        return [p[1] for p in self.points]
+    def errors_arcmin(self) -> np.ndarray:
+        return self.points[:, 1]
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,8 @@ def load_calibration(path, encoder_id: str = "unknown", epoch: str = "unknown") 
     """Read a calibration CSV (header + one sample per line) into a CalibrationSet.
 
     Raises MalformedRow for unparseable lines or bytes that are not UTF-8,
-    OutOfRange for angles outside [0, 360), DuplicateGridAngle /
-    NonMonotonicGrid for bad grids.
+    OutOfRange for angles outside [0, 360), TooFewSamples for fewer than two
+    rows, DuplicateGridAngle / NonMonotonicGrid for bad grids.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -149,7 +156,7 @@ def load_calibration(path, encoder_id: str = "unknown", epoch: str = "unknown") 
         raise MalformedRow(f"not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != CSV_HEADER:
         raise MalformedRow(f"missing or wrong header line, expected {CSV_HEADER!r}")
-    samples = []
+    table, encoder = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -157,22 +164,19 @@ def load_calibration(path, encoder_id: str = "unknown", epoch: str = "unknown") 
         if len(fields) != 2:
             raise MalformedRow(f"line {lineno}: expected 2 fields, got {len(fields)}")
         try:
-            table = float(fields[0])
-            encoder = float(fields[1])
+            table.append(float(fields[0]))
+            encoder.append(float(fields[1]))
         except ValueError as exc:
             raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}") from exc
-        samples.append(CalibrationSample(table, encoder))
-    if len(samples) < 2:
-        raise MalformedRow(f"need at least 2 data rows, got {len(samples)}")
-    return CalibrationSet(tuple(samples), encoder_id=encoder_id, epoch=epoch)
+    return CalibrationSet(table, encoder, encoder_id=encoder_id, epoch=epoch)
 
 
 def save_calibration(path, cal: CalibrationSet) -> None:
     """Write a CalibrationSet as CSV with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for s in cal.samples:
-            fh.write(f"{s.table_angle_deg!r},{s.encoder_angle_deg!r}\n")
+        fh.writelines(f"{t!r},{e!r}\n"
+                      for t, e in zip(cal.table_deg.tolist(), cal.encoder_deg.tolist()))
 
 
 def write_json(path, doc) -> None:
@@ -196,37 +200,35 @@ def error_profile(cal: CalibrationSet) -> ErrorProfile:
 
     The wrap takes the short way around the circle so a sample straddling
     the 0/360 seam yields a few arc-minutes, not a +-21600' spike.  Points
-    come out ordered by encoder angle.
+    come out ordered by encoder angle, ties in table order.
     """
-    points = []
-    for s in cal.samples:
-        err_arcmin = wrap_signed_deg(s.encoder_angle_deg - s.table_angle_deg) * ARCMIN_PER_DEG
-        points.append((s.encoder_angle_deg, err_arcmin))
-    points.sort(key=lambda p: p[0])
-    return ErrorProfile(tuple(points))
+    errors = wrap_signed_deg(cal.encoder_deg - cal.table_deg) * ARCMIN_PER_DEG
+    order = np.argsort(cal.encoder_deg, kind="stable")
+    return ErrorProfile(np.stack((cal.encoder_deg[order], errors[order]), axis=1))
 
 
 def partition_even_odd(cal: CalibrationSet) -> tuple[CalibrationSet, CalibrationSet]:
     """Split a calibration set into even-degree (train) and odd-degree (test) halves.
 
     Table angles must sit on an integer-degree grid; raises NonIntegerGrid
-    otherwise.  Union of the halves is the input, intersection empty.
+    otherwise, and TooFewSamples, naming the half, if either half has fewer
+    than two samples.  Union of the halves is the input, intersection empty.
     """
-    train, test = [], []
-    for s in cal.samples:
-        nearest = round(s.table_angle_deg)
-        if abs(s.table_angle_deg - nearest) > INTEGER_GRID_TOL_DEG:
-            raise NonIntegerGrid(
-                f"table angle {s.table_angle_deg!r} deviates from integer grid"
-            )
-        if nearest % 2 == 0:
-            train.append(s)
-        else:
-            test.append(s)
-    return (
-        CalibrationSet(tuple(train), cal.encoder_id, cal.epoch),
-        CalibrationSet(tuple(test), cal.encoder_id, cal.epoch),
-    )
+    nearest = np.round(cal.table_deg)
+    off_grid = np.abs(cal.table_deg - nearest) > INTEGER_GRID_TOL_DEG
+    if off_grid.any():
+        raise NonIntegerGrid(
+            f"table angle {float(cal.table_deg[off_grid][0])!r} deviates from integer grid"
+        )
+    even = nearest % 2 == 0
+    halves = []
+    for name, mask in (("even-degree (training)", even), ("odd-degree (test)", ~even)):
+        count = np.count_nonzero(mask)
+        if count < 2:
+            raise TooFewSamples(f"the {name} half has {count} samples, needs >= 2")
+        halves.append(CalibrationSet(cal.table_deg[mask], cal.encoder_deg[mask],
+                                     cal.encoder_id, cal.epoch))
+    return halves[0], halves[1]
 
 
 def stats(profile: ErrorProfile) -> ProfileStats:
@@ -234,13 +236,10 @@ def stats(profile: ErrorProfile) -> ProfileStats:
     if len(profile) == 0:
         raise EmptyProfile("cannot compute stats of an empty profile")
     errors = profile.errors_arcmin()
-    n = len(errors)
-    mae = sum(abs(e) for e in errors) / n
-    rms = math.sqrt(sum(e * e for e in errors) / n)
     return ProfileStats(
-        mae_arcmin=mae,
-        rms_arcmin=rms,
-        min_arcmin=min(errors),
-        max_arcmin=max(errors),
-        n_samples=n,
+        mae_arcmin=float(np.mean(np.abs(errors))),
+        rms_arcmin=float(np.sqrt(np.mean(errors * errors))),
+        min_arcmin=float(errors.min()),
+        max_arcmin=float(errors.max()),
+        n_samples=len(errors),
     )

@@ -31,6 +31,10 @@ class NonIntegerGrid(RescompError):
     """A table angle is not an integer degree (within tolerance)."""
 
 
+class TooFewSamples(RescompError):
+    """A calibration set, or one half of it, has fewer than two samples."""
+
+
 class EmptyProfile(RescompError):
     """An operation needs at least one profile point."""
 
@@ -45,6 +49,10 @@ class BadGrid(RescompError):
 
 class DegenerateBounds(RescompError):
     """Normalization bounds with hi <= lo."""
+
+
+class TargetOutOfRange(RescompError):
+    """A profile error lies beyond what the target normalization maps into [0, 1]."""
 
 
 class EmptyDataset(RescompError):

@@ -107,8 +107,7 @@ def harmonic_spectrum(profile: ErrorProfile, max_order: int | None = None) -> Ha
     """
     if len(profile) == 0:
         raise EmptyProfile("cannot analyze an empty profile")
-    angles = np.array(profile.angles_deg(), dtype=float)
-    errors = np.array(profile.errors_arcmin(), dtype=float)
+    angles, errors = profile.angles_deg(), profile.errors_arcmin()
     _check_uniform(angles)
     p = len(angles)
     nyquist = p // 2
@@ -157,8 +156,8 @@ def fit_fourier(profile: ErrorProfile, orders) -> FourierModel:
     if n_coef > p:
         raise UnderdeterminedFit(f"{n_coef} coefficients but only {p} samples")
 
-    theta = np.radians(np.array(profile.angles_deg(), dtype=float))
-    errors = np.array(profile.errors_arcmin(), dtype=float)
+    theta = np.radians(profile.angles_deg())
+    errors = profile.errors_arcmin()
     columns = [np.ones(p)]
     for n in harmonic_orders:
         columns.append(np.cos(n * theta))

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .caldata import ErrorProfile
-from .errors import DegenerateBounds, EmptyDataset, ShapeMismatch
+from .caldata import ErrorProfile, readonly
+from .errors import DegenerateBounds, EmptyDataset, ShapeMismatch, TargetOutOfRange
 
 
 def sigmoid(z):
@@ -96,12 +96,6 @@ class NetworkShape:
         return 3 * self.n_hidden + 1
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Network:
     """A 1:J:1 sigmoid net: its parameters and normalization maps.
@@ -116,7 +110,7 @@ class Network:
     target_norm: AffineMap
 
     def __post_init__(self) -> None:
-        params = _readonly(self.params)
+        params = readonly(self.params)
         if params.shape != (self.n_params,):
             raise ShapeMismatch(
                 f"expected parameter vector of length {self.n_params}, got {params.shape}"
@@ -184,8 +178,8 @@ class Dataset:
         for name, arr in (("inputs", inputs), ("targets", targets)):
             if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        object.__setattr__(self, "inputs", _readonly(inputs))
-        object.__setattr__(self, "targets", _readonly(targets))
+        object.__setattr__(self, "inputs", readonly(inputs))
+        object.__setattr__(self, "targets", readonly(targets))
 
 
 def init_network(
@@ -278,10 +272,20 @@ def gradient(net: Network, data: Dataset, activations: Activations | None = None
 
 
 def dataset_from_profile(profile: ErrorProfile, net: Network) -> Dataset:
-    """Build a normalized Dataset from an error profile with `net`'s maps."""
-    angles = np.array(profile.angles_deg(), dtype=float)
-    errors = np.array(profile.errors_arcmin(), dtype=float)
+    """Build a normalized Dataset from an error profile with `net`'s maps.
+
+    TargetOutOfRange names the first error that the target map sends outside
+    [0, 1], which the output sigmoid cannot reach."""
+    angles, errors = profile.angles_deg(), profile.errors_arcmin()
+    targets = net.target_norm.normalize(errors)
+    outside = np.flatnonzero(~((targets >= 0.0) & (targets <= 1.0)))
+    if outside.size:
+        i, norm = outside[0], net.target_norm
+        raise TargetOutOfRange(
+            f"error {float(errors[i])!r}' at {float(angles[i])!r} deg maps outside [0, 1] "
+            f"with normalization bounds [{norm.lo!r}, {norm.hi!r}]'"
+        )
     return Dataset(
         inputs=net.input_norm.normalize(angles)[:, np.newaxis],
-        targets=net.target_norm.normalize(errors)[:, np.newaxis],
+        targets=targets[:, np.newaxis],
     )

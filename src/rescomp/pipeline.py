@@ -28,14 +28,15 @@ from .caldata import (
     error_profile,
     json_int,
     partition_even_odd,
+    readonly,
     stats,
+    wrap_deg,
     write_json,
 )
 from .errors import (
     CorruptFile,
     DegenerateBounds,
     KindMismatch,
-    OutOfRange,
     ShapeMismatch,
     UnsupportedVersion,
 )
@@ -67,9 +68,20 @@ KIND_FOURIER = "fourier"
 # an exact float64
 MAX_FOURIER_ORDER = 2 ** 53
 
-_ANN_KEYS = ("shape", "input_norm", "target_norm", "hidden_weights",
-             "hidden_thresholds", "output_weights", "output_thresholds")
-_FOURIER_KEYS = ("a0", "terms")
+# each model kind's payload type and the model-file keys that hold its payload
+_KINDS = {
+    KIND_ANN: (Network, ("shape", "input_norm", "target_norm", "hidden_weights",
+                         "hidden_thresholds", "output_weights", "output_thresholds")),
+    KIND_FOURIER: (FourierModel, ("a0", "terms")),
+}
+
+
+def _kind(kind) -> tuple[type, tuple[str, ...]]:
+    """The payload type and payload keys of a model kind; KindMismatch for
+    any other tag."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise KindMismatch(f"unknown model kind {kind!r}")
+    return _KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -84,14 +96,9 @@ class CompensationModel:
     def __post_init__(self) -> None:
         if self.format_version != FORMAT_VERSION:
             raise UnsupportedVersion(f"unsupported format version {self.format_version!r}")
-        if self.kind == KIND_ANN:
-            if not isinstance(self.payload, Network):
-                raise KindMismatch(f"kind {self.kind!r} with payload {type(self.payload).__name__}")
-        elif self.kind == KIND_FOURIER:
-            if not isinstance(self.payload, FourierModel):
-                raise KindMismatch(f"kind {self.kind!r} with payload {type(self.payload).__name__}")
-        else:
-            raise KindMismatch(f"unknown model kind {self.kind!r}")
+        payload_type, _keys = _kind(self.kind)
+        if not isinstance(self.payload, payload_type):
+            raise KindMismatch(f"kind {self.kind!r} with payload {type(self.payload).__name__}")
 
 
 def _affine_to_doc(m: AffineMap) -> dict:
@@ -163,10 +170,8 @@ def load_model(path) -> CompensationModel:
         raise UnsupportedVersion(f"unsupported format version {version}")
 
     kind = doc.get("kind")
-    if kind not in (KIND_ANN, KIND_FOURIER):
-        raise KindMismatch(f"unknown model kind {kind!r}")
-    other_keys = _FOURIER_KEYS if kind == KIND_ANN else _ANN_KEYS
-    own_keys = _ANN_KEYS if kind == KIND_ANN else _FOURIER_KEYS
+    _payload_type, own_keys = _kind(kind)
+    other_keys = [k for other, (_t, keys) in _KINDS.items() if other != kind for k in keys]
     if any(k in doc for k in other_keys) and not all(k in doc for k in own_keys):
         raise KindMismatch(f"kind {kind!r} but payload fields of the other kind")
 
@@ -215,24 +220,11 @@ def load_model(path) -> CompensationModel:
     return CompensationModel(KIND_FOURIER, encoder_id, series, version)
 
 
-def _wrap_deg(theta: np.ndarray) -> np.ndarray:
-    """`caldata.wrap_angle_deg` on every element of a 1-D array, with the same
-    fmod arithmetic; OutOfRange names the first non-finite value."""
-    finite = np.isfinite(theta)
-    if not finite.all():
-        raise OutOfRange(f"angle {float(theta[~finite][0])!r} is not finite")
-    wrapped = np.fmod(theta, 360.0)
-    wrapped[wrapped < 0.0] += 360.0
-    # fmod can return -eps, which rounds up to 360.0 after +=
-    wrapped[wrapped >= 360.0] -= 360.0
-    return wrapped
-
-
 def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray:
     """Model-predicted systematic error (arc-min) at an encoder angle in
     degrees (returns a float) or at a 1-D array of them (returns an array)."""
     theta = np.asarray(theta_enc_deg, dtype=float)
-    wrapped = _wrap_deg(np.atleast_1d(theta))
+    wrapped = wrap_deg(np.atleast_1d(theta))
     if model.kind == KIND_ANN:
         net = model.payload
         x = net.input_norm.normalize(wrapped)[:, np.newaxis]
@@ -247,7 +239,7 @@ def correct(model: CompensationModel, theta_enc_deg) -> float | np.ndarray:
     [0, 360).  A float for one angle, an array for a 1-D array of them."""
     theta = np.asarray(theta_enc_deg, dtype=float)
     flat = np.atleast_1d(theta)
-    corrected = _wrap_deg(flat - predict_error(model, flat) / ARCMIN_PER_DEG)
+    corrected = wrap_deg(flat - predict_error(model, flat) / ARCMIN_PER_DEG)
     return float(corrected[0]) if theta.ndim == 0 else corrected
 
 
@@ -255,33 +247,28 @@ def correct(model: CompensationModel, theta_enc_deg) -> float | np.ndarray:
 class EvaluationReport:
     """Pre/post compensation statistics plus the per-angle residual table.
 
-    Table rows: (encoder_angle_deg, observed_arcmin, predicted_arcmin,
-    residual_arcmin) with residual = predicted - observed.
+    `rows` is a read-only (P, 4) float64 array of (encoder_angle_deg,
+    observed_arcmin, predicted_arcmin, residual_arcmin) rows with
+    residual = predicted - observed.
     """
 
     pre_stats: ProfileStats
     post_stats: ProfileStats
     max_abs_residual_arcmin: float
-    rows: tuple[tuple[float, float, float, float], ...]
+    rows: np.ndarray
 
 
 def evaluate(model: CompensationModel, test: CalibrationSet) -> EvaluationReport:
     """Residual error of the model against an observed calibration set."""
     profile = error_profile(test)
-    angles = np.array(profile.angles_deg())
-    observed = np.array(profile.errors_arcmin())
+    angles, observed = profile.angles_deg(), profile.errors_arcmin()
     predicted = predict_error(model, angles)
     residuals = predicted - observed
-    rows = tuple(
-        (float(a), float(o), float(p), float(r))
-        for a, o, p, r in zip(angles, observed, predicted, residuals)
-    )
-    post = stats(ErrorProfile(tuple((a, r) for a, _o, _p, r in rows)))
     return EvaluationReport(
         pre_stats=stats(profile),
-        post_stats=post,
+        post_stats=stats(ErrorProfile(np.stack((angles, residuals), axis=1))),
         max_abs_residual_arcmin=float(np.max(np.abs(residuals))),
-        rows=rows,
+        rows=readonly(np.stack((angles, observed, predicted, residuals), axis=1)),
     )
 
 
@@ -359,8 +346,8 @@ def write_history_csv(path, history: TrainingHistory) -> None:
 def write_residuals_csv(path, report: EvaluationReport) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("encoder_angle_deg,observed_arcmin,predicted_arcmin,residual_arcmin\n")
-        for angle, obs, pred, res in report.rows:
-            fh.write(f"{angle!r},{obs!r},{pred!r},{res!r}\n")
+        fh.writelines(f"{angle!r},{obs!r},{pred!r},{res!r}\n"
+                      for angle, obs, pred, res in report.rows.tolist())
 
 
 def fit_network(
@@ -397,10 +384,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """End-to-end run on one calibration set; writes a deterministic report
     bundle (models, history, spectrum, residual tables, comparison CSV and
-    a JSON report) into `outdir`."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
+    a JSON report) into `outdir`, which is made only once every fit and
+    evaluation has succeeded."""
     train_set, test_set = partition_even_odd(cal)
     train_prof = error_profile(train_set)
     full_stats = stats(error_profile(cal))
@@ -412,6 +397,8 @@ def run_experiment(
     ann_report = evaluate(ann_model, test_set)
     fourier_report = evaluate(fourier_model, test_set)
 
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     save_model(outdir / "ann_model.json", ann_model)
     save_model(outdir / "fourier_model.json", fourier_model)
     write_history_csv(outdir / "history.csv", history)

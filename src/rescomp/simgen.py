@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caldata import (ARCMIN_PER_DEG, CalibrationSample, CalibrationSet, json_int,
-                      wrap_angle_deg, write_json)
+from .caldata import ARCMIN_PER_DEG, CalibrationSet, json_int, wrap_deg, write_json
 from .errors import BadGrid, CorruptFile
 
 # One least-significant bit of a 16-bit single-turn encoder, in degrees.
@@ -59,21 +58,24 @@ class HarmonicSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
-def harmonic_error_arcmin(terms, theta_deg: float) -> float:
-    """Closed-form systematic error at one angle, in arc-minutes.
+def harmonic_error_arcmin(terms, theta_deg):
+    """Closed-form systematic error in arc-minutes at each angle in degrees.
 
     The harmonic order counts cycles per full mechanical revolution, so the
-    angle enters the trig functions in radians.
+    angle enters the trig functions in radians.  The terms add in order.
     """
-    theta_rad = math.radians(theta_deg)
-    return sum(t.amp_arcmin * math.cos(t.n * theta_rad + t.phase_rad) for t in terms)
+    theta_rad = np.radians(theta_deg)
+    total = np.zeros_like(theta_rad)
+    for t in terms:
+        total = total + t.amp_arcmin * np.cos(t.n * theta_rad + t.phase_rad)
+    return total
 
 
-def quantize16(angle_deg: float) -> float:
-    """Snap an angle to the 16-bit grid (round half away from zero), wrap to [0, 360)."""
-    steps = angle_deg / LSB_DEG
-    rounded = math.floor(abs(steps) + 0.5) * (1.0 if steps >= 0 else -1.0)
-    return wrap_angle_deg(rounded * LSB_DEG)
+def quantize16(angle_deg):
+    """Snap angles to the 16-bit grid (round half away from zero), wrap to [0, 360)."""
+    steps = np.asarray(angle_deg, dtype=float) / LSB_DEG
+    rounded = np.floor(np.abs(steps) + 0.5) * np.where(steps >= 0, 1.0, -1.0)
+    return wrap_deg(rounded * LSB_DEG)
 
 
 def synthesize(
@@ -99,20 +101,14 @@ def synthesize(
         raise BadGrid(f"offset {grid_offset_deg!r} not in [0, step)")
     n_points = int(round(n_points))
 
-    rng = np.random.default_rng(spec.seed)
-    samples = []
-    for i in range(n_points):
-        theta = grid_offset_deg + i * grid_step_deg
-        err_arcmin = harmonic_error_arcmin(spec.terms, theta)
-        if spec.noise_sigma_arcmin > 0:
-            err_arcmin += spec.noise_sigma_arcmin * rng.standard_normal()
-        encoder_angle = theta + err_arcmin / ARCMIN_PER_DEG
-        if quantize:
-            encoder_angle = quantize16(encoder_angle)
-        else:
-            encoder_angle = wrap_angle_deg(encoder_angle)
-        samples.append(CalibrationSample(theta, encoder_angle))
-    return CalibrationSet(tuple(samples), encoder_id=encoder_id, epoch=epoch)
+    theta = grid_offset_deg + np.arange(n_points) * grid_step_deg
+    err_arcmin = harmonic_error_arcmin(spec.terms, theta)
+    if spec.noise_sigma_arcmin > 0:
+        rng = np.random.default_rng(spec.seed)
+        err_arcmin = err_arcmin + spec.noise_sigma_arcmin * rng.standard_normal(n_points)
+    encoder_angle = theta + err_arcmin / ARCMIN_PER_DEG
+    encoder_angle = quantize16(encoder_angle) if quantize else wrap_deg(encoder_angle)
+    return CalibrationSet(theta, encoder_angle, encoder_id=encoder_id, epoch=epoch)
 
 
 def spec_to_json(spec: HarmonicSpec, path) -> None:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,15 +58,15 @@ def tiny_model(tmp_path, train_csv):
 def test_simulate_writes_training_grid(train_csv):
     cal = load_calibration(train_csv)
     assert len(cal) == 180
-    assert cal.samples[0].table_angle_deg == 0.0
-    assert cal.samples[-1].table_angle_deg == 358.0
+    assert cal.table_deg[0] == 0.0
+    assert cal.table_deg[-1] == 358.0
 
 
 def test_simulate_offset_writes_test_grid(test_csv):
     cal = load_calibration(test_csv)
     assert len(cal) == 180
-    assert cal.samples[0].table_angle_deg == 1.0
-    assert cal.samples[-1].table_angle_deg == 359.0
+    assert cal.table_deg[0] == 1.0
+    assert cal.table_deg[-1] == 359.0
 
 
 def test_train_writes_model_and_history(tmp_path, tiny_model):
@@ -369,3 +370,41 @@ def test_malformed_csv_fails_with_error_name(tmp_path, capsys):
         code = main(["train", "--data", str(bad), "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert "MalformedRow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("simulate-step-360", r"calibration set needs >= 2 samples, got 1"),
+    ("run-experiment-step-180", r"the odd-degree \(test\) half has 0 samples, needs >= 2"),
+    ("run-experiment-even-csv", r"the odd-degree \(test\) half has 0 samples, needs >= 2"),
+])
+def test_too_few_samples_fails_with_error_name(tmp_path, spec_file, capsys, case, message):
+    even_csv = tmp_path / "even.csv"
+    even_csv.write_text("table_angle_deg,encoder_angle_deg\n0,0.01\n2,2.01\n")
+    out = tmp_path / "out"
+    args = {
+        "simulate-step-360": ["simulate", "--spec", str(spec_file), "--step", "360",
+                              "--out", str(out)],
+        "run-experiment-step-180": ["run-experiment", "--spec", str(spec_file),
+                                    "--step", "180", "--outdir", str(out)],
+        "run-experiment-even-csv": ["run-experiment", "--csv", str(even_csv),
+                                    "--outdir", str(out)],
+    }[case]
+    assert main(args) == 1
+    assert re.fullmatch(f"TooFewSamples: {message}\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "run-experiment"])
+def test_errors_beyond_normalization_bounds_fail_with_error_name(
+    tmp_path, spec_file, train_csv, capsys, command
+):
+    # archetype 1 errors reach about +3.9', beyond what [-1', 1'] maps into [0, 1]
+    out = tmp_path / "out"
+    args = {"train": ["train", "--data", str(train_csv), "--out", str(out)],
+            "run-experiment": ["run-experiment", "--spec", str(spec_file),
+                               "--outdir", str(out)]}[command]
+    assert main([*args, "--norm-lo", "-1", "--norm-hi", "1", "--hidden", "4"]) == 1
+    assert re.fullmatch(r"TargetOutOfRange: error \S+' at \S+ deg maps outside \[0, 1\] "
+                        r"with normalization bounds \[-1\.0, 1\.0\]'\n",
+                        capsys.readouterr().err)
+    assert not out.exists()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rescomp.caldata import ErrorProfile
-from rescomp.errors import DegenerateBounds, EmptyDataset, ShapeMismatch
+from rescomp.errors import DegenerateBounds, EmptyDataset, ShapeMismatch, TargetOutOfRange
 from rescomp.network import (
     AffineMap,
     Dataset,
@@ -323,3 +323,24 @@ def test_dataset_from_profile():
     data = dataset_from_profile(profile, net)
     assert_allclose(data.inputs[:, 0], [0.0, 0.5, 359.0 / 360.0])
     assert_allclose(data.targets[:, 0], [0.1, 0.5, 0.9], atol=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(errors=st.lists(st.floats(-7.6, 7.6)
+                       | st.sampled_from([-7.5, 7.5, -7.500000000000001, 7.500000000000001]),
+                       min_size=1, max_size=5))
+def test_dataset_from_profile_accepts_what_dataset_accepts(errors):
+    """A named TargetOutOfRange exactly where the Dataset built from the same
+    targets would reject them ([-6', 6'] maps onto [0.1, 0.9], so [0, 1] is
+    [-7.5', 7.5'] up to rounding)."""
+    profile = ErrorProfile(tuple((float(i), e) for i, e in enumerate(errors)))
+    net = init_network(NetworkShape(1, 2, 1), seed=0)
+    targets = net.target_norm.normalize(errors)[:, np.newaxis]
+    try:
+        Dataset(inputs=np.zeros_like(targets), targets=targets)
+    except ValueError:
+        with pytest.raises(TargetOutOfRange, match=r"maps outside \[0, 1\] with "
+                                                   r"normalization bounds \[-6\.0, 6\.0\]'$"):
+            dataset_from_profile(profile, net)
+    else:
+        dataset_from_profile(profile, net)

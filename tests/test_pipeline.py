@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescomp.caldata import CalibrationSample, CalibrationSet, stats
+from rescomp.caldata import CalibrationSet
 from rescomp.errors import CorruptFile, KindMismatch, OutOfRange, RescompError, UnsupportedVersion
 from rescomp.fourier import FourierModel, FourierTerm
 from rescomp.network import NetworkShape, init_network
@@ -99,6 +99,19 @@ def test_unknown_kind_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(KindMismatch):
         load_model(path)
+
+
+@pytest.mark.parametrize("kind", [["ann"], {"ann": 1}, None, 1], ids=repr)
+def test_non_string_kind_rejected(tmp_path, kind):
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=2)))
+    doc = json.loads(path.read_text())
+    doc["kind"] = kind
+    path.write_text(json.dumps(doc))
+    with pytest.raises(KindMismatch, match=r"^unknown model kind "):
+        load_model(path)
+    with pytest.raises(KindMismatch, match=r"^unknown model kind "):
+        CompensationModel(kind, "enc", trained_like_net(hidden=2))
 
 
 def test_kind_payload_mismatch_rejected(tmp_path):
@@ -360,10 +373,8 @@ def test_correction_identity(theta):
 # --- evaluation ---
 
 def zero_error_calset(n=8):
-    samples = tuple(
-        CalibrationSample(float(i * 360 // n), float(i * 360 // n)) for i in range(n)
-    )
-    return CalibrationSet(samples, "perfect", "now")
+    angles = [float(i * 360 // n) for i in range(n)]
+    return CalibrationSet(angles, angles, "perfect", "now")
 
 
 def test_evaluate_perfect_model():
@@ -377,7 +388,7 @@ def test_evaluate_perfect_model():
 
 def test_predict_error_tracks_training_point(arch1_data, arch1_lm80):
     model = CompensationModel(KIND_ANN, "arch1", arch1_lm80[0])
-    profile = dict(arch1_data["train_prof"].points)
+    profile = dict(arch1_data["train_prof"].points.tolist())
     angle = min(profile, key=lambda a: abs(a - 10.0))
     assert abs(predict_error(model, angle) - profile[angle]) <= 0.3
 
@@ -385,16 +396,19 @@ def test_predict_error_tracks_training_point(arch1_data, arch1_lm80):
 def test_evaluate_report_consistency(arch1_data, arch1_lm80):
     model = CompensationModel(KIND_ANN, "arch1", arch1_lm80[0])
     report = evaluate(model, arch1_data["test_set"])
-    residuals = [r for _a, _o, _p, r in report.rows]
+    assert report.rows.shape == (len(arch1_data["test_set"]), 4)
+    assert not report.rows.flags.writeable
+    residuals = report.rows[:, 3].tolist()
     n = len(residuals)
     assert report.post_stats.n_samples == n
-    assert report.post_stats.mae_arcmin == sum(abs(r) for r in residuals) / n
-    assert report.post_stats.rms_arcmin == math.sqrt(
-        sum(r * r for r in residuals) / n
-    )
+    # numpy's pairwise sums against exactly rounded ones: a few ulps apart at most
+    assert report.post_stats.mae_arcmin == pytest.approx(
+        math.fsum(abs(r) for r in residuals) / n, rel=1e-14, abs=0.0)
+    assert report.post_stats.rms_arcmin == pytest.approx(
+        math.sqrt(math.fsum(r * r for r in residuals) / n), rel=1e-14, abs=0.0)
     assert report.max_abs_residual_arcmin == max(abs(r) for r in residuals)
     # residual convention: predicted minus observed
-    for _a, obs, pred, res in report.rows:
+    for _a, obs, pred, res in report.rows.tolist():
         assert res == pred - obs
 
 

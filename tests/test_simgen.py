@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,25 +50,59 @@ def test_quantize_idempotent(angle):
 def test_zero_error_spec_quantizes_table_angle():
     spec = HarmonicSpec(terms=(), noise_sigma_arcmin=0.0, seed=1)
     cal = synthesize(spec, grid_step_deg=2.0)
-    for s in cal.samples:
-        assert s.encoder_angle_deg == quantize16(s.table_angle_deg)
+    for table, encoder in zip(cal.table_deg.tolist(), cal.encoder_deg.tolist()):
+        assert encoder == quantize16(table)
 
 
 def test_single_harmonic_closed_form():
     # amp 3' at order 2: +3' at 0 degrees, zero crossing at 45 degrees
     spec = HarmonicSpec(terms=(HarmonicTerm(2, 3.0, 0.0),), noise_sigma_arcmin=0.0, seed=1)
     cal = synthesize(spec, grid_step_deg=45.0, quantize=False)
-    prof = dict(error_profile(cal).points)
+    prof = dict(error_profile(cal).points.tolist())
     assert prof[0.05] == pytest.approx(3.0, abs=1e-9)  # encoder reads 0 + 3'/60
-    by_table = {s.table_angle_deg: s for s in cal.samples}
-    assert by_table[45.0].encoder_angle_deg == pytest.approx(45.0, abs=1e-12)
+    by_table = dict(zip(cal.table_deg.tolist(), cal.encoder_deg.tolist()))
+    assert by_table[45.0] == pytest.approx(45.0, abs=1e-12)
 
 
 def test_deterministic_for_fixed_seed():
     spec = archetype_spec(1)
     a = synthesize(spec, grid_step_deg=1.0)
     b = synthesize(spec, grid_step_deg=1.0)
-    assert a.samples == b.samples
+    assert a.table_deg.tobytes() == b.table_deg.tobytes()
+    assert a.encoder_deg.tobytes() == b.encoder_deg.tobytes()
+
+
+def reference_synthesize(spec, step):
+    """`synthesize` one sample at a time with `math`, the terms added left to
+    right and one standard normal drawn per sample."""
+    rng = np.random.default_rng(spec.seed)
+    table, encoder = [], []
+    for i in range(round(360.0 / step)):
+        theta = 0.0 + i * step
+        err = 0.0
+        for t in spec.terms:
+            err += t.amp_arcmin * math.cos(t.n * math.radians(theta) + t.phase_rad)
+        err += spec.noise_sigma_arcmin * rng.standard_normal()
+        steps = (theta + err / 60.0) / LSB_DEG
+        rounded = math.floor(abs(steps) + 0.5) * (1.0 if steps >= 0 else -1.0)
+        wrapped = math.fmod(rounded * LSB_DEG, 360.0)
+        if wrapped < 0.0:
+            wrapped += 360.0
+        if wrapped >= 360.0:
+            wrapped -= 360.0
+        table.append(theta)
+        encoder.append(wrapped)
+    return np.array(table), np.array(encoder)
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 4])
+@pytest.mark.parametrize("step", [1.0, 2.0])
+def test_synthesize_matches_per_sample_reference(index, step):
+    spec = archetype_spec(index)
+    cal = synthesize(spec, grid_step_deg=step)
+    table, encoder = reference_synthesize(spec, step)
+    assert cal.table_deg.tobytes() == table.tobytes()
+    assert cal.encoder_deg.tobytes() == encoder.tobytes()
 
 
 def test_bad_grid_step():
@@ -80,7 +117,7 @@ def test_bad_offset():
 
 def test_offset_grid_hits_odd_degrees():
     cal = synthesize(archetype_spec(1), grid_step_deg=2.0, grid_offset_deg=1.0)
-    assert [s.table_angle_deg for s in cal.samples[:3]] == [1.0, 3.0, 5.0]
+    assert cal.table_deg[:3].tolist() == [1.0, 3.0, 5.0]
     assert len(cal) == 180
 
 
@@ -88,10 +125,10 @@ def test_noiseless_roundtrip_within_half_lsb():
     spec = archetype_spec(3)
     noiseless = HarmonicSpec(terms=spec.terms, noise_sigma_arcmin=0.0, seed=spec.seed)
     cal = synthesize(noiseless, grid_step_deg=2.0)
-    for angle, err in error_profile(cal).points:
+    for angle, err in error_profile(cal).points.tolist():
         # recover the closed form through quantized encoder readings
         table = min(
-            (s.table_angle_deg for s in cal.samples),
+            cal.table_deg.tolist(),
             key=lambda t: abs(t + harmonic_error_arcmin(spec.terms, t) / 60.0 - angle),
         )
         truth = harmonic_error_arcmin(spec.terms, table)
