@@ -1,0 +1,215 @@
+#!/usr/bin/env python3
+"""In-process A/B timing of two rescomp source trees' training and forward kernels.
+
+Loads the `rescomp` package of two source trees (`--base` and `--change`,
+each a directory holding `rescomp/`) into one process under different
+module names, pins the process to one CPU and one BLAS thread, and then
+alternates between the trees for `--rounds` rounds: each round times every
+case once per tree, with the tree that goes first swapped from round to
+round.  The cases are the fits the benchmark's workloads run, on the
+even-degree training half of a simulated archetype (180 patterns):
+
+    gd-80    gradient descent, 1:80:1, archetype 3, 1 000 iterations
+    lm-80    Levenberg-Marquardt, 1:80:1, archetype 1, 300 iterations
+    lm-40    Levenberg-Marquardt, 1:40:1, archetype 2, 600 iterations
+    lm-6     Levenberg-Marquardt, 1:6:1, archetype 2, 600 iterations
+
+and `forward_batch` on 128 rows (the `correct --stdin` batch) at J = 6, 40
+and 80, each sample a run of calls.  Every training history, trained
+parameter vector and forward output must be bit-identical between the
+trees; the script exits 1 at the first difference.  It writes, per case,
+both trees' medians and quartiles, the ratio of medians (change / base) and
+the number of pairs the change won, with the Python, numpy and BLAS thread
+settings and the CPU model.
+
+Usage:
+    python scripts/ab_kernels.py --base OLD/src --change NEW/src --out ab.json
+        [--rounds 15] [--scale 1.0]
+"""
+
+import os
+
+# one BLAS thread: LM histories depend on the thread count, and the pin must
+# precede the import of numpy
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+# name: (optimizer, hidden width, archetype, iterations)
+TRAININGS = {
+    "gd-80": ("backprop", 80, 3, 1000),
+    "lm-80": ("lm", 80, 1, 300),
+    "lm-40": ("lm", 40, 2, 600),
+    "lm-6": ("lm", 6, 2, 600),
+}
+FORWARD_ROWS = 128
+FORWARD_WIDTHS = (6, 40, 80)
+FORWARD_CALLS = 2000   # per sample
+SEED = 42
+
+
+def load_tree(src: Path, alias: str):
+    """Import `src/rescomp` as the package `alias` (its imports are relative)."""
+    init = src / "rescomp" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no rescomp package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        alias, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = package
+    spec.loader.exec_module(package)
+    return {name: importlib.import_module(f"{alias}.{name}")
+            for name in ("caldata", "network", "optim", "simgen")}
+
+
+def tree_digest(src: Path) -> str:
+    """sha256 over the tree's rescomp/*.py files, by name and content."""
+    h = hashlib.sha256()
+    for path in sorted((src / "rescomp").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def training_case(m, optimizer: str, hidden: int, archetype: int, iterations: int):
+    """A zero-argument fit on the archetype's training half, as `run_experiment`
+    sets it up, returning (history, trained parameters)."""
+    cal = m["simgen"].synthesize(m["simgen"].archetype_spec(archetype), grid_step_deg=1.0)
+    train_set, _test = m["caldata"].partition_even_odd(cal)
+    net0 = m["network"].init_network(m["network"].NetworkShape(1, hidden, 1), SEED)
+    data = m["network"].dataset_from_profile(m["caldata"].error_profile(train_set), net0)
+    cfg = m["optim"].TrainingConfig(max_iterations=iterations, seed=SEED)
+    train = m["optim"].trainer(optimizer)
+
+    def run():
+        trained, history = train(net0, data, cfg)
+        return (np.array(history.mse_per_iteration).tobytes(), history.stop_reason.value,
+                trained.params.tobytes())
+    return run
+
+
+def forward_case(m, hidden: int, calls: int):
+    """A zero-argument run of `calls` forward passes over 128 rows."""
+    net = m["network"].init_network(m["network"].NetworkShape(1, hidden, 1), SEED)
+    x = np.linspace(0.0, 1.0, FORWARD_ROWS, endpoint=False)[:, np.newaxis]
+    forward_batch = m["network"].forward_batch
+
+    def run():
+        for _ in range(calls - 1):
+            forward_batch(net, x)
+        return forward_batch(net, x).tobytes()
+    return run
+
+
+def quartiles(values):
+    return tuple(float(q) for q in np.percentile(values, (25, 50, 75)))
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, type=Path, help="base source tree")
+    parser.add_argument("--change", required=True, type=Path, help="changed source tree")
+    parser.add_argument("--out", required=True, type=Path, help="output JSON file")
+    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="multiplies every iteration budget and call count")
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or not args.scale > 0:
+        parser.error("--rounds must be >= 1 and --scale > 0")
+
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    trees = {"base": load_tree(args.base, "rescomp_ab_base"),
+             "change": load_tree(args.change, "rescomp_ab_change")}
+
+    def scaled(n):
+        return max(1, round(n * args.scale))
+
+    cases = {}
+    for name, (optimizer, hidden, archetype, iterations) in TRAININGS.items():
+        cases[name] = {side: training_case(m, optimizer, hidden, archetype, scaled(iterations))
+                       for side, m in trees.items()}
+    for hidden in FORWARD_WIDTHS:
+        cases[f"forward-{FORWARD_ROWS}x{hidden}"] = {
+            side: forward_case(m, hidden, scaled(FORWARD_CALLS)) for side, m in trees.items()}
+
+    seconds = {name: {"base": [], "change": []} for name in cases}
+    for r in range(args.rounds):
+        order = ("base", "change") if r % 2 == 0 else ("change", "base")
+        for name, runs in cases.items():
+            results = {}
+            for side in order:
+                start = time.perf_counter()
+                results[side] = runs[side]()
+                seconds[name][side].append(time.perf_counter() - start)
+            if results["base"] != results["change"]:
+                print(f"{name}: the trees' results differ in round {r}", file=sys.stderr)
+                return 1
+        print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
+
+    report = {}
+    for name, by_side in seconds.items():
+        base_q, change_q = quartiles(by_side["base"]), quartiles(by_side["change"])
+        wins = sum(c < b for b, c in zip(by_side["base"], by_side["change"]))
+        report[name] = {
+            "unit": "s",
+            "base_median": base_q[1],
+            "base_quartiles": [base_q[0], base_q[2]],
+            "change_median": change_q[1],
+            "change_quartiles": [change_q[0], change_q[2]],
+            "ratio_change_over_base": change_q[1] / base_q[1],
+            "change_faster_pairs": wins,
+            "pairs": args.rounds,
+        }
+        print(f"{name:16s} base {base_q[1]:.5f} s  change {change_q[1]:.5f} s  "
+              f"ratio {change_q[1] / base_q[1]:.3f}  faster in {wins}/{args.rounds}")
+
+    doc = {
+        "what": "medians of per-case wall seconds, both trees in one process",
+        "identical_results": True,
+        "rounds": args.rounds,
+        "scale": args.scale,
+        "trainings": {name: {"optimizer": o, "hidden": j, "archetype": a,
+                             "iterations": scaled(n), "patterns": 180}
+                      for name, (o, j, a, n) in TRAININGS.items()},
+        "forward": {"rows": FORWARD_ROWS, "calls_per_sample": scaled(FORWARD_CALLS)},
+        "base_digest": tree_digest(args.base),
+        "change_digest": tree_digest(args.change),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+            "OMP_NUM_THREADS": os.environ["OMP_NUM_THREADS"],
+            "pinned_cpus": 1,
+            "cpu_count": os.cpu_count(),
+            "cpu_model": cpu_model(),
+        },
+        "cases": report,
+    }
+    args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,7 +42,8 @@ class EmptyProfile(RescompError):
 # --- synthetic data generation ---
 
 class BadGrid(RescompError):
-    """Grid step does not divide 360 degrees, or offset is invalid."""
+    """Grid step does not divide 360 degrees or is finer than one 16-bit LSB,
+    or offset is invalid."""
 
 
 # --- network ---
@@ -64,6 +65,12 @@ class ShapeMismatch(RescompError):
 
 
 # --- training ---
+
+class BadConfig(RescompError, ValueError):
+    """A training or experiment setting lies outside its valid range.
+
+    Also a ValueError, so callers that catch ValueError still catch it."""
+
 
 class DivergenceDetected(RescompError):
     """Training produced a non-finite MSE or parameters."""

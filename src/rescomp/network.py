@@ -11,10 +11,13 @@ keep targets away from sigmoid saturation), and the inverse map converts
 predictions back to arc-minutes.  Inputs use degrees / 360.  One kernel,
 `_activations`, feeds the forward pass, the residual Jacobian, the gradient
 (which contracts J^T r block by block without building J) and the pruning
-activation matrix.  `mse`, `residual_jacobian` and `gradient` also take a
-net's `(hidden, out)` activations already computed, so a trainer runs each
-candidate's forward pass once: the accepted candidate's activations feed
-the next Jacobian or gradient.
+activation matrix.  It takes the inputs as the (P, 2) design matrix [x, 1],
+so the hidden pre-activations x w_j + theta_j of all patterns are one matrix
+product with the (2, J) view [w_hidden; theta_hidden] of the parameter
+vector.  A `Dataset` builds its design once.  `mse`, `residual_jacobian`
+and `gradient` also take a net's `(hidden, out)` activations already
+computed, so a trainer runs each candidate's forward pass once: the
+accepted candidate's activations feed the next Jacobian or gradient.
 
 All operations are pure; a Network is immutable and optimizers build new
 instances via `with_params`.  Double precision throughout: the damped
@@ -24,7 +27,7 @@ normal equations used in training are ill-conditioned in single precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,9 +40,10 @@ def sigmoid(z):
 
     Clamping -z to [-36, 709] keeps exp(-z) finite and 1 + exp(-z) above
     1 + 2**-53, so the result never rounds to exactly 0.0 or 1.0 and no
-    overflow warning is raised, even for +-inf.
+    overflow warning is raised, even for +-inf.  One `np.clip` pass gives
+    the same values as `np.maximum` followed by `np.minimum`, NaN included.
     """
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -709.0), 36.0)))
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -709.0, 36.0)))
 
 
 @dataclass(frozen=True)
@@ -161,10 +165,15 @@ class Gradient:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Normalized training patterns: inputs (P, 1), targets (P, 1) in [0, 1]."""
+    """Normalized training patterns: inputs (P, 1), targets (P, 1) in [0, 1].
+
+    `design` is the read-only (P, 2) matrix [inputs, 1] that `_activations`
+    takes, built once here so that training does not rebuild it per pass.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
+    design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -180,6 +189,9 @@ class Dataset:
                 raise ValueError(f"{name} must lie in [0, 1]")
         object.__setattr__(self, "inputs", readonly(inputs))
         object.__setattr__(self, "targets", readonly(targets))
+        design = _design(inputs)
+        design.setflags(write=False)
+        object.__setattr__(self, "design", design)
 
 
 def init_network(
@@ -205,15 +217,38 @@ def init_network(
 Activations = tuple[np.ndarray, np.ndarray]
 
 
-def _activations(net: Network, x: np.ndarray) -> Activations:
-    """Hidden (P, J) and output (P, 1) activations for normalized inputs (P, 1)."""
-    hidden = sigmoid(x * net.w_hidden + net.theta_hidden)
+def _design(x: np.ndarray) -> np.ndarray:
+    """The (P, 2) design matrix [x, 1] of a (P, 1) batch of normalized inputs."""
+    design = np.empty((x.shape[0], 2))
+    design[:, :1] = x
+    design[:, 1] = 1.0
+    return design
+
+
+def _activations(net: Network, design: np.ndarray) -> Activations:
+    """Hidden (P, J) and output (P, 1) activations for a (P, 2) design [x, 1].
+
+    The hidden pre-activations are one product, design @ [w_hidden;
+    theta_hidden], with a zero-copy (2, J) view of the parameters.  The
+    matrix-matrix kernel rounds x w_j and then adds theta_j: the bits of the
+    broadcast x * w_hidden + theta_hidden.  The x column must come first; a
+    kernel that fuses multiply and add would otherwise round x w_j + theta_j
+    once.  numpy hands a one-row or one-column product to a matrix-vector
+    kernel, which fuses even in this order, so those shapes keep the broadcast.
+    """
+    j = net.shape.n_hidden
+    w_theta = net.params[:2 * j].reshape(2, j)
+    if design.shape[0] > 1 and j > 1:
+        pre = design @ w_theta
+    else:
+        pre = design[:, :1] * w_theta[0] + w_theta[1]
+    hidden = sigmoid(pre)
     return hidden, sigmoid(hidden @ net.w_output[:, np.newaxis] + net.theta_output)
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     """Outputs for a (P, 1) batch of normalized inputs; returns (P, 1) in (0, 1)."""
-    return _activations(net, np.atleast_2d(np.asarray(x, dtype=float)))[1]
+    return _activations(net, _design(np.asarray(x, dtype=float)))[1]
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -224,9 +259,11 @@ def forward(net: Network, x) -> np.ndarray:
 
 def mse(net: Network, data: Dataset, activations: Activations | None = None) -> float:
     """Mean-squared error over all patterns, in normalized units."""
-    out = forward_batch(net, data.inputs) if activations is None else activations[1]
+    out = _activations(net, data.design)[1] if activations is None else activations[1]
     diff = data.targets - out
-    return float(np.mean(diff * diff))
+    sq = diff * diff
+    # the pairwise sum np.mean takes, without its wrapper
+    return float(np.add.reduce(sq, axis=None)) / sq.size
 
 
 def residual_jacobian(
@@ -238,7 +275,7 @@ def residual_jacobian(
     so grad(MSE) = (2 / P) * J^T r (see `gradient`).
     """
     x = data.inputs
-    hidden, out = _activations(net, x) if activations is None else activations
+    hidden, out = _activations(net, data.design) if activations is None else activations
     j = net.shape.n_hidden
     jacobian = np.empty((x.shape[0], 3 * j + 1))
     # negating s_out before the products is exact, so each block matches
@@ -262,7 +299,7 @@ def gradient(net: Network, data: Dataset, activations: Activations | None = None
     never built; the largest temporary is P x J.
     """
     x = data.inputs.ravel()
-    hidden, out = _activations(net, data.inputs) if activations is None else activations
+    hidden, out = _activations(net, data.design) if activations is None else activations
     e = ((out * (1.0 - out)) * (out - data.targets)).ravel()
     slope = 1.0 - hidden
     slope *= hidden                      # h (1 - h) in one P x J buffer

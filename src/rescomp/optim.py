@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceDetected, SingularNormalEquations
+from .errors import BadConfig, DivergenceDetected, SingularNormalEquations
 from .network import (
     Activations,
     Dataset,
@@ -55,18 +55,18 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise BadConfig("max_iterations must be >= 1")
         for name in ("learning_rate", "lm_lambda0", "lm_factor", "stall_tol"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise BadConfig(f"{name} must be finite")
         if self.learning_rate <= 0 or self.lm_lambda0 <= 0:
-            raise ValueError("learning_rate and lm_lambda0 must be > 0")
+            raise BadConfig("learning_rate and lm_lambda0 must be > 0")
         if self.lm_factor <= 1:
-            raise ValueError("lm_factor must be > 1")
+            raise BadConfig("lm_factor must be > 1")
         if self.stall_window < 1:
-            raise ValueError("stall_window must be >= 1")
+            raise BadConfig("stall_window must be >= 1")
         if self.stall_tol <= 0:
-            raise ValueError("stall_tol must be > 0")
+            raise BadConfig("stall_tol must be > 0")
 
 
 class StopReason(enum.Enum):
@@ -101,7 +101,7 @@ def stopping_rule(mse_history, cfg: TrainingConfig) -> bool:
 
 def _scored(net: Network, data: Dataset) -> tuple[float, Activations]:
     """`net`'s MSE on `data` and the activations it was computed from."""
-    activations = _activations(net, data.inputs)
+    activations = _activations(net, data.design)
     return mse(net, data, activations), activations
 
 
@@ -228,7 +228,7 @@ OPTIMIZERS = ("lm", "backprop")
 def trainer(optimizer: str):
     """The training function for an optimizer name in OPTIMIZERS."""
     if optimizer not in OPTIMIZERS:
-        raise ValueError(f"optimizer must be 'lm' or 'backprop', got {optimizer!r}")
+        raise BadConfig(f"optimizer must be 'lm' or 'backprop', got {optimizer!r}")
     return train_lm if optimizer == "lm" else train_backprop
 
 

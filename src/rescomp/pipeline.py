@@ -34,6 +34,7 @@ from .caldata import (
     write_json,
 )
 from .errors import (
+    BadConfig,
     CorruptFile,
     DegenerateBounds,
     KindMismatch,
@@ -287,13 +288,13 @@ class ExperimentConfig:
     training: TrainingConfig = TrainingConfig(seed=42)
 
     def __post_init__(self) -> None:
-        trainer(self.optimizer)  # ValueError for an unknown optimizer name
+        trainer(self.optimizer)  # BadConfig for an unknown optimizer name
         if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
+            raise BadConfig("hidden must be >= 1")
         if self.prune and self.hidden < 2:
-            raise ValueError("pruning needs hidden >= 2")
+            raise BadConfig("pruning needs hidden >= 2")
         if not 0.0 < self.prune_rel_tol < 1.0:
-            raise ValueError(f"prune_rel_tol must be in (0, 1), got {self.prune_rel_tol!r}")
+            raise BadConfig(f"prune_rel_tol must be in (0, 1), got {self.prune_rel_tol!r}")
 
 
 @dataclass(frozen=True)

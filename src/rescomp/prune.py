@@ -37,7 +37,7 @@ DEFAULT_RANK_REL_TOL = 1e-3
 
 def activation_matrix(net: Network, data: Dataset) -> np.ndarray:
     """Hidden-node outputs for every pattern: (P, J) matrix."""
-    return _activations(net, data.inputs)[0]
+    return _activations(net, data.design)[0]
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

@@ -94,6 +94,10 @@ def synthesize(
     """
     if not (grid_step_deg > 0 and math.isfinite(grid_step_deg)):
         raise BadGrid(f"grid step must be positive, got {grid_step_deg!r}")
+    # checked before the grid is allocated: 1e-9 would ask for 3.6e11 points
+    if grid_step_deg < LSB_DEG:
+        raise BadGrid(f"grid step {grid_step_deg!r} is finer than one 16-bit LSB "
+                      f"({LSB_DEG!r} deg, {round(360.0 / LSB_DEG)} points)")
     n_points = 360.0 / grid_step_deg
     if abs(n_points - round(n_points)) > 1e-9:
         raise BadGrid(f"grid step {grid_step_deg!r} does not divide 360")

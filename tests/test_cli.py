@@ -310,7 +310,26 @@ def test_prune_one_node_net_fails_before_writing(
     args = {"run-experiment": ["--prune", "--spec", str(spec_file), "--outdir", str(out)],
             "prune": ["--data", str(train_csv), "--out", str(out)]}[command]
     assert main([command, *args, *flags]) == 1
-    assert capsys.readouterr().err.startswith("ValueError: ")
+    assert capsys.readouterr().err.startswith("BadConfig: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--hidden", "0"], "hidden must be >= 1"),
+    (["--max-iterations", "0"], "max_iterations must be >= 1"),
+])
+def test_bad_training_flag_fails_with_error_name(tmp_path, train_csv, capsys, flags, message):
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(train_csv), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"BadConfig: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_step_finer_than_lsb_fails_with_error_name(tmp_path, spec_file, capsys):
+    out = tmp_path / "cal.csv"
+    assert main(["simulate", "--spec", str(spec_file), "--step", "1e-9",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("BadGrid: grid step 1e-09 is finer than")
     assert not out.exists()
 
 

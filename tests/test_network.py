@@ -127,7 +127,63 @@ def test_sigmoid_open_interval_without_warnings(z):
         assert abs(y - reference) <= 2 * math.ulp(reference)
 
 
+def sigmoid_min_max(z):
+    """The clamp `sigmoid` took before `np.clip`: maximum, then minimum."""
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -709.0), 36.0)))
+
+
+def test_sigmoid_clip_matches_min_max_clamp():
+    z = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, -709.0, 36.0,
+                  np.nextafter(-709.0, -np.inf), np.nextafter(36.0, np.inf),
+                  -1e308, 1e308, 5e-324, -5e-324, -710.0, 37.0, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sigmoid(z).tobytes() == sigmoid_min_max(z).tobytes()
+        for value in z:
+            assert np.float64(sigmoid(value)).tobytes() == np.float64(
+                sigmoid_min_max(value)).tobytes()
+
+
 # --- forward pass ---
+
+def activations_broadcast(net, x):
+    """The kernel before the design matrix: the (P, 1) inputs broadcast
+    against the hidden weights, with the min/max clamp."""
+    hidden = sigmoid_min_max(x * net.w_hidden + net.theta_hidden)
+    return hidden, sigmoid_min_max(hidden @ net.w_output[:, np.newaxis] + net.theta_output)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.sampled_from([1, 2, 127, 128, 129, 180, 4096]),
+       hidden=st.sampled_from([1, 2, 3, 6, 40, 80]),
+       seed=st.integers(0, 2**32 - 1))
+def test_activations_match_broadcast_bit_for_bit(rows, hidden, seed):
+    """design @ [w; theta] rounds x w, then adds theta, like the broadcast:
+    weights from 1e-8 to 1e3 of either sign, some of them +0 or -0."""
+    rng = np.random.default_rng(seed)
+    net = init_network(NetworkShape(1, hidden, 1), seed=0)
+    params = 10.0 ** rng.uniform(-8, 3, net.n_params) * rng.choice([-1.0, 1.0], net.n_params)
+    zeros = rng.random(net.n_params) < 0.1
+    params[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    net = net.with_params(params)
+    x = rng.uniform(0, 1, (rows, 1))
+    x[rng.random(rows) < 0.05] = rng.choice([0.0, 1.0])
+    data = Dataset(x, np.full_like(x, 0.5))
+    hidden_ref, out_ref = activations_broadcast(net, x)
+    hidden_new, out_new = _activations(net, data.design)
+    assert hidden_new.tobytes() == hidden_ref.tobytes()
+    assert out_new.tobytes() == out_ref.tobytes()
+    assert forward_batch(net, x).tobytes() == out_ref.tobytes()
+
+
+def test_dataset_design_is_read_only_inputs_and_ones():
+    data = random_data(np.random.default_rng(16), n=7)
+    assert data.design.shape == (7, 2)
+    assert not data.design.flags.writeable
+    assert np.array_equal(data.design, np.hstack([data.inputs, np.ones_like(data.inputs)]))
+    with pytest.raises(ValueError):
+        data.design[0, 0] = 0.5
+
 
 def test_forward_zero_network_gives_half():
     net = init_network(NetworkShape(1, 4, 1), seed=0)
@@ -258,7 +314,7 @@ def test_jacobian_gradient_consistency():
     # the width the fits run: 1:80:1 on 180 patterns, spread 500 saturating
     # hidden units
     net, data = random_net(rng, hidden=80, spread=500.0), random_data(rng, n=180)
-    hidden, _out = _activations(net, data.inputs)
+    hidden, _out = _activations(net, data.design)
     assert np.any(hidden * (1.0 - hidden) < 1e-15)
     cases.append((net, data))
     for net, data in cases:
@@ -280,6 +336,15 @@ def test_zero_residuals_at_exact_fit():
     assert np.all(r == 0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_mse_matches_np_mean(rows, seed):
+    rng = np.random.default_rng(seed)
+    net, data = random_net(rng, hidden=5, spread=10.0), random_data(rng, n=rows)
+    diff = data.targets - forward_batch(net, data.inputs)
+    assert mse(net, data) == float(np.mean(diff * diff))
+
+
 def test_determinism_bitwise():
     rng = np.random.default_rng(15)
     net = random_net(rng)
@@ -299,7 +364,7 @@ def test_jacobian_buffer_matches_concatenated_blocks(hidden):
     data = random_data(rng, n=60)
     for spread in (0.5, 5.0, 500.0):
         net = random_net(rng, hidden, spread)
-        acts = _activations(net, data.inputs)
+        acts = _activations(net, data.design)
         h, out = acts
         if spread == 500.0:
             assert np.any(h * (1.0 - h) < 1e-15)

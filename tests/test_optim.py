@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rescomp.errors import BadConfig, RescompError
 from rescomp.network import (
     Dataset,
     NetworkShape,
@@ -19,6 +20,7 @@ from rescomp.optim import (
     stopping_rule,
     train_backprop,
     train_lm,
+    trainer,
 )
 
 
@@ -37,6 +39,13 @@ def test_config_validation():
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
                 TrainingConfig(**{name: value})
+
+
+def test_config_errors_are_named_value_errors():
+    for make in (lambda: TrainingConfig(max_iterations=0), lambda: trainer("adam")):
+        with pytest.raises(BadConfig) as info:
+            make()
+        assert isinstance(info.value, RescompError) and isinstance(info.value, ValueError)
 
 
 def test_history_length_must_match():

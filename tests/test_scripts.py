@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -22,3 +23,16 @@ def test_script_runs_at_tiny_budget(tmp_path, script, extra, outputs):
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
         assert (tmp_path / name).is_file()
+
+
+def test_ab_kernels_runs_at_tiny_budget(tmp_path):
+    src = str(Path(rescomp.__file__).parents[1])
+    out = tmp_path / "ab.json"
+    args = [sys.executable, str(SCRIPTS / "ab_kernels.py"), "--base", src, "--change", src,
+            "--out", str(out), "--rounds", "1", "--scale", "0.01"]
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["identical_results"] and doc["environment"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert set(doc["cases"]) == {"gd-80", "lm-80", "lm-40", "lm-6", "forward-128x6",
+                                 "forward-128x40", "forward-128x80"}

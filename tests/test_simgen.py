@@ -110,6 +110,15 @@ def test_bad_grid_step():
         synthesize(archetype_spec(1), grid_step_deg=7.0)
 
 
+def test_grid_step_finer_than_lsb_rejected_before_allocation():
+    # 1e-9 divides 360 within the divisor check's tolerance and would ask
+    # for a 3.6e11-point grid
+    for step in (1e-9, np.nextafter(LSB_DEG, 0.0)):
+        with pytest.raises(BadGrid, match="finer than one 16-bit LSB"):
+            synthesize(archetype_spec(1), grid_step_deg=step)
+    assert len(synthesize(archetype_spec(1), grid_step_deg=LSB_DEG)) == 65536
+
+
 def test_bad_offset():
     with pytest.raises(BadGrid):
         synthesize(archetype_spec(1), grid_step_deg=2.0, grid_offset_deg=2.0)
