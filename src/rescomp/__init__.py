@@ -30,7 +30,6 @@ from .fourier import (
 from .network import (
     AffineMap,
     Dataset,
-    Gradient,
     Network,
     NetworkShape,
     dataset_from_profile,

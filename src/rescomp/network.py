@@ -14,13 +14,18 @@ predictions back to arc-minutes.  Inputs use degrees / 360.  One kernel,
 activation matrix.  It takes the inputs as the (P, 2) design matrix [x, 1],
 so the hidden pre-activations x w_j + theta_j of all patterns are one matrix
 product with the (2, J) view [w_hidden; theta_hidden] of the parameter
-vector.  A `Dataset` builds its design once.  `mse`, `residual_jacobian`
-and `gradient` also take a net's `(hidden, out)` activations already
-computed, so a trainer runs each candidate's forward pass once: the
-accepted candidate's activations feed the next Jacobian or gradient.
+vector, and it applies the sigmoid in place in the arrays it allocates.  A
+`Dataset` builds its design once.
 
-All operations are pure; a Network is immutable and optimizers build new
-instances via `with_params`.  Double precision throughout: the damped
+`mse`, `residual_jacobian` and `gradient` take the bare parameter vector:
+none reads the normalization maps, and J follows from the length 3J + 1,
+so a trainer carries vectors, not Networks.  They also take the
+`(hidden, out)` activations already computed, so a trainer runs each
+candidate's forward pass once: the accepted candidate's activations feed
+the next Jacobian or gradient.
+
+All operations are pure; a Network is immutable and validated, and
+`with_params` builds a new one.  Double precision throughout: the damped
 normal equations used in training are ill-conditioned in single precision.
 """
 
@@ -40,10 +45,24 @@ def sigmoid(z):
 
     Clamping -z to [-36, 709] keeps exp(-z) finite and 1 + exp(-z) above
     1 + 2**-53, so the result never rounds to exactly 0.0 or 1.0 and no
-    overflow warning is raised, even for +-inf.  One `np.clip` pass gives
-    the same values as `np.maximum` followed by `np.minimum`, NaN included.
+    overflow warning is raised, even for +-inf.  Works on a float64 copy of
+    `z`, never on `z` itself; a scalar gives a scalar.
     """
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -709.0, 36.0)))
+    return _sigmoid_in_place(np.array(z, dtype=float))[()]
+
+
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """`sigmoid` of the float64 array `z`, written over `z` and returned.
+
+    Five in-place passes: negate, clip to [-36, 709], exp, add 1, divide 1
+    by the result.  Negating before the clip gives the bits of
+    1 / (1 + exp(-clip(z, -709, 36))), +-0, +-inf and NaN included.
+    """
+    np.negative(z, out=z)
+    np.clip(z, -36.0, 709.0, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 @dataclass(frozen=True)
@@ -154,16 +173,6 @@ class Network:
 
 
 @dataclass(frozen=True)
-class Gradient:
-    """d(MSE)/d(parameter) as a flat vector in canonical parameter order."""
-
-    vector: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return self.vector
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Normalized training patterns: inputs (P, 1), targets (P, 1) in [0, 1].
 
@@ -212,9 +221,15 @@ def init_network(
     )
 
 
-# hidden (P, J) and output (P, 1) activations of a net on a dataset's inputs;
-# `mse`, `residual_jacobian` and `gradient` compute them when not given
+# hidden (P, J) and output (P, 1) activations of a parameter vector on a
+# dataset's inputs; `mse`, `residual_jacobian` and `gradient` compute them
+# when not given
 Activations = tuple[np.ndarray, np.ndarray]
+
+
+def _width(params: np.ndarray) -> int:
+    """Hidden width J of a 1:J:1 parameter vector of length 3J + 1."""
+    return (params.shape[0] - 1) // 3
 
 
 def _design(x: np.ndarray) -> np.ndarray:
@@ -225,8 +240,9 @@ def _design(x: np.ndarray) -> np.ndarray:
     return design
 
 
-def _activations(net: Network, design: np.ndarray) -> Activations:
-    """Hidden (P, J) and output (P, 1) activations for a (P, 2) design [x, 1].
+def _activations(params: np.ndarray, design: np.ndarray) -> Activations:
+    """Hidden (P, J) and output (P, 1) activations of `params` for a (P, 2)
+    design [x, 1].
 
     The hidden pre-activations are one product, design @ [w_hidden;
     theta_hidden], with a zero-copy (2, J) view of the parameters.  The
@@ -235,20 +251,23 @@ def _activations(net: Network, design: np.ndarray) -> Activations:
     kernel that fuses multiply and add would otherwise round x w_j + theta_j
     once.  numpy hands a one-row or one-column product to a matrix-vector
     kernel, which fuses even in this order, so those shapes keep the broadcast.
+    Both sigmoids run in place, in the arrays allocated here.
     """
-    j = net.shape.n_hidden
-    w_theta = net.params[:2 * j].reshape(2, j)
+    j = _width(params)
+    w_theta = params[:2 * j].reshape(2, j)
     if design.shape[0] > 1 and j > 1:
         pre = design @ w_theta
     else:
         pre = design[:, :1] * w_theta[0] + w_theta[1]
-    hidden = sigmoid(pre)
-    return hidden, sigmoid(hidden @ net.w_output[:, np.newaxis] + net.theta_output)
+    hidden = _sigmoid_in_place(pre)
+    out = hidden @ params[2 * j:3 * j, np.newaxis]
+    out += params[3 * j:]
+    return hidden, _sigmoid_in_place(out)
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     """Outputs for a (P, 1) batch of normalized inputs; returns (P, 1) in (0, 1)."""
-    return _activations(net, _design(np.asarray(x, dtype=float)))[1]
+    return _activations(net.params, _design(np.asarray(x, dtype=float)))[1]
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -257,9 +276,9 @@ def forward(net: Network, x) -> np.ndarray:
     return forward_batch(net, x[np.newaxis, :])[0]
 
 
-def mse(net: Network, data: Dataset, activations: Activations | None = None) -> float:
-    """Mean-squared error over all patterns, in normalized units."""
-    out = _activations(net, data.design)[1] if activations is None else activations[1]
+def mse(params: np.ndarray, data: Dataset, activations: Activations | None = None) -> float:
+    """Mean-squared error of `params` over all patterns, in normalized units."""
+    out = _activations(params, data.design)[1] if activations is None else activations[1]
     diff = data.targets - out
     sq = diff * diff
     # the pairwise sum np.mean takes, without its wrapper
@@ -267,30 +286,33 @@ def mse(net: Network, data: Dataset, activations: Activations | None = None) -> 
 
 
 def residual_jacobian(
-    net: Network, data: Dataset, activations: Activations | None = None
+    params: np.ndarray, data: Dataset, activations: Activations | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals r = D - O, shape (P,), and their (P, n_params) Jacobian.
+    """Residuals r = D - O, shape (P,), and their (P, n_params) Jacobian at `params`.
 
     J[p, q] = d r_p / d param_q with parameters in canonical vector order,
     so grad(MSE) = (2 / P) * J^T r (see `gradient`).
     """
     x = data.inputs
-    hidden, out = _activations(net, data.design) if activations is None else activations
-    j = net.shape.n_hidden
+    hidden, out = _activations(params, data.design) if activations is None else activations
+    j = _width(params)
     jacobian = np.empty((x.shape[0], 3 * j + 1))
     # negating s_out before the products is exact, so each block matches
     # the same products negated afterwards bit for bit
     neg_s_out = np.negative(out * (1.0 - out), out=jacobian[:, 3 * j:])      # (P, 1)
     # d r_p / d theta_hidden[j]; the hidden weights add the factor x_p
-    chain = np.multiply(neg_s_out * net.w_output, hidden * (1.0 - hidden),
+    chain = np.multiply(neg_s_out * params[2 * j:3 * j], hidden * (1.0 - hidden),
                         out=jacobian[:, j:2 * j])                             # (P, J)
     np.multiply(chain, x, out=jacobian[:, :j])
     np.multiply(neg_s_out, hidden, out=jacobian[:, 2 * j:3 * j])
     return (data.targets - out).ravel(), jacobian
 
 
-def gradient(net: Network, data: Dataset, activations: Activations | None = None) -> Gradient:
-    """Analytic d(MSE)/d(parameter) = (2 / P) * J^T r, contracted block by block.
+def gradient(
+    params: np.ndarray, data: Dataset, activations: Activations | None = None
+) -> np.ndarray:
+    """Analytic d(MSE)/d(parameter) = (2 / P) * J^T r at `params`, contracted
+    block by block; a flat vector in canonical parameter order.
 
     With e = -out (1 - out) r (P,) and slope = h (1 - h) (P, J), J^T r is
     w_out * (slope^T (x e)) for the hidden weights, w_out * (slope^T e) for
@@ -299,13 +321,14 @@ def gradient(net: Network, data: Dataset, activations: Activations | None = None
     never built; the largest temporary is P x J.
     """
     x = data.inputs.ravel()
-    hidden, out = _activations(net, data.design) if activations is None else activations
+    hidden, out = _activations(params, data.design) if activations is None else activations
     e = ((out * (1.0 - out)) * (out - data.targets)).ravel()
     slope = 1.0 - hidden
     slope *= hidden                      # h (1 - h) in one P x J buffer
-    w_out = net.w_output
+    j = _width(params)
+    w_out = params[2 * j:3 * j]
     blocks = (w_out * ((x * e) @ slope), w_out * (e @ slope), e @ hidden, [e.sum()])
-    return Gradient((2.0 / x.size) * np.concatenate(blocks))
+    return (2.0 / x.size) * np.concatenate(blocks)
 
 
 def dataset_from_profile(profile: ErrorProfile, net: Network) -> Dataset:

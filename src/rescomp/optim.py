@@ -10,7 +10,12 @@ normal equations when the n parameters are at most the P patterns, from
 the P x P system (J J^T + lambda I) x = r, d = J^T x, when they outnumber
 them (the paper's 1:80:1 net: n = 241, P = 180).  It only accepts steps
 that strictly lower the MSE, so its recorded MSE sequence is
-non-increasing.  Each candidate network's forward pass runs once: the
+non-increasing.
+
+The loop's state is the bare parameter vector, its MSE and its
+activations; the network kernels take the vector, and a `Network` is
+built once, for the best vector a training returns.  Each candidate
+vector is checked to be finite once, and its forward pass runs once: the
 activations that score it are carried, once it is accepted, into the next
 iteration's gradient or Jacobian.  Training is deterministic: identical
 inputs give bit-identical histories.
@@ -99,10 +104,10 @@ def stopping_rule(mse_history, cfg: TrainingConfig) -> bool:
     return (old - new) / abs(old) < cfg.stall_tol
 
 
-def _scored(net: Network, data: Dataset) -> tuple[float, Activations]:
-    """`net`'s MSE on `data` and the activations it was computed from."""
-    activations = _activations(net, data.design)
-    return mse(net, data, activations), activations
+def _scored(params: np.ndarray, data: Dataset) -> tuple[float, Activations]:
+    """The MSE of `params` on `data` and the activations it was computed from."""
+    activations = _activations(params, data.design)
+    return mse(params, data, activations), activations
 
 
 def _train(
@@ -110,29 +115,31 @@ def _train(
 ) -> tuple[Network, TrainingHistory]:
     """The loop both optimizers share.
 
-    `step(current, current_mse, activations)`, given the current network's
-    activations on `data`, returns the next `(network, mse, activations)`,
-    or None when no step lowers the MSE, which stops training as stalled.
-    Returns the best-MSE network seen and the per-iteration MSE history.
+    `step(params, current_mse, activations)`, given the current parameter
+    vector's MSE and activations on `data`, returns the next
+    `(params, mse, activations)`, or None when no step lowers the MSE,
+    which stops training as stalled.  Returns `net` with the best-MSE
+    vector seen, the one `Network` a training builds, and the
+    per-iteration MSE history.
     """
-    current = net
-    current_mse, activations = _scored(net, data)
+    params = net.params
+    current_mse, activations = _scored(params, data)
     if not np.isfinite(current_mse):
         raise DivergenceDetected(f"initial MSE is {current_mse!r}")
-    best, best_mse = current, current_mse
+    best, best_mse = params, current_mse
     history: list[float] = []
     stop_reason = StopReason.MAX_ITERATIONS
     for _ in range(cfg.max_iterations):
-        moved = step(current, current_mse, activations)
+        moved = step(params, current_mse, activations)
         if moved is not None:
-            current, current_mse, activations = moved
+            params, current_mse, activations = moved
             if current_mse < best_mse:
-                best, best_mse = current, current_mse
+                best, best_mse = params, current_mse
         history.append(current_mse)
         if moved is None or stopping_rule(history, cfg):
             stop_reason = StopReason.STALLED
             break
-    return best, TrainingHistory(tuple(history), stop_reason, len(history))
+    return net.with_params(best), TrainingHistory(tuple(history), stop_reason, len(history))
 
 
 def train_backprop(
@@ -144,16 +151,14 @@ def train_backprop(
     MSE or any parameter becomes non-finite.
     """
 
-    def step(current: Network, _current_mse: float, activations: Activations):
-        grad = gradient(current, data, activations).to_vector()
-        params = current.to_vector() - cfg.learning_rate * grad
+    def step(params: np.ndarray, _current_mse: float, activations: Activations):
+        params = params - cfg.learning_rate * gradient(params, data, activations)
         if not np.all(np.isfinite(params)):
             raise DivergenceDetected("parameters became non-finite")
-        current = current.with_params(params)
-        m, activations = _scored(current, data)
+        m, activations = _scored(params, data)
         if not np.isfinite(m):
             raise DivergenceDetected(f"MSE became {m!r}")
-        return current, m, activations
+        return params, m, activations
 
     return _train(net, data, cfg, step)
 
@@ -170,10 +175,12 @@ def train_lm(
     two equivalent forms, picked from the Jacobian's shape (P patterns,
     n parameters): when P < n, as for the 1:80:1 net on 180 patterns, the
     P x P system (J J^T + lambda I) x = r gives d = J^T x; otherwise the
-    n x n system (J^T J + lambda I) d = J^T r is solved directly.  If no
-    finite candidate appears in an iteration the damped system is declared
-    unsolvable; if finite candidates exist but none improves, the run has
-    converged and stops.
+    n x n system (J^T J + lambda I) d = J^T r is solved directly.  A solve
+    that fails, or a candidate param - d that is not finite (a non-finite
+    step, or a finite one that overflows), escalates lambda like a
+    rejected step.  If no finite candidate appears in an iteration the
+    damped system is declared unsolvable; if finite candidates exist but
+    none improves, the run has converged and stops.
     """
     lam = cfg.lm_lambda0
     # The last step's J and Gram matrix stay referenced until the next step
@@ -183,18 +190,20 @@ def train_lm(
     # of about 17 500.
     jac = gram = None
 
-    def step(current: Network, current_mse: float, activations: Activations):
+    def step(params: np.ndarray, current_mse: float, activations: Activations):
         nonlocal lam, jac, gram
-        residuals, jac = residual_jacobian(current, data, activations)
+        residuals, jac = residual_jacobian(params, data, activations)
         # (J^T J + lambda I)^-1 J^T r = J^T (J J^T + lambda I)^-1 r
         wide = jac.shape[0] < jac.shape[1]
         gram = jac @ jac.T if wide else jac.T @ jac
         rhs = residuals if wide else jac.T @ residuals
-        diagonal = gram.diagonal().copy()
-        params = current.to_vector()
+        # the product is a new C-contiguous array, so every (n + 1)-th
+        # element of its flat view is the diagonal, writable in place
+        gram_diagonal = gram.reshape(-1)[::gram.shape[0] + 1]
+        diagonal = gram_diagonal.copy()
         any_finite_candidate = False
         for _attempt in range(_MAX_ESCALATIONS + 1):
-            np.fill_diagonal(gram, diagonal + lam)
+            np.add(diagonal, lam, out=gram_diagonal)
             try:
                 delta = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
@@ -202,16 +211,17 @@ def train_lm(
                 continue
             if wide:
                 delta = jac.T @ delta
-            if not np.all(np.isfinite(delta)):
+            with np.errstate(over="ignore"):
+                candidate = params - delta
+            if not np.all(np.isfinite(candidate)):
                 lam *= cfg.lm_factor
                 continue
-            cand_net = current.with_params(params - delta)
-            cand_mse, cand_activations = _scored(cand_net, data)
+            cand_mse, cand_activations = _scored(candidate, data)
             if np.isfinite(cand_mse):
                 any_finite_candidate = True
                 if cand_mse < current_mse:
                     lam = max(lam / cfg.lm_factor, _LAMBDA_MIN)
-                    return cand_net, cand_mse, cand_activations
+                    return candidate, cand_mse, cand_activations
             lam *= cfg.lm_factor
         if not any_finite_candidate:
             raise SingularNormalEquations(
@@ -250,5 +260,5 @@ def node_sweep(
     for j in nodes:
         net = init_network(NetworkShape(1, int(j), 1), cfg.seed)
         trained, _history = train_fn(net, data, cfg)
-        results.append((int(j), mse(trained, data)))
+        results.append((int(j), mse(trained.params, data)))
     return results

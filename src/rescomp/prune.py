@@ -37,7 +37,7 @@ DEFAULT_RANK_REL_TOL = 1e-3
 
 def activation_matrix(net: Network, data: Dataset) -> np.ndarray:
     """Hidden-node outputs for every pattern: (P, J) matrix."""
-    return _activations(net, data.design)[0]
+    return _activations(net.params, data.design)[0]
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -100,8 +100,8 @@ def prune_and_retrain(
         pruned_hidden=rank,
         spectrum_initial=tuple(float(s) for s in spectrum_full),
         spectrum_pruned=tuple(float(s) for s in spectrum_small),
-        mse_initial=mse(trained_full, data),
-        mse_pruned=mse(trained_small, data),
+        mse_initial=mse(trained_full.params, data),
+        mse_pruned=mse(trained_small.params, data),
         history_initial=hist_full,
         history_pruned=hist_small,
     )

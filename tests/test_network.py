@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from rescomp.caldata import ErrorProfile
@@ -14,6 +15,7 @@ from rescomp.network import (
     Dataset,
     NetworkShape,
     _activations,
+    _sigmoid_in_place,
     dataset_from_profile,
     forward,
     forward_batch,
@@ -33,21 +35,21 @@ def fd_gradient(net, data, h=1e-5):
         plus, minus = p0.copy(), p0.copy()
         plus[q] += h
         minus[q] -= h
-        out[q] = (mse(net.with_params(plus), data) - mse(net.with_params(minus), data)) / (2 * h)
+        out[q] = (mse(plus, data) - mse(minus, data)) / (2 * h)
     return out
 
 
 def fd_residual_jacobian(net, data, h=1e-5):
     """Independent oracle: central finite differences of the residual vector."""
     p0 = net.to_vector()
-    r0, _ = residual_jacobian(net, data)
+    r0, _ = residual_jacobian(net.params, data)
     out = np.empty((len(r0), len(p0)))
     for q in range(len(p0)):
         plus, minus = p0.copy(), p0.copy()
         plus[q] += h
         minus[q] -= h
-        rp, _ = residual_jacobian(net.with_params(plus), data)
-        rm, _ = residual_jacobian(net.with_params(minus), data)
+        rp, _ = residual_jacobian(plus, data)
+        rm, _ = residual_jacobian(minus, data)
         out[:, q] = (rp - rm) / (2 * h)
     return out
 
@@ -132,16 +134,45 @@ def sigmoid_min_max(z):
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -709.0), 36.0)))
 
 
+def sigmoid_reference(z):
+    """The out-of-place expression the in-place kernel replaces."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -709.0, 36.0)))
+
+
+SIGMOID_EDGES = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, -709.0, 36.0,
+                 np.nextafter(-709.0, -np.inf), np.nextafter(36.0, np.inf),
+                 -1e308, 1e308, 5e-324, -5e-324, -710.0, 37.0, 1.5, 745.0, -745.0,
+                 2.2250738585072014e-308 / 3, -2.2250738585072014e-308 / 3]
+
+
 def test_sigmoid_clip_matches_min_max_clamp():
-    z = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, -709.0, 36.0,
-                  np.nextafter(-709.0, -np.inf), np.nextafter(36.0, np.inf),
-                  -1e308, 1e308, 5e-324, -5e-324, -710.0, 37.0, 1.5])
+    z = np.array(SIGMOID_EDGES)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert sigmoid(z).tobytes() == sigmoid_min_max(z).tobytes()
+        expected = sigmoid_min_max(z)
+        assert sigmoid_reference(z).tobytes() == expected.tobytes()
+        assert sigmoid(z).tobytes() == expected.tobytes()
+        buffer = z.copy()
+        assert _sigmoid_in_place(buffer) is buffer
+        assert buffer.tobytes() == expected.tobytes()
         for value in z:
             assert np.float64(sigmoid(value)).tobytes() == np.float64(
                 sigmoid_min_max(value)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=hnp.arrays(np.float64, st.sampled_from([(1, 1), (128, 6), (180, 80)]),
+                    elements=st.floats(allow_subnormal=True) | st.sampled_from(SIGMOID_EDGES)))
+def test_sigmoid_in_place_matches_reference(z):
+    before = z.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = sigmoid_reference(z)
+        public = sigmoid(z)
+        in_place = _sigmoid_in_place(z.copy())
+    assert z.tobytes() == before            # the public sigmoid never writes its input
+    assert public.tobytes() == expected.tobytes()
+    assert in_place.tobytes() == expected.tobytes()
 
 
 # --- forward pass ---
@@ -170,7 +201,7 @@ def test_activations_match_broadcast_bit_for_bit(rows, hidden, seed):
     x[rng.random(rows) < 0.05] = rng.choice([0.0, 1.0])
     data = Dataset(x, np.full_like(x, 0.5))
     hidden_ref, out_ref = activations_broadcast(net, x)
-    hidden_new, out_new = _activations(net, data.design)
+    hidden_new, out_new = _activations(net.params, data.design)
     assert hidden_new.tobytes() == hidden_ref.tobytes()
     assert out_new.tobytes() == out_ref.tobytes()
     assert forward_batch(net, x).tobytes() == out_ref.tobytes()
@@ -231,7 +262,7 @@ def test_mse_exact_fit_is_zero():
     net = init_network(NetworkShape(1, 2, 1), seed=1)
     net = net.with_params(np.zeros(net.n_params))
     data = Dataset([[0.2], [0.8]], [[0.5], [0.5]])
-    assert mse(net, data) == 0.0
+    assert mse(net.params, data) == 0.0
 
 
 def test_mse_single_pattern():
@@ -239,7 +270,7 @@ def test_mse_single_pattern():
     net = init_network(NetworkShape(1, 2, 1), seed=1)
     net = net.with_params(np.zeros(net.n_params))
     data = Dataset([[0.3]], [[0.9]])
-    assert mse(net, data) == pytest.approx(0.16, abs=1e-15)
+    assert mse(net.params, data) == pytest.approx(0.16, abs=1e-15)
 
 
 def test_empty_dataset_rejected():
@@ -265,7 +296,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     net = random_net(rng, hidden=2)
     data = random_data(rng, n=1)
-    analytic = gradient(net, data).to_vector()
+    analytic = gradient(net.params, data)
     numeric = fd_gradient(net, data)
     rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-10)
     assert rel.max() < 1e-6
@@ -275,7 +306,7 @@ def test_gradient_zero_at_exact_fit():
     net = init_network(NetworkShape(1, 3, 1), seed=2)
     net = net.with_params(np.zeros(net.n_params))
     data = Dataset([[0.25], [0.75]], [[0.5], [0.5]])
-    assert np.max(np.abs(gradient(net, data).to_vector())) < 1e-12
+    assert np.max(np.abs(gradient(net.params, data))) < 1e-12
 
 
 def test_gradient_invariant_under_pattern_duplication():
@@ -287,8 +318,8 @@ def test_gradient_invariant_under_pattern_duplication():
         np.vstack([data.targets, data.targets]),
     )
     assert_allclose(
-        gradient(net, data).to_vector(),
-        gradient(net, doubled).to_vector(),
+        gradient(net.params, data),
+        gradient(net.params, doubled),
         rtol=0,
         atol=1e-15,
     )
@@ -300,7 +331,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(13)
     net = random_net(rng, hidden=2)
     data = random_data(rng, n=3)
-    _, analytic = residual_jacobian(net, data)
+    _, analytic = residual_jacobian(net.params, data)
     numeric = fd_residual_jacobian(net, data)
     assert np.max(np.abs(analytic - numeric)) < 1e-6
 
@@ -314,13 +345,13 @@ def test_jacobian_gradient_consistency():
     # the width the fits run: 1:80:1 on 180 patterns, spread 500 saturating
     # hidden units
     net, data = random_net(rng, hidden=80, spread=500.0), random_data(rng, n=180)
-    hidden, _out = _activations(net, data.design)
+    hidden, _out = _activations(net.params, data.design)
     assert np.any(hidden * (1.0 - hidden) < 1e-15)
     cases.append((net, data))
     for net, data in cases:
-        r, jac = residual_jacobian(net, data)
+        r, jac = residual_jacobian(net.params, data)
         via_jac = (2.0 / r.size) * (jac.T @ r)
-        direct = gradient(net, data).to_vector()
+        direct = gradient(net.params, data)
         denom = np.maximum(np.abs(direct), 1e-300)
         mask = np.abs(direct) > 1e-12
         if mask.any():
@@ -332,7 +363,7 @@ def test_zero_residuals_at_exact_fit():
     net = init_network(NetworkShape(1, 2, 1), seed=3)
     net = net.with_params(np.zeros(net.n_params))
     data = Dataset([[0.1], [0.9]], [[0.5], [0.5]])
-    r, _ = residual_jacobian(net, data)
+    r, _ = residual_jacobian(net.params, data)
     assert np.all(r == 0.0)
 
 
@@ -342,17 +373,17 @@ def test_mse_matches_np_mean(rows, seed):
     rng = np.random.default_rng(seed)
     net, data = random_net(rng, hidden=5, spread=10.0), random_data(rng, n=rows)
     diff = data.targets - forward_batch(net, data.inputs)
-    assert mse(net, data) == float(np.mean(diff * diff))
+    assert mse(net.params, data) == float(np.mean(diff * diff))
 
 
 def test_determinism_bitwise():
     rng = np.random.default_rng(15)
     net = random_net(rng)
     data = random_data(rng)
-    assert mse(net, data) == mse(net, data)
-    assert np.array_equal(gradient(net, data).to_vector(), gradient(net, data).to_vector())
-    r1, j1 = residual_jacobian(net, data)
-    r2, j2 = residual_jacobian(net, data)
+    assert mse(net.params, data) == mse(net.params, data)
+    assert np.array_equal(gradient(net.params, data), gradient(net.params, data))
+    r1, j1 = residual_jacobian(net.params, data)
+    r2, j2 = residual_jacobian(net.params, data)
     assert np.array_equal(r1, r2) and np.array_equal(j1, j2)
 
 
@@ -364,7 +395,7 @@ def test_jacobian_buffer_matches_concatenated_blocks(hidden):
     data = random_data(rng, n=60)
     for spread in (0.5, 5.0, 500.0):
         net = random_net(rng, hidden, spread)
-        acts = _activations(net, data.design)
+        acts = _activations(net.params, data.design)
         h, out = acts
         if spread == 500.0:
             assert np.any(h * (1.0 - h) < 1e-15)
@@ -372,12 +403,12 @@ def test_jacobian_buffer_matches_concatenated_blocks(hidden):
         chain = -(s_out * net.w_output * (h * (1.0 - h)))
         expected = np.concatenate([chain * data.inputs, chain, -s_out * h, -s_out], axis=1)
         for carried in (None, acts):
-            residuals, jac = residual_jacobian(net, data, carried)
+            residuals, jac = residual_jacobian(net.params, data, carried)
             assert np.array_equal(jac, expected)
             assert np.array_equal(residuals, (data.targets - out).ravel())
-        assert mse(net, data, acts) == mse(net, data)
-        assert np.array_equal(gradient(net, data, acts).to_vector(),
-                              gradient(net, data).to_vector())
+        assert mse(net.params, data, acts) == mse(net.params, data)
+        assert np.array_equal(gradient(net.params, data, acts),
+                              gradient(net.params, data))
 
 
 # --- dataset construction ---

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from rescomp.errors import BadConfig, RescompError
+from rescomp import optim
+from rescomp.errors import BadConfig, RescompError, SingularNormalEquations
 from rescomp.network import (
     Dataset,
+    Network,
     NetworkShape,
     forward_batch,
     gradient,
@@ -91,7 +95,7 @@ def test_backprop_constant_target_toy():
     data = Dataset(np.linspace(0, 1, 8)[:, None], np.full((8, 1), 0.5))
     cfg = TrainingConfig(max_iterations=2000, learning_rate=5.0, stall_window=100, seed=4)
     trained, history = train_backprop(net, data, cfg)
-    assert mse(trained, data) < 1e-6
+    assert mse(trained.params, data) < 1e-6
     assert history.iterations_run <= 2000
 
 
@@ -112,7 +116,7 @@ def test_backprop_returns_best_seen():
     data = Dataset(np.linspace(0, 1, 6)[:, None], np.linspace(0.3, 0.7, 6)[:, None])
     cfg = TrainingConfig(max_iterations=300, learning_rate=8.0, stall_window=50, seed=7)
     trained, history = train_backprop(net, data, cfg)
-    assert mse(trained, data) <= min(history.mse_per_iteration) + 1e-18
+    assert mse(trained.params, data) <= min(history.mse_per_iteration) + 1e-18
 
 
 def test_backprop_deterministic():
@@ -137,7 +141,7 @@ def test_backprop_never_builds_the_jacobian(monkeypatch):
     cfg = TrainingConfig(max_iterations=20, stall_window=50, seed=9)
     trained, history = train_backprop(net, data, cfg)
     assert history.iterations_run == 20
-    assert mse(trained, data) < mse(net, data)
+    assert mse(trained.params, data) < mse(net.params, data)
 
 
 # --- Levenberg-Marquardt ---
@@ -150,7 +154,7 @@ def test_lm_recovers_teacher_network():
     student = init_network(NetworkShape(1, 2, 1), seed=5)
     cfg = TrainingConfig(max_iterations=200, stall_window=50, seed=5)
     trained, history = train_lm(student, data, cfg)
-    assert mse(trained, data) < 1e-10
+    assert mse(trained.params, data) < 1e-10
     assert history.iterations_run < 200
 
 
@@ -183,8 +187,8 @@ def test_lm_step_solves_damped_normal_equations(hidden, patterns):
     data = Dataset(rng.uniform(0, 1, (patterns, 1)), rng.uniform(0.2, 0.8, (patterns, 1)))
     cfg = TrainingConfig(max_iterations=1, seed=13)
     trained, history = train_lm(net, data, cfg)
-    assert history.mse_per_iteration[0] < mse(net, data)  # the lambda0 step was accepted
-    residuals, jac = residual_jacobian(net, data)
+    assert history.mse_per_iteration[0] < mse(net.params, data)  # the lambda0 step was accepted
+    residuals, jac = residual_jacobian(net.params, data)
     damped = jac.T @ jac + cfg.lm_lambda0 * np.eye(net.n_params)
     expected = net.to_vector() - np.linalg.solve(damped, jac.T @ residuals)
     if net.n_params <= patterns:
@@ -212,6 +216,76 @@ def test_lm_never_returns_nonfinite():
     assert np.all(np.isfinite(trained.to_vector()))
 
 
+def test_lm_overflowing_candidate_escalates_lambda(monkeypatch):
+    # a finite step whose candidate params - delta overflows escalates lambda
+    # like a non-finite step; with every candidate overflowing, no finite
+    # candidate appears and the damped system is declared unsolvable
+    net = init_network(NetworkShape(1, 2, 1), seed=14)
+    net = net.with_params(np.concatenate([net.params[:-1], [1.5e308]]))
+    data = Dataset(np.linspace(0, 1, 10)[:, None], np.linspace(0.2, 0.8, 10)[:, None])
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, -1.5e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularNormalEquations):
+            train_lm(net, data, TrainingConfig(max_iterations=5, seed=14))
+
+
+# --- what one training computes ---
+
+def _counting(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("train_fn", [train_lm, train_backprop])
+def test_training_builds_one_network(monkeypatch, train_fn):
+    # the trainer carries bare parameter vectors; only the vector it
+    # returns becomes a (validated) Network
+    net = init_network(NetworkShape(1, 6, 1), seed=15)
+    rng = np.random.default_rng(15)
+    data = Dataset(rng.uniform(0, 1, (20, 1)), rng.uniform(0.2, 0.8, (20, 1)))
+    counts = {}
+    _counting(monkeypatch, Network, "__post_init__", counts)
+    trained, history = train_fn(net, data, TrainingConfig(max_iterations=50, seed=15))
+    assert history.iterations_run == 50
+    assert counts == {"__post_init__": 1}
+    assert isinstance(trained, Network)
+
+
+def test_backprop_call_counts(monkeypatch):
+    # what the benchmark tracer reads: one gradient per iteration, one MSE
+    # per iteration plus one for the starting point
+    counts = {}
+    for name in ("mse", "residual_jacobian", "gradient"):
+        _counting(monkeypatch, optim, name, counts)
+    net = init_network(NetworkShape(1, 5, 1), seed=16)
+    data = Dataset(np.linspace(0, 1, 12)[:, None], np.linspace(0.3, 0.7, 12)[:, None])
+    _, history = train_backprop(net, data, TrainingConfig(max_iterations=40, seed=16))
+    assert history.iterations_run == 40
+    assert counts == {"gradient": 40, "mse": 41}
+
+
+def test_lm_call_counts(monkeypatch):
+    # one Jacobian per iteration, and one MSE per solve plus one for the
+    # starting point: every solve here gives a finite candidate
+    counts = {}
+    for name in ("mse", "residual_jacobian", "gradient"):
+        _counting(monkeypatch, optim, name, counts)
+    _counting(monkeypatch, np.linalg, "solve", counts)
+    net = init_network(NetworkShape(1, 4, 1), seed=17)
+    rng = np.random.default_rng(17)
+    data = Dataset(rng.uniform(0, 1, (15, 1)), rng.uniform(0.2, 0.8, (15, 1)))
+    _, history = train_lm(net, data, TrainingConfig(max_iterations=60, seed=17))
+    assert "gradient" not in counts
+    assert counts["residual_jacobian"] == history.iterations_run
+    assert counts["solve"] > history.iterations_run      # some steps were rejected
+    assert counts["mse"] == counts["solve"] + 1
+
 
 # --- carried activations: bit-identical to recomputing every forward pass ---
 
@@ -220,13 +294,13 @@ def _uncarried_train(net, data, cfg, lm):
     `residual_jacobian` and `gradient` get no activations.  Returns the
     best network and the MSE history."""
     lam = cfg.lm_lambda0
-    current, current_mse = net, mse(net, data)
+    current, current_mse = net, mse(net.params, data)
     best, best_mse = current, current_mse
     history = []
     for _ in range(cfg.max_iterations):
         moved = None
         if lm:
-            residuals, jac = residual_jacobian(current, data)
+            residuals, jac = residual_jacobian(current.params, data)
             wide = jac.shape[0] < jac.shape[1]
             gram = jac @ jac.T if wide else jac.T @ jac
             rhs = residuals if wide else jac.T @ residuals
@@ -237,16 +311,16 @@ def _uncarried_train(net, data, cfg, lm):
                 if wide:
                     delta = jac.T @ delta
                 cand = current.with_params(current.to_vector() - delta)
-                cand_mse = mse(cand, data)
+                cand_mse = mse(cand.params, data)
                 if cand_mse < current_mse:
                     lam = max(lam / cfg.lm_factor, 1e-15)
                     moved = cand, cand_mse
                     break
                 lam *= cfg.lm_factor
         else:
-            grad = gradient(current, data).to_vector()
+            grad = gradient(current.params, data)
             cand = current.with_params(current.to_vector() - cfg.learning_rate * grad)
-            moved = cand, mse(cand, data)
+            moved = cand, mse(cand.params, data)
         if moved is not None:
             current, current_mse = moved
             if current_mse < best_mse:
@@ -284,12 +358,12 @@ def test_lm_beats_backprop_at_equal_budget(arch1_data, arch1_lm80, arch1_backpro
     lm_net, _ = arch1_lm80
     bp_net, _ = arch1_backprop
     data = arch1_data["dataset"]
-    assert mse(lm_net, data) <= mse(bp_net, data)
+    assert mse(lm_net.params, data) <= mse(bp_net.params, data)
 
 
 def test_wider_net_fits_better_at_full_budget(arch1_data, arch1_lm80, arch1_lm20):
     data = arch1_data["dataset"]
-    assert mse(arch1_lm80[0], data) < mse(arch1_lm20[0], data)
+    assert mse(arch1_lm80[0].params, data) < mse(arch1_lm20[0].params, data)
 
 
 # --- node sweep ---
