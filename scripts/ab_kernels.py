@@ -22,6 +22,11 @@ both trees' medians and quartiles, the ratio of medians (change / base) and
 the number of pairs the change won, with the Python, numpy and BLAS thread
 settings and the CPU model.
 
+Both trees must take the hidden width as `init_network(hidden, seed)`, so
+the script compares only trees from that signature on; an older tree, whose
+`init_network` takes a shape object, fails at its first fit with an
+AttributeError.
+
 Usage:
     python scripts/ab_kernels.py --base OLD/src --change NEW/src --out ab.json
         [--rounds 15] [--scale 1.0]
@@ -85,7 +90,7 @@ def training_case(m, optimizer: str, hidden: int, archetype: int, iterations: in
     sets it up, returning (history, trained parameters)."""
     cal = m["simgen"].synthesize(m["simgen"].archetype_spec(archetype), grid_step_deg=1.0)
     train_set, _test = m["caldata"].partition_even_odd(cal)
-    net0 = m["network"].init_network(m["network"].NetworkShape(1, hidden, 1), SEED)
+    net0 = m["network"].init_network(hidden, SEED)
     data = m["network"].dataset_from_profile(m["caldata"].error_profile(train_set), net0)
     cfg = m["optim"].TrainingConfig(max_iterations=iterations, seed=SEED)
     train = m["optim"].trainer(optimizer)
@@ -99,7 +104,7 @@ def training_case(m, optimizer: str, hidden: int, archetype: int, iterations: in
 
 def forward_case(m, hidden: int, calls: int):
     """A zero-argument run of `calls` forward passes over 128 rows."""
-    net = m["network"].init_network(m["network"].NetworkShape(1, hidden, 1), SEED)
+    net = m["network"].init_network(hidden, SEED)
     x = np.linspace(0.0, 1.0, FORWARD_ROWS, endpoint=False)[:, np.newaxis]
     forward_batch = m["network"].forward_batch
 

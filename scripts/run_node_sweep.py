@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from rescomp.caldata import error_profile, partition_even_odd
-from rescomp.network import NetworkShape, dataset_from_profile, init_network
+from rescomp.network import dataset_from_profile, init_network
 from rescomp.optim import (
     DEFAULT_SWEEP_NODES,
     OPTIMIZERS,
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     cal = synthesize(archetype_spec(args.archetype), grid_step_deg=1.0)
     train_set, _test = partition_even_odd(cal)
     profile = error_profile(train_set)
-    probe = init_network(NetworkShape(1, 2, 1), seed=args.seed)
+    probe = init_network(2, seed=args.seed)
     data = dataset_from_profile(profile, probe)
     cfg = TrainingConfig(max_iterations=args.max_iterations, seed=args.seed)
 
@@ -64,7 +64,7 @@ def main(argv=None) -> int:
 
     print(f"optimizer comparison at width {args.hidden} ...")
     for name in OPTIMIZERS:
-        net0 = init_network(NetworkShape(1, args.hidden, 1), args.seed)
+        net0 = init_network(args.hidden, args.seed)
         start = time.perf_counter()
         _trained, history = trainer(name)(net0, data, cfg)
         path = outdir / f"convergence_{name}.csv"

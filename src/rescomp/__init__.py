@@ -31,9 +31,7 @@ from .network import (
     AffineMap,
     Dataset,
     Network,
-    NetworkShape,
     dataset_from_profile,
-    forward,
     forward_batch,
     gradient,
     init_network,

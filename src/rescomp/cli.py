@@ -80,7 +80,7 @@ def _cmd_train(args) -> int:
     cfg = _experiment_config(args)
     cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
     trained, history, _report = pipeline.fit_network(caldata.error_profile(cal), cfg)
-    model = pipeline.CompensationModel(pipeline.KIND_ANN, cal.encoder_id, trained)
+    model = pipeline.CompensationModel(cal.encoder_id, trained)
     pipeline.save_model(args.out, model)
     if args.history:
         pipeline.write_history_csv(args.history, history)
@@ -97,7 +97,7 @@ def _cmd_prune(args) -> int:
     cfg = _experiment_config(args)
     cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
     pruned_net, _history, report = pipeline.fit_network(caldata.error_profile(cal), cfg)
-    model = pipeline.CompensationModel(pipeline.KIND_ANN, cal.encoder_id, pruned_net)
+    model = pipeline.CompensationModel(cal.encoder_id, pruned_net)
     pipeline.save_model(args.out, model)
     if args.report:
         caldata.write_json(args.report, pipeline.prune_doc(report))
@@ -109,9 +109,7 @@ def _cmd_prune(args) -> int:
 def _cmd_fourier(args) -> int:
     cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
     model, spectrum, orders = pipeline.fit_fourier_baseline(caldata.error_profile(cal), args.top)
-    pipeline.save_model(
-        args.out, pipeline.CompensationModel(pipeline.KIND_FOURIER, cal.encoder_id, model)
-    )
+    pipeline.save_model(args.out, pipeline.CompensationModel(cal.encoder_id, model))
     if args.spectrum:
         pipeline.write_spectrum_csv(args.spectrum, spectrum)
     print(f"fit orders {orders}")
@@ -303,10 +301,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RescompError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (RescompError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

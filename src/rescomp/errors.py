@@ -61,7 +61,7 @@ class EmptyDataset(RescompError):
 
 
 class ShapeMismatch(RescompError):
-    """Network and dataset dimensions are incompatible."""
+    """A network or dataset does not have the dimensions of a 1:J:1 net."""
 
 
 # --- training ---

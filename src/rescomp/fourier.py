@@ -21,6 +21,7 @@ import numpy as np
 
 from .caldata import ErrorProfile
 from .errors import (
+    BadConfig,
     EmptyProfile,
     NonUniformGrid,
     RankDeficientDesign,
@@ -135,7 +136,7 @@ def harmonic_spectrum(profile: ErrorProfile, max_order: int | None = None) -> Ha
 def select_top(spectrum: HarmonicSpectrum, count: int = 10) -> list[int]:
     """The `count` orders of largest amplitude, descending (ties: lower order first)."""
     if count < 0 or count > len(spectrum):
-        raise ValueError(f"count must be in [0, {len(spectrum)}], got {count}")
+        raise BadConfig(f"count must be in [0, {len(spectrum)}], got {count}")
     return [e.order for e in spectrum.entries[:count]]
 
 

@@ -103,72 +103,51 @@ DEFAULT_TARGET_BOUNDS_ARCMIN = (-6.0, 6.0)  # manufacturer tolerance band
 
 
 @dataclass(frozen=True)
-class NetworkShape:
-    """Layer sizes K:J:I; only K = I = 1 (one angle in, one error out) exists."""
-
-    n_inputs: int
-    n_hidden: int
-    n_outputs: int
-
-    def __post_init__(self) -> None:
-        if self.n_inputs != 1 or self.n_outputs != 1 or self.n_hidden < 1:
-            raise ShapeMismatch(f"need a 1:J:1 network with J >= 1, got {self}")
-
-    @property
-    def n_params(self) -> int:
-        return 3 * self.n_hidden + 1
-
-
-@dataclass(frozen=True)
 class Network:
     """A 1:J:1 sigmoid net: its parameters and normalization maps.
 
     `params` holds the 3J + 1 parameters in canonical order: hidden
-    weights, hidden thresholds, output weights, output threshold.
+    weights, hidden thresholds, output weights, output threshold.  The
+    width J follows from the length.
     """
 
-    shape: NetworkShape
     params: np.ndarray
     input_norm: AffineMap
     target_norm: AffineMap
 
     def __post_init__(self) -> None:
         params = readonly(self.params)
-        if params.shape != (self.n_params,):
+        if params.ndim != 1 or params.size < 4 or params.size % 3 != 1:
             raise ShapeMismatch(
-                f"expected parameter vector of length {self.n_params}, got {params.shape}"
+                f"need the 3J + 1 parameters of a 1:J:1 net, J >= 1; got shape {params.shape}"
             )
         if not np.all(np.isfinite(params)):
             raise ValueError("network parameters must be finite")
         object.__setattr__(self, "params", params)
 
     @property
-    def n_params(self) -> int:
-        return self.shape.n_params
+    def n_hidden(self) -> int:
+        return _width(self.params)
 
     @property
     def w_hidden(self) -> np.ndarray:
-        return self.params[:self.shape.n_hidden]
+        return self.params[:self.n_hidden]
 
     @property
     def theta_hidden(self) -> np.ndarray:
-        return self.params[self.shape.n_hidden:2 * self.shape.n_hidden]
+        return self.params[self.n_hidden:2 * self.n_hidden]
 
     @property
     def w_output(self) -> np.ndarray:
-        return self.params[2 * self.shape.n_hidden:-1]
+        return self.params[2 * self.n_hidden:-1]
 
     @property
     def theta_output(self) -> np.ndarray:
         return self.params[-1:]
 
-    def to_vector(self) -> np.ndarray:
-        """The parameters in canonical order (read-only)."""
-        return self.params
-
     def with_params(self, vector: np.ndarray) -> "Network":
-        """New network with the same shape/normalization, parameters from
-        a flat vector in canonical order."""
+        """New network with the same normalization maps, parameters from a
+        flat vector in canonical order."""
         return replace(self, params=vector)
 
 
@@ -204,18 +183,19 @@ class Dataset:
 
 
 def init_network(
-    shape: NetworkShape,
+    hidden: int,
     seed: int,
     norm_bounds: tuple[float, float] = DEFAULT_TARGET_BOUNDS_ARCMIN,
 ) -> Network:
-    """Fresh network: weights uniform in [-0.5, 0.5] from `seed`, thresholds zero."""
-    j = shape.n_hidden
+    """Fresh 1:`hidden`:1 network: weights uniform in [-0.5, 0.5] from
+    `seed`, thresholds zero."""
+    if hidden < 1:
+        raise ShapeMismatch(f"need a 1:J:1 network with J >= 1, got J = {hidden!r}")
     rng = np.random.default_rng(seed)
-    w_hidden = rng.uniform(-0.5, 0.5, size=j)
-    w_output = rng.uniform(-0.5, 0.5, size=j)
+    w_hidden = rng.uniform(-0.5, 0.5, size=hidden)
+    w_output = rng.uniform(-0.5, 0.5, size=hidden)
     return Network(
-        shape=shape,
-        params=np.concatenate([w_hidden, np.zeros(j), w_output, np.zeros(1)]),
+        params=np.concatenate([w_hidden, np.zeros(hidden), w_output, np.zeros(1)]),
         input_norm=INPUT_NORM,
         target_norm=AffineMap(*norm_bounds, *TARGET_OUT_RANGE),
     )
@@ -270,12 +250,6 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     return _activations(net.params, _design(np.asarray(x, dtype=float)))[1]
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Output 1-vector for one normalized input 1-vector."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return forward_batch(net, x[np.newaxis, :])[0]
-
-
 def mse(params: np.ndarray, data: Dataset, activations: Activations | None = None) -> float:
     """Mean-squared error of `params` over all patterns, in normalized units."""
     out = _activations(params, data.design)[1] if activations is None else activations[1]
@@ -288,7 +262,8 @@ def mse(params: np.ndarray, data: Dataset, activations: Activations | None = Non
 def residual_jacobian(
     params: np.ndarray, data: Dataset, activations: Activations | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals r = D - O, shape (P,), and their (P, n_params) Jacobian at `params`.
+    """Residuals r = D - O, shape (P,), and their Jacobian at `params`, one column
+    per parameter.
 
     J[p, q] = d r_p / d param_q with parameters in canonical vector order,
     so grad(MSE) = (2 / P) * J^T r (see `gradient`).

@@ -34,7 +34,6 @@ from .network import (
     Activations,
     Dataset,
     Network,
-    NetworkShape,
     _activations,
     gradient,
     init_network,
@@ -72,6 +71,8 @@ class TrainingConfig:
             raise BadConfig("stall_window must be >= 1")
         if self.stall_tol <= 0:
             raise BadConfig("stall_tol must be > 0")
+        if self.seed < 0:
+            raise BadConfig(f"seed must be >= 0, got {self.seed!r}")
 
 
 class StopReason(enum.Enum):
@@ -83,12 +84,10 @@ class StopReason(enum.Enum):
 class TrainingHistory:
     mse_per_iteration: tuple[float, ...]
     stop_reason: StopReason
-    iterations_run: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mse_per_iteration", tuple(self.mse_per_iteration))
-        if len(self.mse_per_iteration) != self.iterations_run:
-            raise ValueError("history length must equal iterations_run")
+    @property
+    def iterations_run(self) -> int:
+        return len(self.mse_per_iteration)
 
 
 def stopping_rule(mse_history, cfg: TrainingConfig) -> bool:
@@ -139,7 +138,7 @@ def _train(
         if moved is None or stopping_rule(history, cfg):
             stop_reason = StopReason.STALLED
             break
-    return net.with_params(best), TrainingHistory(tuple(history), stop_reason, len(history))
+    return net.with_params(best), TrainingHistory(tuple(history), stop_reason)
 
 
 def train_backprop(
@@ -258,7 +257,7 @@ def node_sweep(
     """
     results = []
     for j in nodes:
-        net = init_network(NetworkShape(1, int(j), 1), cfg.seed)
+        net = init_network(int(j), cfg.seed)
         trained, _history = train_fn(net, data, cfg)
         results.append((int(j), mse(trained.params, data)))
     return results

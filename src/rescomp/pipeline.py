@@ -38,7 +38,6 @@ from .errors import (
     CorruptFile,
     DegenerateBounds,
     KindMismatch,
-    ShapeMismatch,
     UnsupportedVersion,
 )
 from .fourier import (
@@ -54,7 +53,6 @@ from .network import (
     AffineMap,
     DEFAULT_TARGET_BOUNDS_ARCMIN,
     Network,
-    NetworkShape,
     dataset_from_profile,
     forward_batch,
     init_network,
@@ -69,37 +67,30 @@ KIND_FOURIER = "fourier"
 # an exact float64
 MAX_FOURIER_ORDER = 2 ** 53
 
-# each model kind's payload type and the model-file keys that hold its payload
-_KINDS = {
-    KIND_ANN: (Network, ("shape", "input_norm", "target_norm", "hidden_weights",
-                         "hidden_thresholds", "output_weights", "output_thresholds")),
-    KIND_FOURIER: (FourierModel, ("a0", "terms")),
+# the model-file keys that hold each model kind's payload
+_PAYLOAD_KEYS = {
+    KIND_ANN: ("shape", "input_norm", "target_norm", "hidden_weights",
+               "hidden_thresholds", "output_weights", "output_thresholds"),
+    KIND_FOURIER: ("a0", "terms"),
 }
-
-
-def _kind(kind) -> tuple[type, tuple[str, ...]]:
-    """The payload type and payload keys of a model kind; KindMismatch for
-    any other tag."""
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise KindMismatch(f"unknown model kind {kind!r}")
-    return _KINDS[kind]
 
 
 @dataclass(frozen=True)
 class CompensationModel:
-    """Tagged, versioned compensation artifact: a Network or a FourierModel."""
+    """One encoder's compensation artifact: a Network or a FourierModel.
 
-    kind: str
+    Its kind is the payload's type; the model file stores it as a tag."""
+
     encoder_id: str
     payload: Network | FourierModel
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if self.format_version != FORMAT_VERSION:
-            raise UnsupportedVersion(f"unsupported format version {self.format_version!r}")
-        payload_type, _keys = _kind(self.kind)
-        if not isinstance(self.payload, payload_type):
-            raise KindMismatch(f"kind {self.kind!r} with payload {type(self.payload).__name__}")
+        if not isinstance(self.payload, (Network, FourierModel)):
+            raise KindMismatch(f"no model kind holds a {type(self.payload).__name__} payload")
+
+    @property
+    def kind(self) -> str:
+        return KIND_ANN if isinstance(self.payload, Network) else KIND_FOURIER
 
 
 def _affine_to_doc(m: AffineMap) -> dict:
@@ -118,17 +109,13 @@ def save_model(path, model: CompensationModel) -> None:
     """Write a model file.  Floats serialize as shortest exact decimals, so a
     save/load round trip reproduces every parameter bit for bit."""
     doc: dict = {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "encoder_id": model.encoder_id,
     }
     if model.kind == KIND_ANN:
         net = model.payload
-        doc["shape"] = {
-            "n_inputs": net.shape.n_inputs,
-            "n_hidden": net.shape.n_hidden,
-            "n_outputs": net.shape.n_outputs,
-        }
+        doc["shape"] = {"n_inputs": 1, "n_hidden": net.n_hidden, "n_outputs": 1}
         doc["input_norm"] = _affine_to_doc(net.input_norm)
         doc["target_norm"] = _affine_to_doc(net.target_norm)
         doc["hidden_weights"] = net.w_hidden.tolist()
@@ -171,24 +158,24 @@ def load_model(path) -> CompensationModel:
         raise UnsupportedVersion(f"unsupported format version {version}")
 
     kind = doc.get("kind")
-    _payload_type, own_keys = _kind(kind)
-    other_keys = [k for other, (_t, keys) in _KINDS.items() if other != kind for k in keys]
-    if any(k in doc for k in other_keys) and not all(k in doc for k in own_keys):
+    if not isinstance(kind, str) or kind not in _PAYLOAD_KEYS:
+        raise KindMismatch(f"unknown model kind {kind!r}")
+    other_keys = [k for other, keys in _PAYLOAD_KEYS.items() if other != kind for k in keys]
+    if any(k in doc for k in other_keys) and not all(k in doc for k in _PAYLOAD_KEYS[kind]):
         raise KindMismatch(f"kind {kind!r} but payload fields of the other kind")
 
     encoder_id = str(doc.get("encoder_id", "unknown"))
 
     if kind == KIND_ANN:
-        try:
-            shape = NetworkShape(*(json_int(doc.get("shape"), key)
-                                   for key in ("n_inputs", "n_hidden", "n_outputs")))
-        except ShapeMismatch as exc:
-            raise CorruptFile(f"bad or missing shape: {exc}") from exc
-        j = shape.n_hidden
+        shape = doc.get("shape")
+        n_inputs, j, n_outputs = (json_int(shape, key)
+                                  for key in ("n_inputs", "n_hidden", "n_outputs"))
+        if n_inputs != 1 or n_outputs != 1 or j < 1:
+            raise CorruptFile(f"bad shape: need a 1:J:1 network with J >= 1, got {shape!r}")
         params = (_float_list(doc, "hidden_weights", j) + _float_list(doc, "hidden_thresholds", j)
                   + _float_list(doc, "output_weights", j)
                   + _float_list(doc, "output_thresholds", 1))
-        net = Network(shape, params, _affine_from_doc(doc.get("input_norm")),
+        net = Network(params, _affine_from_doc(doc.get("input_norm")),
                       _affine_from_doc(doc.get("target_norm")))
         # the net sees wrapped angles in [0, 360) and outputs in (0, 1); an
         # affine map finite at both ends of its range is finite inside it
@@ -198,7 +185,7 @@ def load_model(path) -> CompensationModel:
         for key, values in ends:
             if not np.all(np.isfinite(values)):
                 raise CorruptFile(f"ann model {encoder_id!r}: {key} maps past the float range")
-        return CompensationModel(KIND_ANN, encoder_id, net, version)
+        return CompensationModel(encoder_id, net)
 
     try:
         a0 = float(doc["a0"])
@@ -218,7 +205,7 @@ def load_model(path) -> CompensationModel:
     # correction finite at every angle
     if not math.isfinite(abs(a0) + sum(abs(t.a) + abs(t.b) for t in series.terms)):
         raise CorruptFile(f"fourier model {encoder_id!r}: the series can overflow")
-    return CompensationModel(KIND_FOURIER, encoder_id, series, version)
+    return CompensationModel(encoder_id, series)
 
 
 def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray:
@@ -291,6 +278,8 @@ class ExperimentConfig:
         trainer(self.optimizer)  # BadConfig for an unknown optimizer name
         if self.hidden < 1:
             raise BadConfig("hidden must be >= 1")
+        if self.top_orders < 0:
+            raise BadConfig(f"top_orders must be >= 0, got {self.top_orders!r}")
         if self.prune and self.hidden < 2:
             raise BadConfig("pruning needs hidden >= 2")
         if not 0.0 < self.prune_rel_tol < 1.0:
@@ -357,7 +346,7 @@ def fit_network(
     """Train the 1:J:1 net on an error profile as `cfg` says: one training
     run, or with `cfg.prune` train, prune and retrain.  Returns the net, the
     history of its training and the prune report (None without pruning)."""
-    net0 = init_network(NetworkShape(1, cfg.hidden, 1), cfg.training.seed, cfg.norm_bounds)
+    net0 = init_network(cfg.hidden, cfg.training.seed, cfg.norm_bounds)
     data = dataset_from_profile(profile, net0)
     train_fn = trainer(cfg.optimizer)
     if not cfg.prune:
@@ -393,8 +382,8 @@ def run_experiment(
 
     trained, history, prune_report = fit_network(train_prof, cfg)
     series, spectrum, orders = fit_fourier_baseline(train_prof, cfg.top_orders)
-    ann_model = CompensationModel(KIND_ANN, cal.encoder_id, trained)
-    fourier_model = CompensationModel(KIND_FOURIER, cal.encoder_id, series)
+    ann_model = CompensationModel(cal.encoder_id, trained)
+    fourier_model = CompensationModel(cal.encoder_id, series)
     ann_report = evaluate(ann_model, test_set)
     fourier_report = evaluate(fourier_model, test_set)
 

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadConfig
 from .network import (
     DEFAULT_TARGET_BOUNDS_ARCMIN,
     Dataset,
     Network,
-    NetworkShape,
     _activations,
     init_network,
     mse,
@@ -51,7 +51,7 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
 def effective_rank(spectrum: np.ndarray, rel_tol: float = DEFAULT_RANK_REL_TOL) -> int:
     """Count of singular values above rel_tol * sigma_max (0 for a zero matrix)."""
     if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
+        raise BadConfig(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     spectrum = np.asarray(spectrum, dtype=float)
     if len(spectrum) == 0 or spectrum[0] == 0.0:
         return 0
@@ -85,13 +85,13 @@ def prune_and_retrain(
     final MSEs.
     """
     if initial_hidden < 2:
-        raise ValueError(f"initial_hidden must be >= 2, got {initial_hidden}")
-    net_full = init_network(NetworkShape(1, initial_hidden, 1), cfg.seed, norm_bounds)
+        raise BadConfig(f"initial_hidden must be >= 2, got {initial_hidden}")
+    net_full = init_network(initial_hidden, cfg.seed, norm_bounds)
     trained_full, hist_full = train_fn(net_full, data, cfg)
     spectrum_full = singular_values(activation_matrix(trained_full, data))
     rank = max(effective_rank(spectrum_full, rel_tol), 1)
 
-    net_small = init_network(NetworkShape(1, rank, 1), cfg.seed, norm_bounds)
+    net_small = init_network(rank, cfg.seed, norm_bounds)
     trained_small, hist_small = train_fn(net_small, data, cfg)
     spectrum_small = singular_values(activation_matrix(trained_small, data))
 

@@ -18,17 +18,14 @@ from rescomp.errors import CorruptFile, UnsupportedVersion
 from rescomp.fourier import fit_fourier, harmonic_spectrum, select_top
 from rescomp.network import (
     Dataset,
-    NetworkShape,
     dataset_from_profile,
-    forward,
+    forward_batch,
     init_network,
     mse,
 )
 from rescomp.network import gradient as mse_gradient
 from rescomp.optim import train_lm
 from rescomp.pipeline import (
-    KIND_ANN,
-    KIND_FOURIER,
     CompensationModel,
     evaluate,
     load_model,
@@ -58,10 +55,10 @@ def e2e_runs(arch1_data, arch1_lm80, training_seconds):
     cal = arch1_data["cal"]
     test_set = arch1_data["test_set"]
     train_prof = arch1_data["train_prof"]
-    ann_report = evaluate(CompensationModel(KIND_ANN, "arch1", arch1_lm80[0]), test_set)
+    ann_report = evaluate(CompensationModel("arch1", arch1_lm80[0]), test_set)
     orders = select_top(harmonic_spectrum(train_prof), 10)
     fourier_report = evaluate(
-        CompensationModel(KIND_FOURIER, "arch1", fit_fourier(train_prof, orders)), test_set
+        CompensationModel("arch1", fit_fourier(train_prof, orders)), test_set
     )
     elapsed = time.perf_counter() - start + training_seconds["arch1_lm80"]
     runs[1] = {
@@ -75,12 +72,12 @@ def e2e_runs(arch1_data, arch1_lm80, training_seconds):
         cal = synthesize(archetype_spec(k), grid_step_deg=1.0, encoder_id=f"arch{k}")
         train_set, test_set = partition_even_odd(cal)
         train_prof = error_profile(train_set)
-        net0 = init_network(NetworkShape(1, 80, 1), seed=42)
+        net0 = init_network(80, seed=42)
         trained, _hist = train_lm(net0, dataset_from_profile(train_prof, net0), FULL_BUDGET)
-        ann_report = evaluate(CompensationModel(KIND_ANN, f"arch{k}", trained), test_set)
+        ann_report = evaluate(CompensationModel(f"arch{k}", trained), test_set)
         orders = select_top(harmonic_spectrum(train_prof), 10)
         fourier_report = evaluate(
-            CompensationModel(KIND_FOURIER, f"arch{k}", fit_fourier(train_prof, orders)),
+            CompensationModel(f"arch{k}", fit_fourier(train_prof, orders)),
             test_set,
         )
         runs[k] = {
@@ -100,11 +97,11 @@ def test_criterion_gradient_correctness():
     worst = 0.0
     for _ in range(100):
         hidden = int(rng.integers(1, 5))
-        net = init_network(NetworkShape(1, hidden, 1), seed=int(rng.integers(1 << 30)))
-        net = net.with_params(rng.uniform(-3, 3, net.n_params))
+        net = init_network(hidden, seed=int(rng.integers(1 << 30)))
+        net = net.with_params(rng.uniform(-3, 3, 3 * hidden + 1))
         data = Dataset(rng.uniform(0, 1, (1, 1)), rng.uniform(0.05, 0.95, (1, 1)))
         analytic = mse_gradient(net.params, data)
-        p0 = net.to_vector()
+        p0 = net.params
         for q in range(len(p0)):
             plus, minus = p0.copy(), p0.copy()
             plus[q] += h
@@ -123,9 +120,9 @@ def test_criterion_gradient_correctness():
 
 def test_criterion_forward_oracle():
     """Hand-computed 1:2:1 forward pass to 1e-12."""
-    net = init_network(NetworkShape(1, 2, 1), seed=0)
+    net = init_network(2, seed=0)
     net = net.with_params(np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
-    got = forward(net, [0.0])[0]
+    got = forward_batch(net, np.array([[0.0]]))[0, 0]
     expected = 1.0 / (1.0 + math.exp(-1.0))
     err = abs(got - expected)
     report_line(
@@ -253,11 +250,11 @@ def test_criterion_svd_pruning(arch1_data, arch1_lm80):
 
 def test_criterion_persistence(tmp_path, arch1_lm80):
     """Bit-exact round trip of the trained 1:80:1 net; bad files rejected."""
-    model = CompensationModel(KIND_ANN, "arch1", arch1_lm80[0])
+    model = CompensationModel("arch1", arch1_lm80[0])
     path = tmp_path / "model.json"
     save_model(path, model)
     loaded = load_model(path)
-    bit_exact = np.array_equal(loaded.payload.to_vector(), arch1_lm80[0].to_vector())
+    bit_exact = np.array_equal(loaded.payload.params, arch1_lm80[0].params)
 
     blob = path.read_text()
     (tmp_path / "truncated.json").write_text(blob[: len(blob) // 3])

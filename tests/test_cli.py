@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import rescomp
+from rescomp import pipeline
 from rescomp.caldata import load_calibration
 from rescomp.cli import STDIN_BATCH_LINES, main
 from rescomp.fourier import FourierModel, FourierTerm
-from rescomp.network import NetworkShape, init_network
+from rescomp.network import init_network
 from rescomp.pipeline import CompensationModel, correct, load_model, save_model
 from rescomp.simgen import LSB_DEG, archetype_spec, spec_to_json
 
@@ -73,7 +74,7 @@ def test_train_writes_model_and_history(tmp_path, tiny_model):
     model = load_model(tiny_model)
     assert model.kind == "ann"
     assert model.encoder_id == "cli-test"
-    assert model.payload.shape.n_hidden == 6
+    assert model.payload.n_hidden == 6
     history = (tmp_path / "history.csv").read_text().splitlines()
     assert history[0] == "iteration,mse"
     assert history[1].startswith("1,")
@@ -156,13 +157,13 @@ def stream_case(request, tmp_path_factory):
     `pipeline.correct` calls."""
     rng = np.random.default_rng(2009)
     if request.param == "ann":
-        net = init_network(NetworkShape(1, 80, 1), seed=7)
-        payload = net.with_params(rng.normal(0.0, 3.0, net.n_params))
+        net = init_network(80, seed=7)
+        payload = net.with_params(rng.normal(0.0, 3.0, net.params.size))
     else:
         payload = FourierModel(0.3, tuple(
             FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in range(1, 11)))
     path = tmp_path_factory.mktemp("stream") / "model.json"
-    save_model(path, CompensationModel(request.param, "stream", payload))
+    save_model(path, CompensationModel("stream", payload))
     model = load_model(path)
     return path, model, [correct(model, a) for a in ALL_CODES]
 
@@ -286,7 +287,7 @@ def test_prune_subcommand(tmp_path, train_csv):
     assert main(args) == 0
     doc = json.loads(report.read_text())
     assert doc["initial_hidden"] == 6
-    assert load_model(model).payload.shape.n_hidden == doc["pruned_hidden"]
+    assert load_model(model).payload.n_hidden == doc["pruned_hidden"]
 
 
 def test_train_budget_below_default_stall_window(tmp_path, train_csv):
@@ -317,11 +318,29 @@ def test_prune_one_node_net_fails_before_writing(
 @pytest.mark.parametrize("flags, message", [
     (["--hidden", "0"], "hidden must be >= 1"),
     (["--max-iterations", "0"], "max_iterations must be >= 1"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_bad_training_flag_fails_with_error_name(tmp_path, train_csv, capsys, flags, message):
     out = tmp_path / "m.json"
     assert main(["train", "--data", str(train_csv), "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err == f"BadConfig: {message}\n"
+    assert not out.exists()
+
+
+def test_negative_top_fails_with_error_name(tmp_path, spec_file, train_csv, capsys, monkeypatch):
+    """`fourier` names a negative `--top`; `run-experiment` does so before training."""
+    out = tmp_path / "out"
+    assert main(["fourier", "--data", str(train_csv), "--top", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "BadConfig: count must be in [0, 91], got -1\n"
+    assert not out.exists()
+
+    def no_training(*_args):
+        raise AssertionError("run-experiment started training before it checked --top")
+
+    monkeypatch.setattr(pipeline, "fit_network", no_training)
+    args = ["run-experiment", "--spec", str(spec_file), "--outdir", str(out), "--top", "-3"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "BadConfig: top_orders must be >= 0, got -3\n"
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rescomp.caldata import ErrorProfile, error_profile
-from rescomp.errors import NonUniformGrid, RankDeficientDesign, UnderdeterminedFit
+from rescomp.errors import BadConfig, NonUniformGrid, RankDeficientDesign, UnderdeterminedFit
 from rescomp.fourier import (
     FourierModel,
     FourierTerm,
@@ -119,8 +119,10 @@ def test_select_top_tie_breaks_by_lower_order():
 
 def test_select_top_count_out_of_range():
     spectrum = HarmonicSpectrum((SpectrumEntry(0, 1.0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         select_top(spectrum, 2)
+    with pytest.raises(BadConfig):
+        select_top(spectrum, -1)
 
 
 def test_spectrum_sorted_with_ties():

@@ -13,11 +13,9 @@ from rescomp.errors import DegenerateBounds, EmptyDataset, ShapeMismatch, Target
 from rescomp.network import (
     AffineMap,
     Dataset,
-    NetworkShape,
     _activations,
     _sigmoid_in_place,
     dataset_from_profile,
-    forward,
     forward_batch,
     gradient,
     init_network,
@@ -29,7 +27,7 @@ from rescomp.network import (
 
 def fd_gradient(net, data, h=1e-5):
     """Independent oracle: central finite differences of the MSE."""
-    p0 = net.to_vector()
+    p0 = net.params
     out = np.empty_like(p0)
     for q in range(len(p0)):
         plus, minus = p0.copy(), p0.copy()
@@ -41,7 +39,7 @@ def fd_gradient(net, data, h=1e-5):
 
 def fd_residual_jacobian(net, data, h=1e-5):
     """Independent oracle: central finite differences of the residual vector."""
-    p0 = net.to_vector()
+    p0 = net.params
     r0, _ = residual_jacobian(net.params, data)
     out = np.empty((len(r0), len(p0)))
     for q in range(len(p0)):
@@ -55,8 +53,8 @@ def fd_residual_jacobian(net, data, h=1e-5):
 
 
 def random_net(rng, hidden=3, spread=2.0):
-    net = init_network(NetworkShape(1, hidden, 1), seed=int(rng.integers(1 << 30)))
-    return net.with_params(rng.uniform(-spread, spread, net.n_params))
+    net = init_network(hidden, seed=int(rng.integers(1 << 30)))
+    return net.with_params(rng.uniform(-spread, spread, net.params.size))
 
 
 def random_data(rng, n=4):
@@ -66,13 +64,13 @@ def random_data(rng, n=4):
 # --- initialization ---
 
 def test_init_deterministic():
-    a = init_network(NetworkShape(1, 5, 1), seed=9)
-    b = init_network(NetworkShape(1, 5, 1), seed=9)
-    assert np.array_equal(a.to_vector(), b.to_vector())
+    a = init_network(5, seed=9)
+    b = init_network(5, seed=9)
+    assert np.array_equal(a.params, b.params)
 
 
 def test_init_weight_range_and_zero_thresholds():
-    net = init_network(NetworkShape(1, 2, 1), seed=7)
+    net = init_network(2, seed=7)
     assert np.all(np.abs(net.w_hidden) <= 0.5)
     assert np.all(np.abs(net.w_output) <= 0.5)
     assert np.all(net.theta_hidden == 0.0)
@@ -80,14 +78,14 @@ def test_init_weight_range_and_zero_thresholds():
 
 
 def test_param_count_1_80_1():
-    net = init_network(NetworkShape(1, 80, 1), seed=0)
-    assert net.n_params == 80 * 1 + 80 + 1 * 80 + 1 == 241
-    assert net.to_vector().shape == (241,)
+    net = init_network(80, seed=0)
+    assert net.n_hidden == 80
+    assert net.params.shape == (80 * 1 + 80 + 1 * 80 + 1,) == (241,)
 
 
 def test_degenerate_bounds():
     with pytest.raises(DegenerateBounds):
-        init_network(NetworkShape(1, 2, 1), seed=0, norm_bounds=(3.0, 3.0))
+        init_network(2, seed=0, norm_bounds=(3.0, 3.0))
 
 
 # --- normalization ---
@@ -100,7 +98,7 @@ def test_target_norm_endpoints():
 
 
 def test_input_norm_endpoints():
-    net = init_network(NetworkShape(1, 2, 1), seed=0)
+    net = init_network(2, seed=0)
     assert net.input_norm.normalize(0.0) == 0.0
     assert net.input_norm.normalize(360.0) == 1.0
     assert net.input_norm.normalize(180.0) == 0.5
@@ -192,9 +190,10 @@ def test_activations_match_broadcast_bit_for_bit(rows, hidden, seed):
     """design @ [w; theta] rounds x w, then adds theta, like the broadcast:
     weights from 1e-8 to 1e3 of either sign, some of them +0 or -0."""
     rng = np.random.default_rng(seed)
-    net = init_network(NetworkShape(1, hidden, 1), seed=0)
-    params = 10.0 ** rng.uniform(-8, 3, net.n_params) * rng.choice([-1.0, 1.0], net.n_params)
-    zeros = rng.random(net.n_params) < 0.1
+    net = init_network(hidden, seed=0)
+    n = net.params.size
+    params = 10.0 ** rng.uniform(-8, 3, n) * rng.choice([-1.0, 1.0], n)
+    zeros = rng.random(n) < 0.1
     params[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
     net = net.with_params(params)
     x = rng.uniform(0, 1, (rows, 1))
@@ -217,19 +216,19 @@ def test_dataset_design_is_read_only_inputs_and_ones():
 
 
 def test_forward_zero_network_gives_half():
-    net = init_network(NetworkShape(1, 4, 1), seed=0)
-    net = net.with_params(np.zeros(net.n_params))
-    assert forward(net, [0.3])[0] == 0.5
+    net = init_network(4, seed=0)
+    net = net.with_params(np.zeros(net.params.size))
+    assert forward_batch(net, np.array([[0.3]]))[0, 0] == 0.5
 
 
 def test_forward_hand_computed():
     # 1:2:1, hidden weights [1, -1], thresholds 0, output weights [1, 1],
     # output threshold 0, input 0: both hidden nodes give g(0)=0.5 so the
     # output is g(1) = 0.731058...
-    net = init_network(NetworkShape(1, 2, 1), seed=0)
+    net = init_network(2, seed=0)
     net = net.with_params(np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
     expected = 1.0 / (1.0 + math.exp(-1.0))
-    assert forward(net, [0.0])[0] == pytest.approx(expected, abs=1e-12)
+    assert forward_batch(net, np.array([[0.0]]))[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 @settings(max_examples=100)
@@ -240,9 +239,9 @@ def test_forward_hand_computed():
 )
 def test_forward_output_strictly_inside_unit_interval(seed, x, spread):
     rng = np.random.default_rng(seed)
-    net = init_network(NetworkShape(1, 3, 1), seed=seed)
-    net = net.with_params(rng.uniform(-spread, spread, net.n_params))
-    y = forward(net, [x])[0]
+    net = init_network(3, seed=seed)
+    net = net.with_params(rng.uniform(-spread, spread, net.params.size))
+    y = forward_batch(net, np.array([[x]]))[0, 0]
     assert 0.0 < y < 1.0
 
 
@@ -251,7 +250,7 @@ def test_forward_batch_matches_single():
     net = random_net(rng)
     xs = rng.uniform(0, 1, (6, 1))
     batch = forward_batch(net, xs)
-    singles = np.array([forward(net, row) for row in xs])
+    singles = np.array([forward_batch(net, row[np.newaxis])[0] for row in xs])
     # summation order may differ between the batched and single matmuls
     assert_allclose(batch, singles, rtol=0, atol=1e-14)
 
@@ -259,16 +258,16 @@ def test_forward_batch_matches_single():
 # --- MSE ---
 
 def test_mse_exact_fit_is_zero():
-    net = init_network(NetworkShape(1, 2, 1), seed=1)
-    net = net.with_params(np.zeros(net.n_params))
+    net = init_network(2, seed=1)
+    net = net.with_params(np.zeros(net.params.size))
     data = Dataset([[0.2], [0.8]], [[0.5], [0.5]])
     assert mse(net.params, data) == 0.0
 
 
 def test_mse_single_pattern():
     # output is exactly 0.5 (zero network), target 0.9 -> (0.4)^2
-    net = init_network(NetworkShape(1, 2, 1), seed=1)
-    net = net.with_params(np.zeros(net.n_params))
+    net = init_network(2, seed=1)
+    net = net.with_params(np.zeros(net.params.size))
     data = Dataset([[0.3]], [[0.9]])
     assert mse(net.params, data) == pytest.approx(0.16, abs=1e-15)
 
@@ -284,10 +283,16 @@ def test_dataset_requires_unit_interval():
 
 
 def test_shape_mismatch():
-    # only 1:J:1 nets exist; any other shape is rejected where it is declared
-    for k, j, i in ((2, 3, 1), (1, 3, 2), (1, 0, 1)):
+    # only 1:J:1 nets exist: a parameter vector is 3J + 1 long with J >= 1
+    # (14 is a 1:3:2 net, (1, 4) a 1:1:1 vector as a row), and init_network
+    # rejects a width below 1 before it draws weights from the (bad) seed
+    net = init_network(2, seed=0)
+    for params in (np.zeros(1), np.zeros(5), np.zeros(14), np.zeros((1, 4))):
         with pytest.raises(ShapeMismatch):
-            NetworkShape(k, j, i)
+            net.with_params(params)
+    for hidden in (0, -1):
+        with pytest.raises(ShapeMismatch):
+            init_network(hidden, seed=-1)
 
 
 # --- gradient ---
@@ -303,8 +308,8 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gradient_zero_at_exact_fit():
-    net = init_network(NetworkShape(1, 3, 1), seed=2)
-    net = net.with_params(np.zeros(net.n_params))
+    net = init_network(3, seed=2)
+    net = net.with_params(np.zeros(net.params.size))
     data = Dataset([[0.25], [0.75]], [[0.5], [0.5]])
     assert np.max(np.abs(gradient(net.params, data))) < 1e-12
 
@@ -360,8 +365,8 @@ def test_jacobian_gradient_consistency():
 
 
 def test_zero_residuals_at_exact_fit():
-    net = init_network(NetworkShape(1, 2, 1), seed=3)
-    net = net.with_params(np.zeros(net.n_params))
+    net = init_network(2, seed=3)
+    net = net.with_params(np.zeros(net.params.size))
     data = Dataset([[0.1], [0.9]], [[0.5], [0.5]])
     r, _ = residual_jacobian(net.params, data)
     assert np.all(r == 0.0)
@@ -415,7 +420,7 @@ def test_jacobian_buffer_matches_concatenated_blocks(hidden):
 
 def test_dataset_from_profile():
     profile = ErrorProfile(((0.0, -6.0), (180.0, 0.0), (359.0, 6.0)))
-    net = init_network(NetworkShape(1, 2, 1), seed=0)
+    net = init_network(2, seed=0)
     data = dataset_from_profile(profile, net)
     assert_allclose(data.inputs[:, 0], [0.0, 0.5, 359.0 / 360.0])
     assert_allclose(data.targets[:, 0], [0.1, 0.5, 0.9], atol=1e-15)
@@ -430,7 +435,7 @@ def test_dataset_from_profile_accepts_what_dataset_accepts(errors):
     targets would reject them ([-6', 6'] maps onto [0.1, 0.9], so [0, 1] is
     [-7.5', 7.5'] up to rounding)."""
     profile = ErrorProfile(tuple((float(i), e) for i, e in enumerate(errors)))
-    net = init_network(NetworkShape(1, 2, 1), seed=0)
+    net = init_network(2, seed=0)
     targets = net.target_norm.normalize(errors)[:, np.newaxis]
     try:
         Dataset(inputs=np.zeros_like(targets), targets=targets)

@@ -8,7 +8,6 @@ from rescomp.errors import BadConfig, RescompError, SingularNormalEquations
 from rescomp.network import (
     Dataset,
     Network,
-    NetworkShape,
     forward_batch,
     gradient,
     init_network,
@@ -46,15 +45,15 @@ def test_config_validation():
 
 
 def test_config_errors_are_named_value_errors():
-    for make in (lambda: TrainingConfig(max_iterations=0), lambda: trainer("adam")):
+    for make in (lambda: TrainingConfig(max_iterations=0), lambda: TrainingConfig(seed=-1),
+                 lambda: trainer("adam")):
         with pytest.raises(BadConfig) as info:
             make()
         assert isinstance(info.value, RescompError) and isinstance(info.value, ValueError)
 
 
-def test_history_length_must_match():
-    with pytest.raises(ValueError):
-        TrainingHistory((1.0, 0.5), StopReason.STALLED, 3)
+def test_iterations_run_is_history_length():
+    assert TrainingHistory((1.0, 0.5), StopReason.STALLED).iterations_run == 2
 
 
 # --- stopping rule ---
@@ -91,7 +90,7 @@ def test_stopping_rule_zero_floor():
 # --- gradient descent ---
 
 def test_backprop_constant_target_toy():
-    net = init_network(NetworkShape(1, 2, 1), seed=4)
+    net = init_network(2, seed=4)
     data = Dataset(np.linspace(0, 1, 8)[:, None], np.full((8, 1), 0.5))
     cfg = TrainingConfig(max_iterations=2000, learning_rate=5.0, stall_window=100, seed=4)
     trained, history = train_backprop(net, data, cfg)
@@ -100,7 +99,7 @@ def test_backprop_constant_target_toy():
 
 
 def test_backprop_huge_learning_rate_never_returns_nonfinite():
-    net = init_network(NetworkShape(1, 4, 1), seed=6)
+    net = init_network(4, seed=6)
     data = Dataset(np.linspace(0, 1, 10)[:, None], np.linspace(0.2, 0.8, 10)[:, None])
     cfg = TrainingConfig(max_iterations=500, learning_rate=1e4, stall_window=100, seed=6)
     try:
@@ -108,11 +107,11 @@ def test_backprop_huge_learning_rate_never_returns_nonfinite():
     except Exception as exc:
         assert type(exc).__name__ == "DivergenceDetected"
     else:
-        assert np.all(np.isfinite(trained.to_vector()))
+        assert np.all(np.isfinite(trained.params))
 
 
 def test_backprop_returns_best_seen():
-    net = init_network(NetworkShape(1, 3, 1), seed=7)
+    net = init_network(3, seed=7)
     data = Dataset(np.linspace(0, 1, 6)[:, None], np.linspace(0.3, 0.7, 6)[:, None])
     cfg = TrainingConfig(max_iterations=300, learning_rate=8.0, stall_window=50, seed=7)
     trained, history = train_backprop(net, data, cfg)
@@ -120,7 +119,7 @@ def test_backprop_returns_best_seen():
 
 
 def test_backprop_deterministic():
-    net = init_network(NetworkShape(1, 3, 1), seed=8)
+    net = init_network(3, seed=8)
     data = Dataset(np.linspace(0, 1, 5)[:, None], np.full((5, 1), 0.4))
     cfg = TrainingConfig(max_iterations=100, stall_window=50, seed=8)
     _, h1 = train_backprop(net, data, cfg)
@@ -136,7 +135,7 @@ def test_backprop_never_builds_the_jacobian(monkeypatch):
 
     monkeypatch.setattr("rescomp.network.residual_jacobian", no_jacobian)
     monkeypatch.setattr("rescomp.optim.residual_jacobian", no_jacobian)
-    net = init_network(NetworkShape(1, 80, 1), seed=9)
+    net = init_network(80, seed=9)
     data = Dataset(np.linspace(0, 1, 180)[:, None], np.linspace(0.2, 0.8, 180)[:, None])
     cfg = TrainingConfig(max_iterations=20, stall_window=50, seed=9)
     trained, history = train_backprop(net, data, cfg)
@@ -147,11 +146,11 @@ def test_backprop_never_builds_the_jacobian(monkeypatch):
 # --- Levenberg-Marquardt ---
 
 def test_lm_recovers_teacher_network():
-    teacher = init_network(NetworkShape(1, 2, 1), seed=77)
+    teacher = init_network(2, seed=77)
     teacher = teacher.with_params(np.array([1.7, -2.2, 0.3, -0.4, 1.1, -0.8, 0.25]))
     xs = np.linspace(0.1, 0.9, 5)[:, None]
     data = Dataset(xs, forward_batch(teacher, xs))
-    student = init_network(NetworkShape(1, 2, 1), seed=5)
+    student = init_network(2, seed=5)
     cfg = TrainingConfig(max_iterations=200, stall_window=50, seed=5)
     trained, history = train_lm(student, data, cfg)
     assert mse(trained.params, data) < 1e-10
@@ -159,17 +158,17 @@ def test_lm_recovers_teacher_network():
 
 
 def test_lm_exact_fit_start_stalls_without_moving():
-    net = init_network(NetworkShape(1, 3, 1), seed=8)
-    net = net.with_params(np.zeros(net.n_params))
+    net = init_network(3, seed=8)
+    net = net.with_params(np.zeros(net.params.size))
     data = Dataset([[0.2], [0.8]], [[0.5], [0.5]])
     trained, history = train_lm(net, data, TrainingConfig(max_iterations=100, stall_window=50))
     assert history.iterations_run == 1
     assert history.stop_reason is StopReason.STALLED
-    assert np.array_equal(trained.to_vector(), net.to_vector())
+    assert np.array_equal(trained.params, net.params)
 
 
 def test_lm_recorded_mse_non_increasing():
-    net = init_network(NetworkShape(1, 6, 1), seed=9)
+    net = init_network(6, seed=9)
     rng = np.random.default_rng(9)
     data = Dataset(rng.uniform(0, 1, (20, 1)), rng.uniform(0.2, 0.8, (20, 1)))
     _, history = train_lm(net, data, TrainingConfig(max_iterations=150, stall_window=60, seed=9))
@@ -182,45 +181,45 @@ def test_lm_step_solves_damped_normal_equations(hidden, patterns):
     # 1:4:1 on 8 patterns has more parameters than patterns (13 > 8), so the
     # step goes through the 8 x 8 system; 1:3:1 on 20 patterns (10 <= 20)
     # solves the 10 x 10 normal equations themselves
-    net = init_network(NetworkShape(1, hidden, 1), seed=13)
+    net = init_network(hidden, seed=13)
     rng = np.random.default_rng(13)
     data = Dataset(rng.uniform(0, 1, (patterns, 1)), rng.uniform(0.2, 0.8, (patterns, 1)))
     cfg = TrainingConfig(max_iterations=1, seed=13)
     trained, history = train_lm(net, data, cfg)
     assert history.mse_per_iteration[0] < mse(net.params, data)  # the lambda0 step was accepted
     residuals, jac = residual_jacobian(net.params, data)
-    damped = jac.T @ jac + cfg.lm_lambda0 * np.eye(net.n_params)
-    expected = net.to_vector() - np.linalg.solve(damped, jac.T @ residuals)
-    if net.n_params <= patterns:
-        assert np.array_equal(trained.to_vector(), expected)
+    damped = jac.T @ jac + cfg.lm_lambda0 * np.eye(net.params.size)
+    expected = net.params - np.linalg.solve(damped, jac.T @ residuals)
+    if net.params.size <= patterns:
+        assert np.array_equal(trained.params, expected)
     else:
-        np.testing.assert_allclose(trained.to_vector(), expected, rtol=1e-9)
+        np.testing.assert_allclose(trained.params, expected, rtol=1e-9)
 
 
 def test_lm_deterministic():
-    net = init_network(NetworkShape(1, 4, 1), seed=10)
+    net = init_network(4, seed=10)
     rng = np.random.default_rng(10)
     data = Dataset(rng.uniform(0, 1, (12, 1)), rng.uniform(0.2, 0.8, (12, 1)))
     cfg = TrainingConfig(max_iterations=80, stall_window=40, seed=10)
     net1, h1 = train_lm(net, data, cfg)
     net2, h2 = train_lm(net, data, cfg)
     assert h1.mse_per_iteration == h2.mse_per_iteration
-    assert np.array_equal(net1.to_vector(), net2.to_vector())
+    assert np.array_equal(net1.params, net2.params)
 
 
 def test_lm_never_returns_nonfinite():
-    net = init_network(NetworkShape(1, 5, 1), seed=11)
+    net = init_network(5, seed=11)
     rng = np.random.default_rng(11)
     data = Dataset(rng.uniform(0, 1, (9, 1)), rng.uniform(0.1, 0.9, (9, 1)))
     trained, _ = train_lm(net, data, TrainingConfig(max_iterations=60, stall_window=30))
-    assert np.all(np.isfinite(trained.to_vector()))
+    assert np.all(np.isfinite(trained.params))
 
 
 def test_lm_overflowing_candidate_escalates_lambda(monkeypatch):
     # a finite step whose candidate params - delta overflows escalates lambda
     # like a non-finite step; with every candidate overflowing, no finite
     # candidate appears and the damped system is declared unsolvable
-    net = init_network(NetworkShape(1, 2, 1), seed=14)
+    net = init_network(2, seed=14)
     net = net.with_params(np.concatenate([net.params[:-1], [1.5e308]]))
     data = Dataset(np.linspace(0, 1, 10)[:, None], np.linspace(0.2, 0.8, 10)[:, None])
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, -1.5e308))
@@ -246,7 +245,7 @@ def _counting(monkeypatch, owner, name, counts):
 def test_training_builds_one_network(monkeypatch, train_fn):
     # the trainer carries bare parameter vectors; only the vector it
     # returns becomes a (validated) Network
-    net = init_network(NetworkShape(1, 6, 1), seed=15)
+    net = init_network(6, seed=15)
     rng = np.random.default_rng(15)
     data = Dataset(rng.uniform(0, 1, (20, 1)), rng.uniform(0.2, 0.8, (20, 1)))
     counts = {}
@@ -263,7 +262,7 @@ def test_backprop_call_counts(monkeypatch):
     counts = {}
     for name in ("mse", "residual_jacobian", "gradient"):
         _counting(monkeypatch, optim, name, counts)
-    net = init_network(NetworkShape(1, 5, 1), seed=16)
+    net = init_network(5, seed=16)
     data = Dataset(np.linspace(0, 1, 12)[:, None], np.linspace(0.3, 0.7, 12)[:, None])
     _, history = train_backprop(net, data, TrainingConfig(max_iterations=40, seed=16))
     assert history.iterations_run == 40
@@ -277,7 +276,7 @@ def test_lm_call_counts(monkeypatch):
     for name in ("mse", "residual_jacobian", "gradient"):
         _counting(monkeypatch, optim, name, counts)
     _counting(monkeypatch, np.linalg, "solve", counts)
-    net = init_network(NetworkShape(1, 4, 1), seed=17)
+    net = init_network(4, seed=17)
     rng = np.random.default_rng(17)
     data = Dataset(rng.uniform(0, 1, (15, 1)), rng.uniform(0.2, 0.8, (15, 1)))
     _, history = train_lm(net, data, TrainingConfig(max_iterations=60, seed=17))
@@ -310,7 +309,7 @@ def _uncarried_train(net, data, cfg, lm):
                 delta = np.linalg.solve(gram, rhs)
                 if wide:
                     delta = jac.T @ delta
-                cand = current.with_params(current.to_vector() - delta)
+                cand = current.with_params(current.params - delta)
                 cand_mse = mse(cand.params, data)
                 if cand_mse < current_mse:
                     lam = max(lam / cfg.lm_factor, 1e-15)
@@ -319,7 +318,7 @@ def _uncarried_train(net, data, cfg, lm):
                 lam *= cfg.lm_factor
         else:
             grad = gradient(current.params, data)
-            cand = current.with_params(current.to_vector() - cfg.learning_rate * grad)
+            cand = current.with_params(current.params - cfg.learning_rate * grad)
             moved = cand, mse(cand.params, data)
         if moved is not None:
             current, current_mse = moved
@@ -337,13 +336,13 @@ def _uncarried_train(net, data, cfg, lm):
     (80, 200, train_backprop),
 ])
 def test_training_matches_uncarried_loop(arch1_data, hidden, iterations, train_fn):
-    net = init_network(NetworkShape(1, hidden, 1), seed=42)
+    net = init_network(hidden, seed=42)
     data = arch1_data["dataset"]
     cfg = TrainingConfig(max_iterations=iterations, seed=42)
     trained, history = train_fn(net, data, cfg)
     expected_net, expected_history = _uncarried_train(net, data, cfg, train_fn is train_lm)
     assert history.mse_per_iteration == expected_history
-    assert np.array_equal(trained.to_vector(), expected_net.to_vector())
+    assert np.array_equal(trained.params, expected_net.params)
 
 
 # --- reference-profile convergence (shared heavyweight fixtures) ---

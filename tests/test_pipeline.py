@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rescomp.caldata import CalibrationSet
 from rescomp.errors import CorruptFile, KindMismatch, OutOfRange, RescompError, UnsupportedVersion
 from rescomp.fourier import FourierModel, FourierTerm
-from rescomp.network import NetworkShape, init_network
+from rescomp.network import init_network
 from rescomp.optim import TrainingConfig
 from rescomp.pipeline import (
     KIND_ANN,
@@ -29,8 +29,8 @@ from rescomp.simgen import HarmonicSpec, HarmonicTerm, synthesize
 
 def trained_like_net(seed=17, hidden=80):
     rng = np.random.default_rng(seed)
-    net = init_network(NetworkShape(1, hidden, 1), seed=seed)
-    return net.with_params(rng.uniform(-30, 30, net.n_params))
+    net = init_network(hidden, seed=seed)
+    return net.with_params(rng.uniform(-30, 30, 3 * hidden + 1))
 
 
 def fourier_model():
@@ -44,20 +44,20 @@ def fourier_model():
 
 def test_ann_roundtrip_bit_exact(tmp_path):
     net = trained_like_net()
-    model = CompensationModel(KIND_ANN, "enc-1", net)
+    model = CompensationModel("enc-1", net)
     path = tmp_path / "model.json"
     save_model(path, model)
     loaded = load_model(path)
     assert loaded.kind == KIND_ANN
     assert loaded.encoder_id == "enc-1"
     again = loaded.payload
-    assert np.array_equal(again.to_vector(), net.to_vector())  # all 241 params
+    assert np.array_equal(again.params, net.params)  # all 241 params
     assert again.input_norm == net.input_norm
     assert again.target_norm == net.target_norm
 
 
 def test_fourier_roundtrip_bit_exact(tmp_path):
-    model = CompensationModel(KIND_FOURIER, "enc-2", fourier_model())
+    model = CompensationModel("enc-2", fourier_model())
     path = tmp_path / "model.json"
     save_model(path, model)
     loaded = load_model(path)
@@ -65,16 +65,112 @@ def test_fourier_roundtrip_bit_exact(tmp_path):
 
 
 def test_save_load_save_identical_bytes(tmp_path):
-    model = CompensationModel(KIND_ANN, "enc-1", trained_like_net())
+    model = CompensationModel("enc-1", trained_like_net())
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_model(p1, model)
     save_model(p2, load_model(p1))
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# The model file format, key order and layout included, as the text of two
+# fixed models' files: save_model must write exactly these bytes, and files
+# already written in this format must keep loading, so the text changes only
+# with a new format_version.
+PINNED_ANN_FILE = """\
+{
+  "format_version": 1,
+  "kind": "ann",
+  "encoder_id": "pin",
+  "shape": {
+    "n_inputs": 1,
+    "n_hidden": 2,
+    "n_outputs": 1
+  },
+  "input_norm": {
+    "lo": 0.0,
+    "hi": 360.0,
+    "out_lo": 0.0,
+    "out_hi": 1.0
+  },
+  "target_norm": {
+    "lo": -6.0,
+    "hi": 6.0,
+    "out_lo": 0.1,
+    "out_hi": 0.9
+  },
+  "hidden_weights": [
+    0.75,
+    -1.25
+  ],
+  "hidden_thresholds": [
+    0.5,
+    -0.25
+  ],
+  "output_weights": [
+    1.5,
+    -2.0
+  ],
+  "output_thresholds": [
+    0.125
+  ]
+}
+"""
+PINNED_FOURIER_FILE = """\
+{
+  "format_version": 1,
+  "kind": "fourier",
+  "encoder_id": "pin",
+  "a0": 0.5,
+  "terms": [
+    {
+      "n": 1,
+      "a": 1.25,
+      "b": -0.75
+    },
+    {
+      "n": 3,
+      "a": 0.1,
+      "b": 0.2
+    }
+  ]
+}
+"""
+
+
+def pinned_case(kind):
+    """The pinned file text of a model kind and the model it holds."""
+    if kind == KIND_ANN:
+        net = init_network(2, seed=0).with_params(
+            np.array([0.75, -1.25, 0.5, -0.25, 1.5, -2.0, 0.125]))
+        return PINNED_ANN_FILE, CompensationModel("pin", net)
+    series = FourierModel(0.5, (FourierTerm(1, 1.25, -0.75), FourierTerm(3, 0.1, 0.2)))
+    return PINNED_FOURIER_FILE, CompensationModel("pin", series)
+
+
+@pytest.mark.parametrize("kind", [KIND_ANN, KIND_FOURIER])
+def test_saved_model_file_matches_pinned_text(tmp_path, kind):
+    text, model = pinned_case(kind)
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", [KIND_ANN, KIND_FOURIER])
+def test_pinned_model_file_predicts_bit_identically(tmp_path, kind):
+    text, model = pinned_case(kind)
+    path = tmp_path / "model.json"
+    path.write_bytes(text.encode("utf-8"))
+    loaded = load_model(path)
+    assert (loaded.kind, loaded.encoder_id) == (kind, "pin")
+    angles = np.linspace(0.0, 360.0, 721)
+    assert predict_error(loaded, angles).tobytes() == predict_error(model, angles).tobytes()
+    for angle in (0.0, 123.456, 359.999):
+        assert predict_error(loaded, angle) == predict_error(model, angle)
+
+
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_FOURIER, "enc", fourier_model()))
+    save_model(path, CompensationModel("enc", fourier_model()))
     blob = path.read_text()
     path.write_text(blob[: len(blob) // 2])
     with pytest.raises(CorruptFile):
@@ -83,7 +179,7 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_FOURIER, "enc", fourier_model()))
+    save_model(path, CompensationModel("enc", fourier_model()))
     doc = json.loads(path.read_text())
     doc["format_version"] = 999
     path.write_text(json.dumps(doc))
@@ -93,7 +189,7 @@ def test_unsupported_version_rejected(tmp_path):
 
 def test_unknown_kind_rejected(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_FOURIER, "enc", fourier_model()))
+    save_model(path, CompensationModel("enc", fourier_model()))
     doc = json.loads(path.read_text())
     doc["kind"] = "polynomial"
     path.write_text(json.dumps(doc))
@@ -104,19 +200,17 @@ def test_unknown_kind_rejected(tmp_path):
 @pytest.mark.parametrize("kind", [["ann"], {"ann": 1}, None, 1], ids=repr)
 def test_non_string_kind_rejected(tmp_path, kind):
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=2)))
+    save_model(path, CompensationModel("enc", trained_like_net(hidden=2)))
     doc = json.loads(path.read_text())
     doc["kind"] = kind
     path.write_text(json.dumps(doc))
     with pytest.raises(KindMismatch, match=r"^unknown model kind "):
         load_model(path)
-    with pytest.raises(KindMismatch, match=r"^unknown model kind "):
-        CompensationModel(kind, "enc", trained_like_net(hidden=2))
 
 
 def test_kind_payload_mismatch_rejected(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_FOURIER, "enc", fourier_model()))
+    save_model(path, CompensationModel("enc", fourier_model()))
     doc = json.loads(path.read_text())
     doc["kind"] = "ann"  # fourier payload under an ann tag
     path.write_text(json.dumps(doc))
@@ -126,7 +220,7 @@ def test_kind_payload_mismatch_rejected(tmp_path):
 
 def test_wrong_array_length_rejected(tmp_path):
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=4)))
+    save_model(path, CompensationModel("enc", trained_like_net(hidden=4)))
     doc = json.loads(path.read_text())
     doc["hidden_weights"] = doc["hidden_weights"][:-1]
     path.write_text(json.dumps(doc))
@@ -138,7 +232,7 @@ def test_wrong_array_length_rejected(tmp_path):
 def test_non_1_j_1_shape_rejected(tmp_path, k, i):
     # array lengths match the declared shape, so only the shape itself is wrong
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=4)))
+    save_model(path, CompensationModel("enc", trained_like_net(hidden=4)))
     doc = json.loads(path.read_text())
     doc["shape"] = {"n_inputs": k, "n_hidden": 4, "n_outputs": i}
     doc["hidden_weights"] = [0.25] * (4 * k)
@@ -146,6 +240,19 @@ def test_non_1_j_1_shape_rejected(tmp_path, k, i):
     doc["output_thresholds"] = [0.0] * i
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptFile):
+        load_model(path)
+
+
+@pytest.mark.parametrize("n_hidden", [0, -1])
+def test_empty_hidden_layer_rejected(tmp_path, n_hidden):
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel("enc", trained_like_net(hidden=4)))
+    doc = json.loads(path.read_text())
+    doc["shape"]["n_hidden"] = n_hidden
+    for key in ("hidden_weights", "hidden_thresholds", "output_weights"):
+        doc[key] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match=r"^bad shape: need a 1:J:1 network with J >= 1"):
         load_model(path)
 
 
@@ -160,7 +267,7 @@ def test_non_1_j_1_shape_rejected(tmp_path, k, i):
 def test_non_integer_field_rejected(tmp_path, kind, field, value):
     path = tmp_path / "model.json"
     payload = trained_like_net(hidden=4) if kind == KIND_ANN else fourier_model()
-    save_model(path, CompensationModel(kind, "enc", payload))
+    save_model(path, CompensationModel("enc", payload))
     doc = json.loads(path.read_text())
     if field == "n":
         doc["terms"][1]["n"] = value
@@ -178,7 +285,7 @@ def test_non_integer_field_rejected(tmp_path, kind, field, value):
                                     (-1e308, 1e308)])  # finite bounds, span past the float range
 def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=4)))
+    save_model(path, CompensationModel("enc", trained_like_net(hidden=4)))
     doc = json.loads(path.read_text())
     doc[key]["lo"], doc[key]["hi"] = lo, hi
     path.write_text(json.dumps(doc))
@@ -195,7 +302,7 @@ def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
 ])
 def test_norm_map_past_float_range_rejected(tmp_path, key, bounds):
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_ANN, "enc", trained_like_net(hidden=4)))
+    save_model(path, CompensationModel("enc", trained_like_net(hidden=4)))
     doc = json.loads(path.read_text())
     doc[key] = dict(zip(("lo", "hi", "out_lo", "out_hi"), bounds))
     path.write_text(json.dumps(doc))
@@ -210,7 +317,7 @@ def test_fourier_series_past_float_range_rejected(tmp_path, a, loads):
     # |a0| + sum(|a| + |b|) bounds the series: 1.5e308 loads, 2e308 does not
     path = tmp_path / "model.json"
     series = FourierModel(1e308, (FourierTerm(1, a, 0.0),))
-    save_model(path, CompensationModel(KIND_FOURIER, "enc", series))
+    save_model(path, CompensationModel("enc", series))
     if loads:
         assert 0.0 <= correct(load_model(path), 10.0) < 360.0
     else:
@@ -264,9 +371,9 @@ def mutated_model_file(draw, texts):
 @pytest.fixture(scope="module")
 def model_texts(tmp_path_factory):
     texts = []
-    for kind, payload in ((KIND_ANN, trained_like_net(hidden=3)), (KIND_FOURIER, fourier_model())):
+    for payload in (trained_like_net(hidden=3), fourier_model()):
         path = tmp_path_factory.mktemp("docs") / "model.json"
-        save_model(path, CompensationModel(kind, "enc", payload))
+        save_model(path, CompensationModel("enc", payload))
         texts.append(path.read_text())
     return texts
 
@@ -300,7 +407,7 @@ def test_load_model_fuzz(tmp_path_factory, model_texts, data):
 ])
 def test_fourier_order_bounded(tmp_path, order, loads):
     path = tmp_path / "model.json"
-    save_model(path, CompensationModel(KIND_FOURIER, "enc", fourier_model()))
+    save_model(path, CompensationModel("enc", fourier_model()))
     doc = json.loads(path.read_text())
     doc["terms"][1]["n"] = order
     path.write_text(json.dumps(doc))
@@ -312,45 +419,47 @@ def test_fourier_order_bounded(tmp_path, order, loads):
 
 
 def test_constructor_rejects_mismatched_payload():
-    with pytest.raises(KindMismatch):
-        CompensationModel(KIND_ANN, "enc", fourier_model())
-    with pytest.raises(KindMismatch):
-        CompensationModel("lookup-table", "enc", fourier_model())
+    # the kind is the payload's type; any other payload has no kind
+    assert CompensationModel("enc", fourier_model()).kind == KIND_FOURIER
+    assert CompensationModel("enc", trained_like_net(hidden=2)).kind == KIND_ANN
+    for payload in ("lookup-table", None, trained_like_net(hidden=2).params):
+        with pytest.raises(KindMismatch, match=r"^no model kind holds a (str|NoneType|ndarray) payload$"):
+            CompensationModel("enc", payload)
 
 
 # --- prediction and correction ---
 
 def test_predict_constant_fourier():
-    model = CompensationModel(KIND_FOURIER, "enc", FourierModel(1.0, ()))
+    model = CompensationModel("enc", FourierModel(1.0, ()))
     assert predict_error(model, 0.0) == 1.0
     assert predict_error(model, 213.7) == 1.0
 
 
 def test_predict_wraps_angle():
-    model = CompensationModel(KIND_ANN, "enc", trained_like_net())
+    model = CompensationModel("enc", trained_like_net())
     assert predict_error(model, 0.0) == predict_error(model, 360.0)
     assert predict_error(model, -10.0) == predict_error(model, 350.0)
 
 
 def test_correct_zero_model_is_identity():
-    model = CompensationModel(KIND_FOURIER, "enc", FourierModel(0.0, ()))
+    model = CompensationModel("enc", FourierModel(0.0, ()))
     for theta in (0.0, 100.0, 359.99):
         assert correct(model, theta) == theta
 
 
 def test_correct_wraps_across_seam():
     # +3' predicted at 0.01 deg: corrected angle crosses to 359.96
-    model = CompensationModel(KIND_FOURIER, "enc", FourierModel(3.0, ()))
+    model = CompensationModel("enc", FourierModel(3.0, ()))
     assert correct(model, 0.01) == pytest.approx(359.96, abs=1e-12)
 
 
 def test_correct_hand_value():
-    model = CompensationModel(KIND_FOURIER, "enc", FourierModel(-1.2, ()))
+    model = CompensationModel("enc", FourierModel(-1.2, ()))
     assert correct(model, 100.0) == pytest.approx(100.02, abs=1e-12)
 
 
 def test_array_non_finite_angle_named():
-    model = CompensationModel(KIND_FOURIER, "enc", fourier_model())
+    model = CompensationModel("enc", fourier_model())
     for call in (predict_error, correct):
         with pytest.raises(OutOfRange, match=r"^angle -inf is not finite$"):
             call(model, np.array([10.0, -math.inf, math.nan]))
@@ -359,9 +468,7 @@ def test_array_non_finite_angle_named():
 @settings(max_examples=200)
 @given(theta=st.floats(min_value=-720.0, max_value=720.0))
 def test_correction_identity(theta):
-    model = CompensationModel(
-        KIND_FOURIER, "enc", FourierModel(0.8, (FourierTerm(2, 1.1, -0.4),))
-    )
+    model = CompensationModel("enc", FourierModel(0.8, (FourierTerm(2, 1.1, -0.4),)))
     corrected = correct(model, theta)
     predicted = predict_error(model, theta)
     assert 0.0 <= corrected < 360.0
@@ -379,7 +486,7 @@ def zero_error_calset(n=8):
 
 def test_evaluate_perfect_model():
     cal = zero_error_calset()
-    model = CompensationModel(KIND_FOURIER, "perfect", FourierModel(0.0, ()))
+    model = CompensationModel("perfect", FourierModel(0.0, ()))
     report = evaluate(model, cal)
     assert report.post_stats.mae_arcmin == 0.0
     assert report.post_stats.rms_arcmin == 0.0
@@ -387,14 +494,14 @@ def test_evaluate_perfect_model():
 
 
 def test_predict_error_tracks_training_point(arch1_data, arch1_lm80):
-    model = CompensationModel(KIND_ANN, "arch1", arch1_lm80[0])
+    model = CompensationModel("arch1", arch1_lm80[0])
     profile = dict(arch1_data["train_prof"].points.tolist())
     angle = min(profile, key=lambda a: abs(a - 10.0))
     assert abs(predict_error(model, angle) - profile[angle]) <= 0.3
 
 
 def test_evaluate_report_consistency(arch1_data, arch1_lm80):
-    model = CompensationModel(KIND_ANN, "arch1", arch1_lm80[0])
+    model = CompensationModel("arch1", arch1_lm80[0])
     report = evaluate(model, arch1_data["test_set"])
     assert report.rows.shape == (len(arch1_data["test_set"]), 4)
     assert not report.rows.flags.writeable
@@ -471,5 +578,5 @@ def test_run_experiment_loadable_models(tmp_path):
     result = run_experiment(small_cal(), tmp_path / "out", SMALL_CFG)
     ann = load_model(tmp_path / "out" / "ann_model.json")
     fou = load_model(tmp_path / "out" / "fourier_model.json")
-    assert np.array_equal(ann.payload.to_vector(), result.ann_model.payload.to_vector())
+    assert np.array_equal(ann.payload.params, result.ann_model.payload.params)
     assert fou.payload == result.fourier_model.payload

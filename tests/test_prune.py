@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rescomp.errors import ShapeMismatch
-from rescomp.network import Dataset, NetworkShape, init_network, sigmoid
+from rescomp.errors import BadConfig, ShapeMismatch
+from rescomp.network import Dataset, init_network, sigmoid
 from rescomp.optim import TrainingConfig, train_lm
 from rescomp.prune import (
     activation_matrix,
@@ -19,8 +19,8 @@ from tests.conftest import heldout_residuals
 # --- activation matrix ---
 
 def test_activation_matrix_zero_weights():
-    net = init_network(NetworkShape(1, 4, 1), seed=0)
-    params = np.zeros(net.n_params)
+    net = init_network(4, seed=0)
+    params = np.zeros(net.params.size)
     params[4:8] = [0.5, -0.5, 1.0, 0.0]  # hidden thresholds
     net = net.with_params(params)
     data = Dataset([[0.2], [0.7], [0.9]], [[0.5], [0.5], [0.5]])
@@ -32,7 +32,7 @@ def test_activation_matrix_zero_weights():
 
 def test_activation_matrix_hand_case():
     # single pattern x=0.3, hidden weights [2, -1], thresholds [0.1, -0.2]
-    net = init_network(NetworkShape(1, 2, 1), seed=0)
+    net = init_network(2, seed=0)
     net = net.with_params(np.array([2.0, -1.0, 0.1, -0.2, 0.0, 0.0, 0.0]))
     data = Dataset([[0.3]], [[0.5]])
     X = activation_matrix(net, data)
@@ -47,10 +47,10 @@ def test_activation_matrix_dimensions(arch1_data, arch1_lm80):
 
 
 def test_activation_matrix_shape_mismatch():
-    # a 2-input net or a 2-input dataset cannot be built, so neither reaches
-    # activation_matrix
+    # a 2-output net (the 14 parameters of 1:3:2) or a 2-input dataset cannot
+    # be built, so neither reaches activation_matrix
     with pytest.raises(ShapeMismatch):
-        NetworkShape(2, 3, 1)
+        init_network(3, seed=0).with_params(np.zeros(14))
     with pytest.raises(ShapeMismatch):
         Dataset([[0.1, 0.2]], [[0.5]])
 
@@ -88,9 +88,9 @@ def test_effective_rank_basic():
 
 
 def test_effective_rank_tol_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         effective_rank(np.array([1.0]), rel_tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         effective_rank(np.array([1.0]), rel_tol=1.0)
 
 
@@ -128,13 +128,13 @@ def test_prune_and_retrain_small_problem():
     net, report = prune_and_retrain(data, initial_hidden=2, cfg=cfg)
     assert report.initial_hidden == 2
     assert 1 <= report.pruned_hidden <= 2
-    assert net.shape.n_hidden == report.pruned_hidden
+    assert net.n_hidden == report.pruned_hidden
     assert len(report.spectrum_initial) == 2
 
 
 def test_prune_and_retrain_validates_width():
     data = Dataset([[0.5]], [[0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         prune_and_retrain(data, initial_hidden=1, cfg=TrainingConfig())
 
 
@@ -145,9 +145,9 @@ def test_prune_reference_profile(arch1_data, arch1_lm80):
 
     def train(net, d, c):
         # the 80-wide training asked for is the fixture's, so reuse its result
-        if net.shape.n_hidden != 80:
+        if net.n_hidden != 80:
             return train_lm(net, d, c)
-        assert np.array_equal(net.to_vector(), arch1_data["net0"].to_vector())
+        assert np.array_equal(net.params, arch1_data["net0"].params)
         assert d is data and c == cfg
         return arch1_lm80
 
