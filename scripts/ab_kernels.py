@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of two rescomp source trees' training and forward kernels.
+"""In-process A/B timing of two rescomp source trees' training, forward and stream paths.
 
 Loads the `rescomp` package of two source trees (`--base` and `--change`,
 each a directory holding `rescomp/`) into one process under different
@@ -14,10 +14,14 @@ even-degree training half of a simulated archetype (180 patterns):
     lm-40    Levenberg-Marquardt, 1:40:1, archetype 2, 600 iterations
     lm-6     Levenberg-Marquardt, 1:6:1, archetype 2, 600 iterations
 
-and `forward_batch` on 128 rows (the `correct --stdin` batch) at J = 6, 40
-and 80, each sample a run of calls.  Every training history, trained
-parameter vector and forward output must be bit-identical between the
-trees; the script exits 1 at the first difference.  It writes, per case,
+`forward_batch` on 1 024 rows (the `correct --stdin` block) at J = 6, 40
+and 80, each sample a run of calls, and each tree's
+`cli.main(["correct", "--model", M, "--stdin"])` over the same 6 000 seeded
+16-bit codes, for a 1:80:1 net and a 10-term Fourier model (stream-ann-80,
+stream-fourier-10), each sample a few runs of the stream.  Every training
+history, trained parameter vector, forward output and stream's standard
+output bytes must be identical between the trees; the script exits 1 at the
+first difference.  It writes, per case,
 both trees' medians and quartiles, the ratio of medians (change / base) and
 the number of pairs the change won, with the Python, numpy and BLAS thread
 settings and the CPU model.
@@ -42,10 +46,13 @@ os.environ["OMP_NUM_THREADS"] = "1"
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
+from contextlib import redirect_stdout  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -57,9 +64,11 @@ TRAININGS = {
     "lm-40": ("lm", 40, 2, 600),
     "lm-6": ("lm", 6, 2, 600),
 }
-FORWARD_ROWS = 128
+FORWARD_ROWS = 1024
 FORWARD_WIDTHS = (6, 40, 80)
-FORWARD_CALLS = 2000   # per sample
+FORWARD_CALLS = 250    # per sample
+STREAM_CODES = 6000
+STREAM_RUNS = 5        # per sample
 SEED = 42
 
 
@@ -74,7 +83,7 @@ def load_tree(src: Path, alias: str):
     sys.modules[alias] = package
     spec.loader.exec_module(package)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("caldata", "network", "optim", "simgen")}
+            for name in ("caldata", "cli", "fourier", "network", "optim", "pipeline", "simgen")}
 
 
 def tree_digest(src: Path) -> str:
@@ -103,7 +112,7 @@ def training_case(m, optimizer: str, hidden: int, archetype: int, iterations: in
 
 
 def forward_case(m, hidden: int, calls: int):
-    """A zero-argument run of `calls` forward passes over 128 rows."""
+    """A zero-argument run of `calls` forward passes over `FORWARD_ROWS` rows."""
     net = m["network"].init_network(hidden, SEED)
     x = np.linspace(0.0, 1.0, FORWARD_ROWS, endpoint=False)[:, np.newaxis]
     forward_batch = m["network"].forward_batch
@@ -113,6 +122,64 @@ def forward_case(m, hidden: int, calls: int):
             forward_batch(net, x)
         return forward_batch(net, x).tobytes()
     return run
+
+
+def write_stream_inputs(m, workdir: Path) -> dict:
+    """Save a seeded 1:80:1 net and a 10-term Fourier model with tree `m`, and
+    write `STREAM_CODES` seeded 16-bit codes, one angle a line, as an R/D
+    converter emits them.  Returns {case name: (model path, codes path)}."""
+    rng = np.random.default_rng(SEED)
+    net = m["network"].init_network(80, SEED)
+    net = net.with_params(rng.normal(0.0, 3.0, net.params.size))
+    series = m["fourier"].FourierModel(0.3, tuple(
+        m["fourier"].FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in range(1, 11)))
+    codes = workdir / "codes.txt"
+    codes.write_text("".join(f"{float(k) * m['simgen'].LSB_DEG!r}\n"
+                             for k in rng.integers(0, 65536, STREAM_CODES)), encoding="utf-8")
+    cases = {}
+    for name, payload in (("stream-ann-80", net), ("stream-fourier-10", series)):
+        path = workdir / f"{name}.json"
+        m["pipeline"].save_model(path, m["pipeline"].CompensationModel("ab", payload))
+        cases[name] = (path, codes)
+    return cases
+
+
+def stream_case(m, model: Path, codes: Path, runs: int):
+    """A zero-argument run of `runs` `correct --stdin` streams of `codes`
+    through tree `m`'s command line, returning the last run's stdout bytes."""
+    def run():
+        for _ in range(runs):
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+            with open(codes, encoding="utf-8") as fin, redirect_stdout(out):
+                stdin, sys.stdin = sys.stdin, fin
+                try:
+                    code = m["cli"].main(["correct", "--model", str(model), "--stdin"])
+                    out.flush()
+                finally:
+                    sys.stdin = stdin
+            if code != 0:
+                raise SystemExit(f"correct --stdin exited {code} on {model}")
+        return out.buffer.getvalue()
+    return run
+
+
+def time_rounds(cases: dict, rounds: int) -> dict | None:
+    """Per case and tree, the wall seconds of each round's run; the tree that
+    runs first alternates.  None at the first round whose results differ."""
+    seconds = {name: {"base": [], "change": []} for name in cases}
+    for r in range(rounds):
+        order = ("base", "change") if r % 2 == 0 else ("change", "base")
+        for name, runs in cases.items():
+            results = {}
+            for side in order:
+                start = time.perf_counter()
+                results[side] = runs[side]()
+                seconds[name][side].append(time.perf_counter() - start)
+            if results["base"] != results["change"]:
+                print(f"{name}: the trees' results differ in round {r}", file=sys.stderr)
+                return None
+        print(f"round {r + 1}/{rounds} done", file=sys.stderr)
+    return seconds
 
 
 def quartiles(values):
@@ -158,19 +225,13 @@ def main(argv=None) -> int:
         cases[f"forward-{FORWARD_ROWS}x{hidden}"] = {
             side: forward_case(m, hidden, scaled(FORWARD_CALLS)) for side, m in trees.items()}
 
-    seconds = {name: {"base": [], "change": []} for name in cases}
-    for r in range(args.rounds):
-        order = ("base", "change") if r % 2 == 0 else ("change", "base")
-        for name, runs in cases.items():
-            results = {}
-            for side in order:
-                start = time.perf_counter()
-                results[side] = runs[side]()
-                seconds[name][side].append(time.perf_counter() - start)
-            if results["base"] != results["change"]:
-                print(f"{name}: the trees' results differ in round {r}", file=sys.stderr)
-                return 1
-        print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, (model, codes) in write_stream_inputs(trees["base"], Path(workdir)).items():
+            cases[name] = {side: stream_case(m, model, codes, scaled(STREAM_RUNS))
+                           for side, m in trees.items()}
+        seconds = time_rounds(cases, args.rounds)
+    if seconds is None:
+        return 1
 
     report = {}
     for name, by_side in seconds.items():
@@ -198,6 +259,9 @@ def main(argv=None) -> int:
                              "iterations": scaled(n), "patterns": 180}
                       for name, (o, j, a, n) in TRAININGS.items()},
         "forward": {"rows": FORWARD_ROWS, "calls_per_sample": scaled(FORWARD_CALLS)},
+        "stream": {"codes": STREAM_CODES, "runs_per_sample": scaled(STREAM_RUNS),
+                   "models": {"stream-ann-80": "seeded 1:80:1 net",
+                              "stream-fourier-10": "seeded 10-term Fourier model"}},
         "base_digest": tree_digest(args.base),
         "change_digest": tree_digest(args.change),
         "environment": {

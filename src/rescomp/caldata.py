@@ -56,6 +56,24 @@ def wrap_deg(angle_deg):
     return wrapped
 
 
+# Element bound of a kernel's largest temporary: `network.forward_batch` and
+# `fourier.eval_fourier` evaluate a long batch in chunks of `chunk_rows(width)`
+# rows, so that each (rows, width) float64 temporary stays at 125 KiB, under
+# glibc's default 128 KiB mmap threshold (see `cli.STDIN_BATCH_LINES`).
+CHUNK_ELEMENTS = 16_000
+# Chunk lengths are multiples of this: a matrix-vector kernel computes the rows
+# of a product in groups, and a group rounds differently from the rows left
+# over after the last group, so a row keeps its bits only when every chunk
+# starts at a group boundary of the whole batch.
+CHUNK_ROW_MULTIPLE = 8
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per kernel call for a batch whose temporaries are `width` wide."""
+    rows = CHUNK_ELEMENTS // max(width, 1)
+    return max(CHUNK_ROW_MULTIPLE, rows - rows % CHUNK_ROW_MULTIPLE)
+
+
 def readonly(values, order: str = "K") -> np.ndarray:
     """A read-only float64 copy of `values`, laid out in `order`."""
     a = np.array(values, dtype=float, order=order)

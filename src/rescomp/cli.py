@@ -17,13 +17,16 @@ from itertools import islice
 from . import caldata, optim, pipeline, prune, simgen
 from .errors import MalformedRow, OutOfRange, RescompError
 
-# Lines of `correct --stdin` read per block, one `pipeline.correct` call each.  Keep
-# every per-block temporary under glibc's default 128 KiB mmap threshold: the
-# (128, 80) float64 hidden block of a 1:80:1 net is 80 KiB.  A larger block is
-# mmapped, and freeing it raises glibc's threshold to its size, so later
-# temporaries of that size (the linear algebra of a fit in the same process)
-# come from the heap instead of fresh mmaps and run at a different speed.
-STDIN_BATCH_LINES = 128
+# Lines of `correct --stdin` read per block, one `pipeline.correct` call each.
+# Per-call dispatch dominates short blocks: on a 1:80:1 net at one BLAS thread,
+# 6 144 angles took 3.32 ms in 128-row calls and 1.73 ms in 1 024-row calls.
+# The kernels run a block in row chunks (`caldata.chunk_rows`), so that no
+# temporary reaches glibc's default 128 KiB mmap threshold.  Unchunked, the
+# (1 024, 80) hidden block is 640 KiB: it is mmapped, and freeing it raises
+# glibc's threshold to 640 KiB, so later temporaries of a few hundred KiB in
+# the same process (the 241 x 241 normal equations of a fit) come from the
+# heap instead of fresh mmaps and run at a different speed.
+STDIN_BATCH_LINES = 1024
 
 
 def _experiment_config(args) -> pipeline.ExperimentConfig:

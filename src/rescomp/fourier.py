@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caldata import ErrorProfile
+from .caldata import ErrorProfile, chunk_rows
 from .errors import (
     BadConfig,
     EmptyProfile,
@@ -178,14 +178,23 @@ def fit_fourier(profile: ErrorProfile, orders) -> FourierModel:
 
 
 def eval_fourier(model: FourierModel, theta_enc_deg) -> float | np.ndarray:
-    """Model error in arc-minutes at the given encoder angle(s) in degrees."""
+    """Model error in arc-minutes at the given encoder angle(s) in degrees.
+
+    Angles run in chunks of `chunk_rows(terms)`, so each (terms, chunk)
+    temporary stays under 128 KiB; every value is computed element by element,
+    so the chunking leaves its bits as they are.
+    """
     theta = np.radians(np.asarray(theta_enc_deg, dtype=float))
     orders, a, b = np.array([(t.n, t.a, t.b) for t in model.terms], dtype=float).reshape(-1, 3).T
-    angle = np.multiply.outer(orders, theta.ravel())
-    terms = a[:, np.newaxis] * np.cos(angle) + b[:, np.newaxis] * np.sin(angle)
+    flat = theta.ravel()
     value = np.full(theta.size, model.a0)
-    for row in terms:  # term by term, so the sum rounds as a per-term loop does
-        value += row
+    rows = chunk_rows(len(model.terms))
+    for start in range(0, flat.size, rows):
+        angle = np.multiply.outer(orders, flat[start:start + rows])
+        terms = a[:, np.newaxis] * np.cos(angle) + b[:, np.newaxis] * np.sin(angle)
+        part = value[start:start + rows]
+        for row in terms:  # term by term, so the sum rounds as a per-term loop does
+            part += row
     if np.isscalar(theta_enc_deg) or np.ndim(theta_enc_deg) == 0:
         return float(value[0])
     return value.reshape(theta.shape)

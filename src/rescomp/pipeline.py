@@ -67,6 +67,12 @@ KIND_FOURIER = "fourier"
 # an exact float64
 MAX_FOURIER_ORDER = 2 ** 53
 
+# The widest hidden layer a fit accepts: 25 times the paper's 80 nodes and
+# 6 001 parameters against the 180 patterns of a 2-degree grid.  At this width
+# a `correct --stdin` chunk of 8 rows (`caldata.CHUNK_ROW_MULTIPLE`) still holds
+# its (8, J) hidden block under 128 KiB, and one LM Jacobian row is 48 KB.
+MAX_HIDDEN = 2000
+
 # the model-file keys that hold each model kind's payload
 _PAYLOAD_KEYS = {
     KIND_ANN: ("shape", "input_norm", "target_norm", "hidden_weights",
@@ -278,6 +284,8 @@ class ExperimentConfig:
         trainer(self.optimizer)  # BadConfig for an unknown optimizer name
         if self.hidden < 1:
             raise BadConfig("hidden must be >= 1")
+        if self.hidden > MAX_HIDDEN:
+            raise BadConfig(f"hidden must be <= {MAX_HIDDEN}, got {self.hidden!r}")
         if self.top_orders < 0:
             raise BadConfig(f"top_orders must be >= 0, got {self.top_orders!r}")
         if self.prune and self.hidden < 2:
@@ -361,11 +369,19 @@ def fit_network(
 def fit_fourier_baseline(
     profile: ErrorProfile, top: int
 ) -> tuple[FourierModel, HarmonicSpectrum, list[int]]:
-    """Fit the Fourier series on the `top` strongest harmonics of a profile
-    (all of them if it has fewer).  Returns the model, the spectrum and the
-    fitted orders."""
+    """Fit the Fourier series on the `top` strongest harmonics of a profile.
+    Returns the model, the spectrum and the fitted orders.
+
+    BadConfig names `top` and the largest value the profile can fit: every
+    order but 0 (the DC term, always fitted) adds two coefficients, and a
+    profile of P samples fits at most P of them."""
     spectrum = harmonic_spectrum(profile)
-    orders = select_top(spectrum, min(top, len(spectrum)))
+    coefficients = 1 + 2 * np.cumsum([e.order != 0 for e in spectrum.entries])
+    limit = int(np.searchsorted(coefficients, len(profile), side="right"))
+    if not 0 <= top <= limit:
+        raise BadConfig(f"top must be in [0, {limit}] for a profile of {len(profile)} "
+                        f"samples, got {top}")
+    orders = select_top(spectrum, top)
     return fit_fourier(profile, orders), spectrum, orders
 
 
@@ -380,8 +396,10 @@ def run_experiment(
     train_prof = error_profile(train_set)
     full_stats = stats(error_profile(cal))
 
-    trained, history, prune_report = fit_network(train_prof, cfg)
+    # the Fourier fit takes milliseconds and fails on a `top_orders` too large
+    # for the profile: it runs first, so that such a run stops before training
     series, spectrum, orders = fit_fourier_baseline(train_prof, cfg.top_orders)
+    trained, history, prune_report = fit_network(train_prof, cfg)
     ann_model = CompensationModel(cal.encoder_id, trained)
     fourier_model = CompensationModel(cal.encoder_id, series)
     ann_report = evaluate(ann_model, test_set)

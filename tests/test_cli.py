@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,8 @@ def test_array_correct_agrees_with_scalar(stream_case):
     assert np.minimum(gap, 360.0 - gap).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [STDIN_BATCH_LINES - 1, STDIN_BATCH_LINES, STDIN_BATCH_LINES + 1])
+@pytest.mark.parametrize("n", [STDIN_BATCH_LINES - 1, STDIN_BATCH_LINES, STDIN_BATCH_LINES + 1],
+                         ids=["one-short", "full", "one-over"])
 def test_stdin_batch_edges(stream_case, capsys, monkeypatch, n):
     path, _model, scalar = stream_case
     assert stream(path, monkeypatch, ALL_CODES[:n]) == 0
@@ -211,38 +213,45 @@ def test_stdin_lines_before_bad_one_are_written(stream_case, capsys, monkeypatch
 
 
 def test_stdin_blank_run_across_blocks(stream_case, capsys, monkeypatch):
-    # 100 angles, 200 blank lines over the first and second block boundary,
-    # then 50 angles: the third block is 94 lines long
+    # B - 28 angles, B + 72 blank lines over the first and second block
+    # boundary, then 50 angles: the third block is 94 lines long
     path, _model, scalar = stream_case
-    text = angle_lines(ALL_CODES[:100]) + "\n" * 200 + angle_lines(ALL_CODES[100:150])
+    head = STDIN_BATCH_LINES - 28
+    text = (angle_lines(ALL_CODES[:head]) + "\n" * (STDIN_BATCH_LINES + 72)
+            + angle_lines(ALL_CODES[head:head + 50]))
     assert stream_text(path, monkeypatch, text) == 0
-    assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar[:150]]
+    assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar[:head + 50]]
 
 
 @pytest.mark.parametrize("pad", ["", " \t"])
 def test_stdin_crlf_and_padded_lines(stream_case, capsys, monkeypatch, pad):
-    # 300 lines: two full blocks and a partial one, with a whitespace-only
+    # 2B + 44 lines: two full blocks and a partial one, with a whitespace-only
     # line in the second block
     path, _model, scalar = stream_case
-    text = (angle_lines(ALL_CODES[:200], pad, "\r\n") + f"{pad}\r\n"
-            + angle_lines(ALL_CODES[200:299], pad, "\r\n"))
+    head, n = STDIN_BATCH_LINES + 72, 2 * STDIN_BATCH_LINES + 43
+    text = (angle_lines(ALL_CODES[:head], pad, "\r\n") + f"{pad}\r\n"
+            + angle_lines(ALL_CODES[head:n], pad, "\r\n"))
     assert stream_text(path, monkeypatch, text) == 0
-    assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar[:299]]
+    assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar[:n]]
+
+
+BAD_LINE = 2 * STDIN_BATCH_LINES + 7  # 263 at 128-line blocks
 
 
 @pytest.mark.parametrize("line, message", [
-    ("inf", "OutOfRange: stdin line 263: angle inf is not finite"),
-    (" x\r", "MalformedRow: stdin line 263: not an angle: 'x'"),
+    pytest.param("inf", f"OutOfRange: stdin line {BAD_LINE}: angle inf is not finite", id="inf"),
+    pytest.param(" x\r", f"MalformedRow: stdin line {BAD_LINE}: not an angle: 'x'", id="x"),
 ])
 def test_stdin_bad_line_in_third_block(stream_case, capsys, monkeypatch, line, message):
-    # two full blocks hold 255 angles and a blank line (101); the third block
-    # holds a blank line (257), 5 angles (258-262) and the bad line (263)
+    # two full blocks hold 2B - 1 angles and a blank line (101); the third
+    # block holds a blank line (2B + 1), 5 angles and the bad line (2B + 7)
     path, _model, scalar = stream_case
-    text = (angle_lines(ALL_CODES[:100]) + "\n" + angle_lines(ALL_CODES[100:255]) + "\n"
-            + angle_lines(ALL_CODES[255:260]) + f"{line}\n1.0\n")
+    n = 2 * STDIN_BATCH_LINES + 4
+    text = (angle_lines(ALL_CODES[:100]) + "\n" + angle_lines(ALL_CODES[100:n - 5]) + "\n"
+            + angle_lines(ALL_CODES[n - 5:n]) + f"{line}\n1.0\n")
     assert stream_text(path, monkeypatch, text) == 1
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == [f"{c:.6f}" for c in scalar[:260]]
+    assert captured.out.splitlines() == [f"{c:.6f}" for c in scalar[:n]]
     assert captured.err == message + "\n"
 
 
@@ -327,20 +336,67 @@ def test_bad_training_flag_fails_with_error_name(tmp_path, train_csv, capsys, fl
     assert not out.exists()
 
 
+def no_training(*_args):
+    raise AssertionError("the command started training before it checked its flags")
+
+
 def test_negative_top_fails_with_error_name(tmp_path, spec_file, train_csv, capsys, monkeypatch):
     """`fourier` names a negative `--top`; `run-experiment` does so before training."""
     out = tmp_path / "out"
     assert main(["fourier", "--data", str(train_csv), "--top", "-1", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "BadConfig: count must be in [0, 91], got -1\n"
+    assert capsys.readouterr().err == (
+        "BadConfig: top must be in [0, 90] for a profile of 180 samples, got -1\n")
     assert not out.exists()
-
-    def no_training(*_args):
-        raise AssertionError("run-experiment started training before it checked --top")
 
     monkeypatch.setattr(pipeline, "fit_network", no_training)
     args = ["run-experiment", "--spec", str(spec_file), "--outdir", str(out), "--top", "-3"]
     assert main(args) == 1
     assert capsys.readouterr().err == "BadConfig: top_orders must be >= 0, got -3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("top", ["91", "200"])
+def test_unfittable_top_fails_with_error_name(
+    tmp_path, spec_file, train_csv, capsys, monkeypatch, top
+):
+    """A 2-degree grid has 180 samples, which fit the DC term and 89 other
+    orders; `run-experiment` trains on such a half of a 1-degree grid and
+    fails before training."""
+    message = f"BadConfig: top must be in [0, 90] for a profile of 180 samples, got {top}\n"
+    out = tmp_path / "out"
+    assert main(["fourier", "--data", str(train_csv), "--top", top, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+    monkeypatch.setattr(pipeline, "fit_network", no_training)
+    args = ["run-experiment", "--spec", str(spec_file), "--outdir", str(out), "--top", top]
+    assert main(args) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "prune", "run-experiment"])
+@pytest.mark.parametrize("hidden", [pipeline.MAX_HIDDEN + 1, 10_000_000])
+def test_hidden_above_bound_fails_before_allocating(
+    tmp_path, spec_file, train_csv, capsys, monkeypatch, command, hidden
+):
+    """Never allocates the net: building one would fail the test, and the
+    peak traced memory stays far below one (P, J) block."""
+    monkeypatch.setattr(pipeline, "init_network", no_training)
+    monkeypatch.setattr(pipeline, "fit_network", no_training)
+    out = tmp_path / "out"
+    args = {"run-experiment": ["--spec", str(spec_file), "--outdir", str(out)],
+            "train": ["--data", str(train_csv), "--out", str(out)],
+            "prune": ["--data", str(train_csv), "--out", str(out)]}[command]
+    tracemalloc.start()
+    try:
+        code = main([command, *args, "--hidden", str(hidden)])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == f"BadConfig: hidden must be <= 2000, got {hidden}\n"
+    assert peak < 1 << 20
     assert not out.exists()
 
 

@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescomp.caldata import CalibrationSet
-from rescomp.errors import CorruptFile, KindMismatch, OutOfRange, RescompError, UnsupportedVersion
+from rescomp.caldata import CalibrationSet, ErrorProfile
+from rescomp.errors import BadConfig, CorruptFile, KindMismatch, OutOfRange, RescompError, UnsupportedVersion
 from rescomp.fourier import FourierModel, FourierTerm
 from rescomp.network import init_network
 from rescomp.optim import TrainingConfig
 from rescomp.pipeline import (
     KIND_ANN,
     KIND_FOURIER,
+    MAX_HIDDEN,
     CompensationModel,
     ExperimentConfig,
     correct,
     evaluate,
+    fit_fourier_baseline,
     load_model,
     predict_error,
     run_experiment,
@@ -534,6 +536,27 @@ def small_cal():
         seed=7,
     )
     return synthesize(spec, grid_step_deg=1.0, encoder_id="small")
+
+
+def test_hidden_bound():
+    assert ExperimentConfig(hidden=MAX_HIDDEN).hidden == MAX_HIDDEN
+    with pytest.raises(BadConfig, match=f"hidden must be <= {MAX_HIDDEN}, got {MAX_HIDDEN + 1}"):
+        ExperimentConfig(hidden=MAX_HIDDEN + 1)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_fourier_baseline_top_limit(n):
+    """The DC term and two coefficients per other order, at most one per
+    sample: 15 samples fit all eight orders, 16 samples fit the DC term and 7
+    of the 8 harmonic orders (the absent order 8 ranks last)."""
+    angles = np.arange(n) * (360.0 / n)
+    theta = np.radians(angles)
+    errors = 3.0 + sum(np.cos(k * theta) / k for k in range(1, 8))
+    profile = ErrorProfile(np.stack((angles, errors), axis=1))
+    _model, _spectrum, orders = fit_fourier_baseline(profile, 8)
+    assert sorted(orders) == list(range(8))
+    with pytest.raises(BadConfig, match=rf"top must be in \[0, 8\] for a profile of {n} samples"):
+        fit_fourier_baseline(profile, 9)
 
 
 def test_run_experiment_writes_bundle(tmp_path):
