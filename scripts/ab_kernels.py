@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of two rescomp source trees' training, forward and stream paths.
+"""In-process A/B timing of two rescomp source trees' training, prediction and stream paths.
 
 Loads the `rescomp` package of two source trees (`--base` and `--change`,
 each a directory holding `rescomp/`) into one process under different
@@ -14,12 +14,13 @@ even-degree training half of a simulated archetype (180 patterns):
     lm-40    Levenberg-Marquardt, 1:40:1, archetype 2, 600 iterations
     lm-6     Levenberg-Marquardt, 1:6:1, archetype 2, 600 iterations
 
-`forward_batch` on 1 024 rows (the `correct --stdin` block) at J = 6, 40
+`pipeline.predict_error` of a seeded 1:J:1 `CompensationModel` on 1 024
+angles (the `correct --stdin` block call, row chunks included) at J = 6, 40
 and 80, each sample a run of calls, and each tree's
 `cli.main(["correct", "--model", M, "--stdin"])` over the same 6 000 seeded
 16-bit codes, for a 1:80:1 net and a 10-term Fourier model (stream-ann-80,
 stream-fourier-10), each sample a few runs of the stream.  Every training
-history, trained parameter vector, forward output and stream's standard
+history, trained parameter vector, predicted error and stream's standard
 output bytes must be identical between the trees; the script exits 1 at the
 first difference.  It writes, per case,
 both trees' medians and quartiles, the ratio of medians (change / base) and
@@ -64,9 +65,9 @@ TRAININGS = {
     "lm-40": ("lm", 40, 2, 600),
     "lm-6": ("lm", 6, 2, 600),
 }
-FORWARD_ROWS = 1024
-FORWARD_WIDTHS = (6, 40, 80)
-FORWARD_CALLS = 250    # per sample
+PREDICT_ANGLES = 1024
+PREDICT_WIDTHS = (6, 40, 80)
+PREDICT_CALLS = 250    # per sample
 STREAM_CODES = 6000
 STREAM_RUNS = 5        # per sample
 SEED = 42
@@ -111,16 +112,16 @@ def training_case(m, optimizer: str, hidden: int, archetype: int, iterations: in
     return run
 
 
-def forward_case(m, hidden: int, calls: int):
-    """A zero-argument run of `calls` forward passes over `FORWARD_ROWS` rows."""
-    net = m["network"].init_network(hidden, SEED)
-    x = np.linspace(0.0, 1.0, FORWARD_ROWS, endpoint=False)[:, np.newaxis]
-    forward_batch = m["network"].forward_batch
+def predict_case(m, hidden: int, calls: int):
+    """A zero-argument run of `calls` error predictions on `PREDICT_ANGLES` angles."""
+    model = m["pipeline"].CompensationModel("ab", m["network"].init_network(hidden, SEED))
+    angles = np.linspace(0.0, 360.0, PREDICT_ANGLES, endpoint=False)
+    predict_error = m["pipeline"].predict_error
 
     def run():
         for _ in range(calls - 1):
-            forward_batch(net, x)
-        return forward_batch(net, x).tobytes()
+            predict_error(model, angles)
+        return predict_error(model, angles).tobytes()
     return run
 
 
@@ -221,9 +222,9 @@ def main(argv=None) -> int:
     for name, (optimizer, hidden, archetype, iterations) in TRAININGS.items():
         cases[name] = {side: training_case(m, optimizer, hidden, archetype, scaled(iterations))
                        for side, m in trees.items()}
-    for hidden in FORWARD_WIDTHS:
-        cases[f"forward-{FORWARD_ROWS}x{hidden}"] = {
-            side: forward_case(m, hidden, scaled(FORWARD_CALLS)) for side, m in trees.items()}
+    for hidden in PREDICT_WIDTHS:
+        cases[f"predict-{PREDICT_ANGLES}x{hidden}"] = {
+            side: predict_case(m, hidden, scaled(PREDICT_CALLS)) for side, m in trees.items()}
 
     with tempfile.TemporaryDirectory() as workdir:
         for name, (model, codes) in write_stream_inputs(trees["base"], Path(workdir)).items():
@@ -258,7 +259,7 @@ def main(argv=None) -> int:
         "trainings": {name: {"optimizer": o, "hidden": j, "archetype": a,
                              "iterations": scaled(n), "patterns": 180}
                       for name, (o, j, a, n) in TRAININGS.items()},
-        "forward": {"rows": FORWARD_ROWS, "calls_per_sample": scaled(FORWARD_CALLS)},
+        "predict": {"angles": PREDICT_ANGLES, "calls_per_sample": scaled(PREDICT_CALLS)},
         "stream": {"codes": STREAM_CODES, "runs_per_sample": scaled(STREAM_RUNS),
                    "models": {"stream-ann-80": "seeded 1:80:1 net",
                               "stream-fourier-10": "seeded 10-term Fourier model"}},

@@ -56,24 +56,6 @@ def wrap_deg(angle_deg):
     return wrapped
 
 
-# Element bound of a kernel's largest temporary: `network.forward_batch` and
-# `fourier.eval_fourier` evaluate a long batch in chunks of `chunk_rows(width)`
-# rows, so that each (rows, width) float64 temporary stays at 125 KiB, under
-# glibc's default 128 KiB mmap threshold (see `cli.STDIN_BATCH_LINES`).
-CHUNK_ELEMENTS = 16_000
-# Chunk lengths are multiples of this: a matrix-vector kernel computes the rows
-# of a product in groups, and a group rounds differently from the rows left
-# over after the last group, so a row keeps its bits only when every chunk
-# starts at a group boundary of the whole batch.
-CHUNK_ROW_MULTIPLE = 8
-
-
-def chunk_rows(width: int) -> int:
-    """Rows per kernel call for a batch whose temporaries are `width` wide."""
-    rows = CHUNK_ELEMENTS // max(width, 1)
-    return max(CHUNK_ROW_MULTIPLE, rows - rows % CHUNK_ROW_MULTIPLE)
-
-
 def readonly(values, order: str = "K") -> np.ndarray:
     """A read-only float64 copy of `values`, laid out in `order`."""
     a = np.array(values, dtype=float, order=order)
@@ -191,10 +173,16 @@ def load_calibration(path, encoder_id: str = "unknown", epoch: str = "unknown") 
 
 def save_calibration(path, cal: CalibrationSet) -> None:
     """Write a CalibrationSet as CSV with LF line endings."""
+    write_csv(path, CSV_HEADER, zip(cal.table_deg.tolist(), cal.encoder_deg.tolist()))
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write a header line and then one line of comma-joined `str` values per
+    row, with LF line endings; a Python float prints as its shortest exact
+    decimal."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.writelines(f"{t!r},{e!r}\n"
-                      for t, e in zip(cal.table_deg.tolist(), cal.encoder_deg.tolist()))
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_json(path, doc) -> None:

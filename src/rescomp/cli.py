@@ -20,12 +20,8 @@ from .errors import MalformedRow, OutOfRange, RescompError
 # Lines of `correct --stdin` read per block, one `pipeline.correct` call each.
 # Per-call dispatch dominates short blocks: on a 1:80:1 net at one BLAS thread,
 # 6 144 angles took 3.32 ms in 128-row calls and 1.73 ms in 1 024-row calls.
-# The kernels run a block in row chunks (`caldata.chunk_rows`), so that no
-# temporary reaches glibc's default 128 KiB mmap threshold.  Unchunked, the
-# (1 024, 80) hidden block is 640 KiB: it is mmapped, and freeing it raises
-# glibc's threshold to 640 KiB, so later temporaries of a few hundred KiB in
-# the same process (the 241 x 241 normal equations of a fit) come from the
-# heap instead of fresh mmaps and run at a different speed.
+# `pipeline.predict_error` runs a block in row chunks that keep every
+# temporary under glibc's 128 KiB mmap threshold.
 STDIN_BATCH_LINES = 1024
 
 
@@ -304,7 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RescompError, OSError, ValueError) as exc:
+    except (RescompError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

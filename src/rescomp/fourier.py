@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caldata import ErrorProfile, chunk_rows
+from .caldata import ErrorProfile
 from .errors import (
     BadConfig,
     EmptyProfile,
@@ -97,7 +97,7 @@ def _check_uniform(angles: np.ndarray) -> None:
         )
 
 
-def harmonic_spectrum(profile: ErrorProfile, max_order: int | None = None) -> HarmonicSpectrum:
+def harmonic_spectrum(profile: ErrorProfile) -> HarmonicSpectrum:
     """Amplitude per harmonic order from discrete Fourier projections.
 
     Orders run from 0 (DC) up to the grid Nyquist order (P // 2 for P
@@ -111,14 +111,10 @@ def harmonic_spectrum(profile: ErrorProfile, max_order: int | None = None) -> Ha
     angles, errors = profile.angles_deg(), profile.errors_arcmin()
     _check_uniform(angles)
     p = len(angles)
-    nyquist = p // 2
-    if max_order is None:
-        max_order = nyquist
-    max_order = min(max_order, nyquist)
 
     theta = np.radians(angles)
     entries = []
-    for n in range(max_order + 1):
+    for n in range(p // 2 + 1):
         if n == 0:
             amp = abs(float(np.mean(errors)))
         else:
@@ -178,23 +174,14 @@ def fit_fourier(profile: ErrorProfile, orders) -> FourierModel:
 
 
 def eval_fourier(model: FourierModel, theta_enc_deg) -> float | np.ndarray:
-    """Model error in arc-minutes at the given encoder angle(s) in degrees.
-
-    Angles run in chunks of `chunk_rows(terms)`, so each (terms, chunk)
-    temporary stays under 128 KiB; every value is computed element by element,
-    so the chunking leaves its bits as they are.
-    """
+    """Model error in arc-minutes at the given encoder angle(s) in degrees."""
     theta = np.radians(np.asarray(theta_enc_deg, dtype=float))
     orders, a, b = np.array([(t.n, t.a, t.b) for t in model.terms], dtype=float).reshape(-1, 3).T
-    flat = theta.ravel()
+    angle = np.multiply.outer(orders, theta.ravel())
+    terms = a[:, np.newaxis] * np.cos(angle) + b[:, np.newaxis] * np.sin(angle)
     value = np.full(theta.size, model.a0)
-    rows = chunk_rows(len(model.terms))
-    for start in range(0, flat.size, rows):
-        angle = np.multiply.outer(orders, flat[start:start + rows])
-        terms = a[:, np.newaxis] * np.cos(angle) + b[:, np.newaxis] * np.sin(angle)
-        part = value[start:start + rows]
-        for row in terms:  # term by term, so the sum rounds as a per-term loop does
-            part += row
+    for term in terms:  # term by term, so the sum rounds as a per-term loop does
+        value += term
     if np.isscalar(theta_enc_deg) or np.ndim(theta_enc_deg) == 0:
         return float(value[0])
     return value.reshape(theta.shape)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .caldata import CHUNK_ROW_MULTIPLE, ErrorProfile, chunk_rows, readonly
+from .caldata import ErrorProfile, readonly
 from .errors import DegenerateBounds, EmptyDataset, ShapeMismatch, TargetOutOfRange
 
 
@@ -246,25 +246,8 @@ def _activations(params: np.ndarray, design: np.ndarray) -> Activations:
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Outputs for a (P, 1) batch of normalized inputs; returns (P, 1) in (0, 1).
-
-    A batch longer than `chunk_rows(J)` runs in chunks of that many rows, so
-    the (rows, J) hidden block stays under 128 KiB; every output has the bits
-    of one `_activations` call over the whole batch.
-    """
-    design = _design(np.asarray(x, dtype=float))
-    n, rows = design.shape[0], chunk_rows(net.n_hidden)
-    if n <= rows:
-        return _activations(net.params, design)[1]
-    out = np.empty((n, 1))
-    for start in range(0, n, rows):
-        # numpy computes a one-row product as a dot product, which rounds
-        # differently from the matrix-vector kernel of the whole batch: a
-        # one-row tail runs as the last row of a call that starts one row
-        # group earlier
-        lo = start - CHUNK_ROW_MULTIPLE if start == n - 1 else start
-        out[start:start + rows] = _activations(net.params, design[lo:start + rows])[1][start - lo:]
-    return out
+    """Outputs for a (P, 1) batch of normalized inputs; returns (P, 1) in (0, 1)."""
+    return _activations(net.params, _design(np.asarray(x, dtype=float)))[1]
 
 
 def mse(params: np.ndarray, data: Dataset, activations: Activations | None = None) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .caldata import (
     readonly,
     stats,
     wrap_deg,
+    write_csv,
     write_json,
 )
 from .errors import (
@@ -69,9 +71,30 @@ MAX_FOURIER_ORDER = 2 ** 53
 
 # The widest hidden layer a fit accepts: 25 times the paper's 80 nodes and
 # 6 001 parameters against the 180 patterns of a 2-degree grid.  At this width
-# a `correct --stdin` chunk of 8 rows (`caldata.CHUNK_ROW_MULTIPLE`) still holds
-# its (8, J) hidden block under 128 KiB, and one LM Jacobian row is 48 KB.
+# a `predict_error` chunk of 8 rows (`CHUNK_ROW_MULTIPLE`) still holds its
+# (8, J) hidden block under 128 KiB, and one LM Jacobian row is 48 KB.
 MAX_HIDDEN = 2000
+
+# Element bound of `predict_error`'s largest temporary: it runs a long batch
+# through the model's kernel in chunks of `chunk_rows(width)` rows, so each
+# (rows, width) float64 temporary stays at 125 KiB, under glibc's default
+# 128 KiB mmap threshold.  An unchunked (1 024, 80) hidden block is 640 KiB: it
+# is mmapped, and freeing it raises glibc's threshold, so later temporaries of a
+# few hundred KiB (the 241 x 241 normal equations of a fit in the same process)
+# come from the heap instead of fresh mmaps and run at a different speed.
+CHUNK_ELEMENTS = 16_000
+# Chunk lengths are multiples of this: a matrix-vector kernel computes the rows
+# of a product in groups, and a group rounds differently from the rows left
+# over after the last group, so a row keeps its bits only when every chunk
+# starts at a group boundary of the whole batch.
+CHUNK_ROW_MULTIPLE = 8
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per kernel call for a batch whose temporaries are `width` wide."""
+    rows = CHUNK_ELEMENTS // max(width, 1)
+    return max(CHUNK_ROW_MULTIPLE, rows - rows % CHUNK_ROW_MULTIPLE)
+
 
 # the model-file keys that hold each model kind's payload
 _PAYLOAD_KEYS = {
@@ -216,15 +239,32 @@ def load_model(path) -> CompensationModel:
 
 def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray:
     """Model-predicted systematic error (arc-min) at an encoder angle in
-    degrees (returns a float) or at a 1-D array of them (returns an array)."""
+    degrees (returns a float) or at a 1-D array of them (returns an array).
+
+    A batch runs through `forward_batch` or `eval_fourier` in chunks of
+    `chunk_rows(width)` rows, the width being J or the number of Fourier
+    terms; every value has the bits of one kernel call over the batch."""
     theta = np.asarray(theta_enc_deg, dtype=float)
     wrapped = wrap_deg(np.atleast_1d(theta))
-    if model.kind == KIND_ANN:
-        net = model.payload
-        x = net.input_norm.normalize(wrapped)[:, np.newaxis]
-        pred = net.target_norm.denormalize(forward_batch(net, x)[:, 0])
+    payload = model.payload
+    ann = model.kind == KIND_ANN
+    if ann:
+        x, width = payload.input_norm.normalize(wrapped)[:, np.newaxis], payload.n_hidden
     else:
-        pred = eval_fourier(model.payload, wrapped)
+        x, width = wrapped, len(payload.terms)
+    n, rows = len(x), chunk_rows(width)
+    pred = np.empty(n)
+    for start in range(0, n, rows):
+        # numpy computes a one-row product as a dot product, which rounds
+        # differently from the matrix-vector kernel of a longer batch: a
+        # one-row tail runs as the last row of a call that starts one row
+        # group earlier
+        lo = start - CHUNK_ROW_MULTIPLE if 0 < start == n - 1 else start
+        chunk = x[lo:start + rows]
+        part = forward_batch(payload, chunk)[:, 0] if ann else eval_fourier(payload, chunk)
+        pred[start:start + rows] = part[start - lo:]
+    if ann:
+        pred = payload.target_norm.denormalize(pred)
     return float(pred[0]) if theta.ndim == 0 else pred
 
 
@@ -328,24 +368,17 @@ def prune_doc(report: PruneReport) -> dict:
 
 
 def write_spectrum_csv(path, spectrum: HarmonicSpectrum) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("order,amplitude_arcmin\n")
-        for e in spectrum.entries:
-            fh.write(f"{e.order},{e.amplitude_arcmin!r}\n")
+    write_csv(path, "order,amplitude_arcmin",
+              ((e.order, e.amplitude_arcmin) for e in spectrum.entries))
 
 
 def write_history_csv(path, history: TrainingHistory) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,mse\n")
-        for i, m in enumerate(history.mse_per_iteration, start=1):
-            fh.write(f"{i},{m!r}\n")
+    write_csv(path, "iteration,mse", enumerate(history.mse_per_iteration, start=1))
 
 
 def write_residuals_csv(path, report: EvaluationReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("encoder_angle_deg,observed_arcmin,predicted_arcmin,residual_arcmin\n")
-        fh.writelines(f"{angle!r},{obs!r},{pred!r},{res!r}\n"
-                      for angle, obs, pred, res in report.rows.tolist())
+    write_csv(path, "encoder_angle_deg,observed_arcmin,predicted_arcmin,residual_arcmin",
+              report.rows.tolist())
 
 
 def fit_network(
@@ -392,6 +425,10 @@ def run_experiment(
     bundle (models, history, spectrum, residual tables, comparison CSV and
     a JSON report) into `outdir`, which is made only once every fit and
     evaluation has succeeded."""
+    # comparison.csv holds the encoder id as one field of UTF-8 text: no comma,
+    # no line break and no lone surrogate (what argv bytes not in UTF-8 decode to)
+    if not re.fullmatch("[^,\r\n\ud800-\udfff]*", cal.encoder_id):
+        raise BadConfig(f"encoder id {cal.encoder_id!r} is not one CSV field of UTF-8 text")
     train_set, test_set = partition_even_odd(cal)
     train_prof = error_profile(train_set)
     full_stats = stats(error_profile(cal))
@@ -413,20 +450,12 @@ def run_experiment(
     write_residuals_csv(outdir / "residuals_ann.csv", ann_report)
     write_residuals_csv(outdir / "residuals_fourier.csv", fourier_report)
     write_spectrum_csv(outdir / "spectrum.csv", spectrum)
-    with open(outdir / "comparison.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "encoder_id,pre_mae_arcmin,pre_rms_arcmin,"
-            "fourier_mae_arcmin,fourier_rms_arcmin,"
-            "ann_mae_arcmin,ann_rms_arcmin\n"
-        )
-        fh.write(
-            f"{cal.encoder_id},"
-            f"{full_stats.mae_arcmin!r},{full_stats.rms_arcmin!r},"
-            f"{fourier_report.post_stats.mae_arcmin!r},"
-            f"{fourier_report.post_stats.rms_arcmin!r},"
-            f"{ann_report.post_stats.mae_arcmin!r},"
-            f"{ann_report.post_stats.rms_arcmin!r}\n"
-        )
+    write_csv(outdir / "comparison.csv",
+              "encoder_id,pre_mae_arcmin,pre_rms_arcmin,fourier_mae_arcmin,fourier_rms_arcmin,"
+              "ann_mae_arcmin,ann_rms_arcmin",
+              [(cal.encoder_id, full_stats.mae_arcmin, full_stats.rms_arcmin,
+                fourier_report.post_stats.mae_arcmin, fourier_report.post_stats.rms_arcmin,
+                ann_report.post_stats.mae_arcmin, ann_report.post_stats.rms_arcmin)])
     doc = {
         "encoder_id": cal.encoder_id,
         "epoch": cal.epoch,

@@ -5,13 +5,16 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rescomp
-from rescomp import pipeline
+from rescomp import errors, pipeline
 from rescomp.caldata import load_calibration
 from rescomp.cli import STDIN_BATCH_LINES, main
 from rescomp.fourier import FourierModel, FourierTerm
@@ -502,3 +505,141 @@ def test_errors_beyond_normalization_bounds_fail_with_error_name(
                         r"with normalization bounds \[-1\.0, 1\.0\]'\n",
                         capsys.readouterr().err)
     assert not out.exists()
+
+
+# a command-line byte that is not UTF-8 decodes to a lone surrogate
+@pytest.mark.parametrize("encoder_id", [os.fsdecode(b"enc-\xff"), "enc,7", "enc\n7", "enc\r7"])
+def test_encoder_id_not_one_csv_field_fails_before_writing(tmp_path, spec_file, capsys, encoder_id):
+    out = tmp_path / "out"
+    args = ["run-experiment", "--spec", str(spec_file), "--outdir", str(out), "--hidden", "2",
+            "--max-iterations", "1", f"--encoder-id={encoder_id}"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"BadConfig: encoder id {encoder_id!r} is not one CSV field of UTF-8 text\n")
+    assert not out.exists()
+
+
+# --- generated flags for every subcommand ---
+
+ERROR_NAMES = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.RescompError)}
+
+# any float at all, NaN and the infinities included
+NUMBERS = st.floats()
+
+
+def mostly(valid, anything=NUMBERS):
+    """Values from `valid`, and one draw in eight from `anything`."""
+    return st.integers(0, 7).flatmap(lambda k: anything if k == 0 else valid)
+
+
+# what a command line can hold: any bytes but NUL, decoded as Python decodes argv
+ARGV_TEXT = st.binary(max_size=8).filter(lambda b: b"\0" not in b).map(os.fsdecode)
+# steps of at least 1 degree: divisors of 360 and other values
+GRID_STEPS = mostly(st.sampled_from([1.0, 2.0, 3.0, 4.5, 5.0, 120.0, 360.0]),
+                    st.floats(min_value=1.0))
+OFFSETS = mostly(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+def optional_flags(**strategies):
+    """Each flag absent or given a drawn value as `--name=value`; a keyword's
+    underscores become dashes."""
+    parts = [st.one_of(st.just([]), values.map(lambda v, n=name: [f"--{n.replace('_', '-')}={v}"]))
+             for name, values in strategies.items()]
+    return st.tuples(*parts).map(lambda drawn: [arg for flags in drawn for arg in flags])
+
+
+def switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+# the width and budget are always given: their defaults train a 1:80:1 net for
+# up to 10 000 iterations
+TRAINING_FLAGS = st.tuples(
+    mostly(st.integers(1, 8), st.integers(-1, 0)), mostly(st.integers(1, 5), st.integers(-1, 0)),
+    optional_flags(
+        seed=mostly(st.integers(0, 2 ** 64), st.just(-1)),
+        learning_rate=mostly(st.floats(1e-3, 10.0)), lm_lambda0=mostly(st.floats(1e-9, 1e3)),
+        lm_factor=mostly(st.floats(1.5, 100.0)),
+        stall_window=mostly(st.integers(1, 10), st.integers(-1, 0)),
+        stall_tol=mostly(st.floats(1e-12, 1e-2)), norm_lo=mostly(st.floats(-100.0, -4.0)),
+        norm_hi=mostly(st.floats(4.0, 100.0)), encoder_id=ARGV_TEXT,
+    ),
+).map(lambda a: [f"--hidden={a[0]}", f"--max-iterations={a[1]}", *a[2]])
+REL_TOLS = mostly(st.floats(1e-6, 0.5))
+TOPS = mostly(st.integers(0, 90), st.integers(-2, 200))
+OPTIMIZER_FLAGS = optional_flags(optimizer=st.sampled_from(["lm", "backprop"]))
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Inputs of every subcommand, and an output directory the calls share."""
+    d = tmp_path_factory.mktemp("cli-flags")
+    spec, cal = d / "spec.json", d / "cal.csv"
+    spec_to_json(archetype_spec(1), spec)
+    with redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--spec", str(spec), "--step", "1", "--out", str(cal)]) == 0
+    ann, series = d / "ann.json", d / "fourier.json"
+    save_model(ann, CompensationModel("flags", init_network(4, seed=1)))
+    save_model(series, CompensationModel("flags", FourierModel(0.1, (FourierTerm(1, 0.5, -0.5),))))
+    out = d / "out"
+    out.mkdir()
+    return {"spec": str(spec), "cal": str(cal), "ann": str(ann), "fourier": str(series),
+            "out": str(out)}
+
+
+def command_lines(command, f):
+    """Strategy of (argv, stdin text) for one subcommand at small sizes."""
+    out = Path(f["out"])
+    # each input file, right or wrong for the flag it is given to
+    any_input = st.sampled_from([f["spec"], f["cal"], f["ann"], f["fourier"]])
+    models = mostly(st.sampled_from([f["ann"], f["fourier"]]), any_input)
+    inputs = mostly(st.just(f["cal"]), any_input)
+    if command == "simulate":
+        argv = st.tuples(optional_flags(step=GRID_STEPS, offset=OFFSETS, encoder_id=ARGV_TEXT,
+                                        epoch=ARGV_TEXT), switch("--no-quantize")).map(
+            lambda a: ["simulate", "--spec", f["spec"], "--out", str(out / "cal.csv"), *a[0], *a[1]])
+    elif command in ("train", "prune"):
+        extra = optional_flags(rel_tol=REL_TOLS) if command == "prune" else st.just([])
+        argv = st.tuples(TRAINING_FLAGS, OPTIMIZER_FLAGS, extra).map(
+            lambda a: [command, "--data", f["cal"], "--out", str(out / "model.json"),
+                       *a[0], *a[1], *a[2]])
+    elif command == "fourier":
+        argv = optional_flags(top=TOPS, encoder_id=ARGV_TEXT).map(
+            lambda a: ["fourier", "--data", f["cal"], "--out", str(out / "fourier.json"),
+                       "--spectrum", str(out / "spectrum.csv"), *a])
+    elif command == "evaluate":
+        argv = st.tuples(models, inputs, switch(f"--report={out / 'report.json'}"),
+                         switch(f"--residuals={out / 'residuals.csv'}")).map(
+            lambda a: ["evaluate", "--model", a[0], "--data", a[1], *a[2], *a[3]])
+    elif command == "correct":
+        angle = st.floats().map(lambda a: ([f"--angle={a}"], ""))
+        lines = st.lists(mostly(st.floats().map(str), st.text(max_size=6)), max_size=12)
+        stdin = lines.map(lambda ls: (["--stdin"], "".join(f"{line}\n" for line in ls)))
+        return st.tuples(models, st.one_of(angle, stdin)).map(
+            lambda a: (["correct", "--model", a[0], *a[1][0]], a[1][1]))
+    else:
+        argv = st.tuples(optional_flags(step=GRID_STEPS, offset=OFFSETS, top=TOPS,
+                                        rel_tol=REL_TOLS),
+                         switch("--prune"), TRAINING_FLAGS, OPTIMIZER_FLAGS).map(
+            lambda a: ["run-experiment", "--spec", f["spec"], "--outdir", str(out / "bundle"),
+                       *a[0], *a[1], *a[2], *a[3]])
+    return argv.map(lambda a: (a, ""))
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "prune", "fourier", "evaluate",
+                                     "correct", "run-experiment"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_generated_flags_exit_0_or_name_the_error(cli_files, command, data):
+    argv, stdin_text = data.draw(command_lines(command, cli_files))
+    stderr = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    if code != 0:
+        assert code == 1
+        assert stderr.getvalue().split(":", 1)[0] in ERROR_NAMES, stderr.getvalue()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rescomp.caldata import ErrorProfile, chunk_rows, error_profile
+from rescomp.caldata import ErrorProfile, error_profile
 from rescomp.errors import BadConfig, NonUniformGrid, RankDeficientDesign, UnderdeterminedFit
 from rescomp.fourier import (
     FourierModel,
@@ -254,18 +254,6 @@ def test_eval_bit_identical_to_term_by_term(orders):
     assert np.array_equal(eval_fourier(model, angles), eval_term_by_term(model, angles))
     for theta in angles[:50].tolist():
         assert eval_fourier(model, theta) == float(eval_term_by_term(model, theta))
-
-
-@pytest.mark.parametrize("n_terms", [10, 40])
-def test_eval_chunks_bit_identical_to_one_pass(n_terms):
-    """Batches around the chunk length, the last leaving a one-angle tail."""
-    rows = chunk_rows(n_terms)
-    rng = np.random.default_rng(n_terms)
-    model = FourierModel(rng.normal(), tuple(
-        FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in range(1, n_terms + 1)))
-    for count in (rows - 1, rows, rows + 1, 2 * rows + 1):
-        angles = rng.uniform(0.0, 360.0, count)
-        assert eval_fourier(model, angles).tobytes() == eval_term_by_term(model, angles).tobytes()
 
 
 def test_model_rejects_duplicate_orders():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from rescomp.caldata import ErrorProfile, chunk_rows
+from rescomp.caldata import ErrorProfile
 from rescomp.errors import DegenerateBounds, EmptyDataset, ShapeMismatch, TargetOutOfRange
 from rescomp.network import (
     AffineMap,
@@ -254,31 +253,6 @@ def test_forward_batch_matches_single():
     singles = np.array([forward_batch(net, row[np.newaxis])[0] for row in xs])
     # summation order may differ between the batched and single matmuls
     assert_allclose(batch, singles, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("hidden", [6, 80, 1000])
-def test_forward_batch_chunks_bit_identical_to_one_call(hidden):
-    """Batches around the chunk length, the last leaving a one-row tail."""
-    rows = chunk_rows(hidden)
-    rng = np.random.default_rng(hidden)
-    net = random_net(rng, hidden, spread=3.0)
-    for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
-        x = rng.uniform(0, 1, (n, 1))
-        whole = _activations(net.params, np.hstack([x, np.ones_like(x)]))[1]
-        assert forward_batch(net, x).tobytes() == whole.tobytes()
-
-
-def test_forward_batch_peak_memory_is_one_chunk():
-    """4 096 rows at J = 80: unchunked, the hidden block alone is 2.6 MB."""
-    net = init_network(80, seed=0)
-    x = np.linspace(0.0, 1.0, 4096, endpoint=False)[:, np.newaxis]
-    tracemalloc.start()
-    try:
-        forward_batch(net, x)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 512 * 1024
 
 
 # --- MSE ---

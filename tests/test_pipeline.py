@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 
 from rescomp.caldata import CalibrationSet, ErrorProfile
 from rescomp.errors import BadConfig, CorruptFile, KindMismatch, OutOfRange, RescompError, UnsupportedVersion
-from rescomp.fourier import FourierModel, FourierTerm
-from rescomp.network import init_network
+from rescomp.fourier import FourierModel, FourierTerm, eval_fourier
+from rescomp.network import forward_batch, init_network
 from rescomp.optim import TrainingConfig
 from rescomp.pipeline import (
     KIND_ANN,
     KIND_FOURIER,
     MAX_HIDDEN,
     CompensationModel,
+    chunk_rows,
     ExperimentConfig,
     correct,
     evaluate,
@@ -480,6 +482,48 @@ def test_correction_identity(theta):
 
 
 # --- evaluation ---
+
+def chunk_edge_counts(rows):
+    """Batch lengths around a chunk of `rows`, the last leaving a one-row tail."""
+    return (rows - 1, rows, rows + 1, 2 * rows + 1)
+
+
+@pytest.mark.parametrize("hidden", [6, 80, 1000])
+def test_predict_error_ann_chunks_bit_identical_to_one_call(hidden):
+    rng = np.random.default_rng(hidden)
+    net = init_network(hidden, seed=hidden)
+    net = net.with_params(rng.uniform(-3.0, 3.0, net.params.size))
+    model = CompensationModel("chunks", net)
+    for n in chunk_edge_counts(chunk_rows(hidden)):
+        angles = rng.uniform(0.0, 360.0, n)
+        x = net.input_norm.normalize(angles)[:, np.newaxis]
+        whole = net.target_norm.denormalize(forward_batch(net, x)[:, 0])
+        assert predict_error(model, angles).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n_terms", [10, 40])
+def test_predict_error_fourier_chunks_bit_identical_to_one_call(n_terms):
+    rng = np.random.default_rng(n_terms)
+    series = FourierModel(rng.normal(), tuple(
+        FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in range(1, n_terms + 1)))
+    model = CompensationModel("chunks", series)
+    for n in chunk_edge_counts(chunk_rows(n_terms)):
+        angles = rng.uniform(0.0, 360.0, n)
+        assert predict_error(model, angles).tobytes() == eval_fourier(series, angles).tobytes()
+
+
+def test_predict_error_peak_memory_is_one_chunk():
+    """4 096 angles at J = 80: unchunked, the hidden block alone is 2.6 MB."""
+    model = CompensationModel("peak", init_network(80, seed=0))
+    angles = np.linspace(0.0, 360.0, 4096, endpoint=False)
+    tracemalloc.start()
+    try:
+        predict_error(model, angles)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
 
 def zero_error_calset(n=8):
     angles = [float(i * 360 // n) for i in range(n)]

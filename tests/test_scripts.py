@@ -34,6 +34,6 @@ def test_ab_kernels_runs_at_tiny_budget(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["identical_results"] and doc["environment"]["OPENBLAS_NUM_THREADS"] == "1"
-    assert set(doc["cases"]) == {"gd-80", "lm-80", "lm-40", "lm-6", "forward-1024x6",
-                                 "forward-1024x40", "forward-1024x80", "stream-ann-80",
+    assert set(doc["cases"]) == {"gd-80", "lm-80", "lm-40", "lm-6", "predict-1024x6",
+                                 "predict-1024x40", "predict-1024x80", "stream-ann-80",
                                  "stream-fourier-10"}
