@@ -27,10 +27,13 @@ both trees' medians and quartiles, the ratio of medians (change / base) and
 the number of pairs the change won, with the Python, numpy and BLAS thread
 settings and the CPU model.
 
-Both trees must take the hidden width as `init_network(hidden, seed)`, so
-the script compares only trees from that signature on; an older tree, whose
-`init_network` takes a shape object, fails at its first fit with an
-AttributeError.
+The script uses only these names of a tree, so it compares any two trees
+that share them: `simgen.synthesize`, `archetype_spec` and `LSB_DEG`,
+`caldata.partition_even_odd` and `error_profile`, `optim.TrainingConfig`,
+`pipeline.ExperimentConfig`, `fit_network`, `CompensationModel`,
+`predict_error` and `save_model`, `network.Network(params, input_norm,
+target_norm)`, `INPUT_NORM` and `AffineMap`, `fourier.FourierModel` and
+`FourierTerm`, and `cli.main`.
 
 Usage:
     python scripts/ab_kernels.py --base OLD/src --change NEW/src --out ab.json
@@ -96,25 +99,39 @@ def tree_digest(src: Path) -> str:
 
 
 def training_case(m, optimizer: str, hidden: int, archetype: int, iterations: int):
-    """A zero-argument fit on the archetype's training half, as `run_experiment`
-    sets it up, returning (history, trained parameters)."""
+    """A zero-argument `pipeline.fit_network` on the archetype's training half,
+    as `run_experiment` runs it, returning (history, trained parameters)."""
     cal = m["simgen"].synthesize(m["simgen"].archetype_spec(archetype), grid_step_deg=1.0)
     train_set, _test = m["caldata"].partition_even_odd(cal)
-    net0 = m["network"].init_network(hidden, SEED)
-    data = m["network"].dataset_from_profile(m["caldata"].error_profile(train_set), net0)
-    cfg = m["optim"].TrainingConfig(max_iterations=iterations, seed=SEED)
-    train = m["optim"].trainer(optimizer)
+    profile = m["caldata"].error_profile(train_set)
+    cfg = m["pipeline"].ExperimentConfig(
+        hidden=hidden, optimizer=optimizer,
+        training=m["optim"].TrainingConfig(max_iterations=iterations, seed=SEED))
 
     def run():
-        trained, history = train(net0, data, cfg)
+        trained, history, _report = m["pipeline"].fit_network(profile, cfg)
         return (np.array(history.mse_per_iteration).tobytes(), history.stop_reason.value,
                 trained.params.tobytes())
     return run
 
 
+def seeded_net(m, params: np.ndarray):
+    """Tree `m`'s network of `params` with the default normalization maps."""
+    network = m["network"]
+    return network.Network(params, network.INPUT_NORM, network.AffineMap(-6.0, 6.0, 0.1, 0.9))
+
+
+def init_draw(hidden: int) -> np.ndarray:
+    """The parameters of a fresh seeded 1:`hidden`:1 net: weights uniform in
+    [-0.5, 0.5], thresholds zero."""
+    rng = np.random.default_rng(SEED)
+    w_hidden, w_output = rng.uniform(-0.5, 0.5, (2, hidden))
+    return np.concatenate([w_hidden, np.zeros(hidden), w_output, np.zeros(1)])
+
+
 def predict_case(m, hidden: int, calls: int):
     """A zero-argument run of `calls` error predictions on `PREDICT_ANGLES` angles."""
-    model = m["pipeline"].CompensationModel("ab", m["network"].init_network(hidden, SEED))
+    model = m["pipeline"].CompensationModel("ab", seeded_net(m, init_draw(hidden)))
     angles = np.linspace(0.0, 360.0, PREDICT_ANGLES, endpoint=False)
     predict_error = m["pipeline"].predict_error
 
@@ -130,8 +147,7 @@ def write_stream_inputs(m, workdir: Path) -> dict:
     write `STREAM_CODES` seeded 16-bit codes, one angle a line, as an R/D
     converter emits them.  Returns {case name: (model path, codes path)}."""
     rng = np.random.default_rng(SEED)
-    net = m["network"].init_network(80, SEED)
-    net = net.with_params(rng.normal(0.0, 3.0, net.params.size))
+    net = seeded_net(m, rng.normal(0.0, 3.0, 3 * 80 + 1))
     series = m["fourier"].FourierModel(0.3, tuple(
         m["fourier"].FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in range(1, 11)))
     codes = workdir / "codes.txt"

@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+from rescomp.caldata import write_csv
 from rescomp.optim import TrainingConfig
 from rescomp.pipeline import ExperimentConfig, run_experiment
 from rescomp.simgen import archetype_spec, synthesize
@@ -44,7 +45,8 @@ def main(argv=None) -> int:
         pre = result.pre_full_stats
         ann = result.ann_report.post_stats
         fou = result.fourier_report.post_stats
-        rows.append((encoder_id, pre, fou, ann))
+        rows.append((encoder_id, *(f"{value:.4f}" for s in (pre, fou, ann)
+                                   for value in (s.mae_arcmin, s.rms_arcmin))))
         print(
             f"{encoder_id}: pre {pre.mae_arcmin:.2f}/{pre.rms_arcmin:.2f}  "
             f"fourier {fou.mae_arcmin:.2f}/{fou.rms_arcmin:.2f}  "
@@ -52,16 +54,7 @@ def main(argv=None) -> int:
         )
 
     summary = outdir / "summary.csv"
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "encoder_id,pre_mae,pre_rms,fourier_mae,fourier_rms,ann_mae,ann_rms\n"
-        )
-        for encoder_id, pre, fou, ann in rows:
-            fh.write(
-                f"{encoder_id},{pre.mae_arcmin:.4f},{pre.rms_arcmin:.4f},"
-                f"{fou.mae_arcmin:.4f},{fou.rms_arcmin:.4f},"
-                f"{ann.mae_arcmin:.4f},{ann.rms_arcmin:.4f}\n"
-            )
+    write_csv(summary, "encoder_id,pre_mae,pre_rms,fourier_mae,fourier_rms,ann_mae,ann_rms", rows)
     print(f"wrote {summary}")
     return 0
 

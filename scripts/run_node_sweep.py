@@ -15,8 +15,14 @@ import sys
 import time
 from pathlib import Path
 
-from rescomp.caldata import error_profile, partition_even_odd
-from rescomp.network import dataset_from_profile, init_network
+from rescomp.caldata import error_profile, partition_even_odd, write_csv
+from rescomp.network import (
+    DEFAULT_TARGET_BOUNDS_ARCMIN,
+    TARGET_OUT_RANGE,
+    AffineMap,
+    dataset_from_profile,
+    init_params,
+)
 from rescomp.optim import (
     DEFAULT_SWEEP_NODES,
     OPTIMIZERS,
@@ -46,27 +52,24 @@ def main(argv=None) -> int:
     cal = synthesize(archetype_spec(args.archetype), grid_step_deg=1.0)
     train_set, _test = partition_even_odd(cal)
     profile = error_profile(train_set)
-    probe = init_network(2, seed=args.seed)
-    data = dataset_from_profile(profile, probe)
+    data = dataset_from_profile(
+        profile, AffineMap(*DEFAULT_TARGET_BOUNDS_ARCMIN, *TARGET_OUT_RANGE))
     cfg = TrainingConfig(max_iterations=args.max_iterations, seed=args.seed)
 
     if not args.skip_sweep:
         print(f"width sweep over {DEFAULT_SWEEP_NODES} ...")
         start = time.perf_counter()
         results = node_sweep(data, cfg=cfg)
+        for width, final in results:
+            print(f"  J = {width:4d}: final MSE {final:.4e}")
         path = outdir / "width_sweep.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("hidden_nodes,final_mse\n")
-            for width, final in results:
-                fh.write(f"{width},{final!r}\n")
-                print(f"  J = {width:4d}: final MSE {final:.4e}")
+        write_csv(path, "hidden_nodes,final_mse", results)
         print(f"wrote {path} ({time.perf_counter() - start:.0f}s)")
 
     print(f"optimizer comparison at width {args.hidden} ...")
     for name in OPTIMIZERS:
-        net0 = init_network(args.hidden, args.seed)
         start = time.perf_counter()
-        _trained, history = trainer(name)(net0, data, cfg)
+        _trained, history = trainer(name)(init_params(args.hidden, args.seed), data, cfg)
         path = outdir / f"convergence_{name}.csv"
         write_history_csv(path, history)
         print(

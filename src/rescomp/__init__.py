@@ -34,7 +34,7 @@ from .network import (
     dataset_from_profile,
     forward_batch,
     gradient,
-    init_network,
+    init_params,
     mse,
     residual_jacobian,
 )

@@ -19,6 +19,7 @@ from .errors import (
     DuplicateGridAngle,
     EmptyProfile,
     MalformedRow,
+    NonFiniteStats,
     NonIntegerGrid,
     NonMonotonicGrid,
     OutOfRange,
@@ -238,13 +239,19 @@ def partition_even_odd(cal: CalibrationSet) -> tuple[CalibrationSet, Calibration
 
 
 def stats(profile: ErrorProfile) -> ProfileStats:
-    """MAE, RMS, min and max of the signed errors."""
+    """MAE, RMS, min and max of the signed errors; NonFiniteStats when the MAE
+    or RMS overflows, as the squares of errors past about 1e154' do."""
     if len(profile) == 0:
         raise EmptyProfile("cannot compute stats of an empty profile")
     errors = profile.errors_arcmin()
+    with np.errstate(over="ignore"):
+        mae = float(np.mean(np.abs(errors)))
+        rms = float(np.sqrt(np.mean(errors * errors)))
+    if not (np.isfinite(mae) and np.isfinite(rms)):
+        raise NonFiniteStats(f"MAE {mae!r}' or RMS {rms!r}' of {len(errors)} errors is not finite")
     return ProfileStats(
-        mae_arcmin=float(np.mean(np.abs(errors))),
-        rms_arcmin=float(np.sqrt(np.mean(errors * errors))),
+        mae_arcmin=mae,
+        rms_arcmin=rms,
         min_arcmin=float(errors.min()),
         max_arcmin=float(errors.max()),
         n_samples=len(errors),

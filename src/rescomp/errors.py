@@ -1,7 +1,8 @@
 """Exception types raised by the rescomp library.
 
 Every domain error derives from RescompError so the CLI can map any
-failure to a stable, machine-readable name (the class name).
+failure to a stable, machine-readable name (the class name).  An error for a
+bad value passed in is also a ValueError, which the file readers catch.
 """
 
 
@@ -39,11 +40,20 @@ class EmptyProfile(RescompError):
     """An operation needs at least one profile point."""
 
 
+class NonFiniteStats(RescompError):
+    """A profile's MAE or RMS overflows the float range."""
+
+
 # --- synthetic data generation ---
 
 class BadGrid(RescompError):
     """Grid step does not divide 360 degrees or is finer than one 16-bit LSB,
     or offset is invalid."""
+
+
+class BadSpec(RescompError, ValueError):
+    """A harmonic error spec holds a bad order, amplitude, noise sigma or seed,
+    or an archetype index is unknown."""
 
 
 # --- network ---
@@ -64,12 +74,18 @@ class ShapeMismatch(RescompError):
     """A network or dataset does not have the dimensions of a 1:J:1 net."""
 
 
+class NonFiniteArray(RescompError, ValueError):
+    """Network parameters, or a matrix to decompose, hold NaN or infinity."""
+
+
+class PatternOutOfRange(RescompError, ValueError):
+    """A normalized training input or target lies outside [0, 1]."""
+
+
 # --- training ---
 
 class BadConfig(RescompError, ValueError):
-    """A training or experiment setting lies outside its valid range.
-
-    Also a ValueError, so callers that catch ValueError still catch it."""
+    """A training or experiment setting lies outside its valid range."""
 
 
 class DivergenceDetected(RescompError):
@@ -81,6 +97,10 @@ class SingularNormalEquations(RescompError):
 
 
 # --- fourier ---
+
+class BadOrders(RescompError, ValueError):
+    """Fourier orders are negative, or a model's term orders repeat or are below 1."""
+
 
 class NonUniformGrid(RescompError):
     """Profile angles do not form a uniform grid over the circle."""

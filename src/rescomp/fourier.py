@@ -22,6 +22,7 @@ import numpy as np
 from .caldata import ErrorProfile
 from .errors import (
     BadConfig,
+    BadOrders,
     EmptyProfile,
     NonUniformGrid,
     RankDeficientDesign,
@@ -78,7 +79,7 @@ class FourierModel:
         object.__setattr__(self, "terms", tuple(self.terms))
         orders = [t.n for t in self.terms]
         if len(set(orders)) != len(orders) or any(n < 1 for n in orders):
-            raise ValueError(f"term orders must be distinct and >= 1, got {orders}")
+            raise BadOrders(f"term orders must be distinct and >= 1, got {orders}")
 
 
 def _check_uniform(angles: np.ndarray) -> None:
@@ -147,7 +148,7 @@ def fit_fourier(profile: ErrorProfile, orders) -> FourierModel:
         raise EmptyProfile("cannot fit an empty profile")
     harmonic_orders = sorted({int(n) for n in orders} - {0})
     if any(n < 0 for n in harmonic_orders):
-        raise ValueError(f"orders must be >= 0, got {orders}")
+        raise BadOrders(f"orders must be >= 0, got {orders}")
     n_coef = 1 + 2 * len(harmonic_orders)
     p = len(profile)
     if n_coef > p:

@@ -17,27 +17,34 @@ product with the (2, J) view [w_hidden; theta_hidden] of the parameter
 vector, and it applies the sigmoid in place in the arrays it allocates.  A
 `Dataset` builds its design once.
 
-`mse`, `residual_jacobian` and `gradient` take the bare parameter vector:
-none reads the normalization maps, and J follows from the length 3J + 1,
-so a trainer carries vectors, not Networks.  They also take the
-`(hidden, out)` activations already computed, so a trainer runs each
-candidate's forward pass once: the accepted candidate's activations feed
-the next Jacobian or gradient.
+Training never reads the maps: `init_params` draws a bare parameter vector
+and `mse`, `residual_jacobian` and `gradient` take one (J follows from its
+length 3J + 1), so trainers and pruning carry vectors, and
+`pipeline.fit_network` pairs the trained vector with its maps.  The kernels
+also take the `(hidden, out)` activations already computed, so a trainer
+runs each candidate's forward pass once.
 
-All operations are pure; a Network is immutable and validated, and
-`with_params` builds a new one.  Double precision throughout: the damped
-normal equations used in training are ill-conditioned in single precision.
+All operations are pure; a Network is immutable and validated.  Double
+precision throughout: the damped normal equations used in training are
+ill-conditioned in single precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .caldata import ErrorProfile, readonly
-from .errors import DegenerateBounds, EmptyDataset, ShapeMismatch, TargetOutOfRange
+from .errors import (
+    DegenerateBounds,
+    EmptyDataset,
+    NonFiniteArray,
+    PatternOutOfRange,
+    ShapeMismatch,
+    TargetOutOfRange,
+)
 
 
 def sigmoid(z):
@@ -122,33 +129,12 @@ class Network:
                 f"need the 3J + 1 parameters of a 1:J:1 net, J >= 1; got shape {params.shape}"
             )
         if not np.all(np.isfinite(params)):
-            raise ValueError("network parameters must be finite")
+            raise NonFiniteArray("network parameters must be finite")
         object.__setattr__(self, "params", params)
 
     @property
     def n_hidden(self) -> int:
         return _width(self.params)
-
-    @property
-    def w_hidden(self) -> np.ndarray:
-        return self.params[:self.n_hidden]
-
-    @property
-    def theta_hidden(self) -> np.ndarray:
-        return self.params[self.n_hidden:2 * self.n_hidden]
-
-    @property
-    def w_output(self) -> np.ndarray:
-        return self.params[2 * self.n_hidden:-1]
-
-    @property
-    def theta_output(self) -> np.ndarray:
-        return self.params[-1:]
-
-    def with_params(self, vector: np.ndarray) -> "Network":
-        """New network with the same normalization maps, parameters from a
-        flat vector in canonical order."""
-        return replace(self, params=vector)
 
 
 @dataclass(frozen=True)
@@ -174,7 +160,7 @@ class Dataset:
             raise EmptyDataset("dataset needs at least one pattern")
         for name, arr in (("inputs", inputs), ("targets", targets)):
             if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+                raise PatternOutOfRange(f"{name} must lie in [0, 1]")
         object.__setattr__(self, "inputs", readonly(inputs))
         object.__setattr__(self, "targets", readonly(targets))
         design = _design(inputs)
@@ -182,23 +168,15 @@ class Dataset:
         object.__setattr__(self, "design", design)
 
 
-def init_network(
-    hidden: int,
-    seed: int,
-    norm_bounds: tuple[float, float] = DEFAULT_TARGET_BOUNDS_ARCMIN,
-) -> Network:
-    """Fresh 1:`hidden`:1 network: weights uniform in [-0.5, 0.5] from
-    `seed`, thresholds zero."""
+def init_params(hidden: int, seed: int) -> np.ndarray:
+    """The 3J + 1 parameters of a fresh 1:`hidden`:1 net: weights uniform in
+    [-0.5, 0.5] from `seed`, thresholds zero."""
     if hidden < 1:
         raise ShapeMismatch(f"need a 1:J:1 network with J >= 1, got J = {hidden!r}")
     rng = np.random.default_rng(seed)
     w_hidden = rng.uniform(-0.5, 0.5, size=hidden)
     w_output = rng.uniform(-0.5, 0.5, size=hidden)
-    return Network(
-        params=np.concatenate([w_hidden, np.zeros(hidden), w_output, np.zeros(1)]),
-        input_norm=INPUT_NORM,
-        target_norm=AffineMap(*norm_bounds, *TARGET_OUT_RANGE),
-    )
+    return np.concatenate([w_hidden, np.zeros(hidden), w_output, np.zeros(1)])
 
 
 # hidden (P, J) and output (P, 1) activations of a parameter vector on a
@@ -306,21 +284,22 @@ def gradient(
     return (2.0 / x.size) * np.concatenate(blocks)
 
 
-def dataset_from_profile(profile: ErrorProfile, net: Network) -> Dataset:
-    """Build a normalized Dataset from an error profile with `net`'s maps.
+def dataset_from_profile(profile: ErrorProfile, target_norm: AffineMap) -> Dataset:
+    """Build a normalized Dataset from an error profile: angles through
+    `INPUT_NORM`, errors through `target_norm`.
 
     TargetOutOfRange names the first error that the target map sends outside
     [0, 1], which the output sigmoid cannot reach."""
     angles, errors = profile.angles_deg(), profile.errors_arcmin()
-    targets = net.target_norm.normalize(errors)
+    targets = target_norm.normalize(errors)
     outside = np.flatnonzero(~((targets >= 0.0) & (targets <= 1.0)))
     if outside.size:
-        i, norm = outside[0], net.target_norm
+        i = outside[0]
         raise TargetOutOfRange(
             f"error {float(errors[i])!r}' at {float(angles[i])!r} deg maps outside [0, 1] "
-            f"with normalization bounds [{norm.lo!r}, {norm.hi!r}]'"
+            f"with normalization bounds [{target_norm.lo!r}, {target_norm.hi!r}]'"
         )
     return Dataset(
-        inputs=net.input_norm.normalize(angles)[:, np.newaxis],
+        inputs=INPUT_NORM.normalize(angles)[:, np.newaxis],
         targets=targets[:, np.newaxis],
     )

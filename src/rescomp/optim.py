@@ -12,9 +12,10 @@ them (the paper's 1:80:1 net: n = 241, P = 180).  It only accepts steps
 that strictly lower the MSE, so its recorded MSE sequence is
 non-increasing.
 
-The loop's state is the bare parameter vector, its MSE and its
-activations; the network kernels take the vector, and a `Network` is
-built once, for the best vector a training returns.  Each candidate
+Trainers take and return bare parameter vectors: `(params, data, cfg) ->
+(params, history)`.  The loop's state is the vector, its MSE and its
+activations, and the normalization maps never enter it; the caller that
+built `data` pairs the returned vector with its maps.  Each candidate
 vector is checked to be finite once, and its forward pass runs once: the
 activations that score it are carried, once it is accepted, into the next
 iteration's gradient or Jacobian.  Training is deterministic: identical
@@ -33,10 +34,9 @@ from .errors import BadConfig, DivergenceDetected, SingularNormalEquations
 from .network import (
     Activations,
     Dataset,
-    Network,
     _activations,
     gradient,
-    init_network,
+    init_params,
     mse,
     residual_jacobian,
 )
@@ -110,18 +110,16 @@ def _scored(params: np.ndarray, data: Dataset) -> tuple[float, Activations]:
 
 
 def _train(
-    net: Network, data: Dataset, cfg: TrainingConfig, step
-) -> tuple[Network, TrainingHistory]:
+    params: np.ndarray, data: Dataset, cfg: TrainingConfig, step
+) -> tuple[np.ndarray, TrainingHistory]:
     """The loop both optimizers share.
 
     `step(params, current_mse, activations)`, given the current parameter
     vector's MSE and activations on `data`, returns the next
     `(params, mse, activations)`, or None when no step lowers the MSE,
-    which stops training as stalled.  Returns `net` with the best-MSE
-    vector seen, the one `Network` a training builds, and the
-    per-iteration MSE history.
+    which stops training as stalled.  Returns the best-MSE vector seen and
+    the per-iteration MSE history.
     """
-    params = net.params
     current_mse, activations = _scored(params, data)
     if not np.isfinite(current_mse):
         raise DivergenceDetected(f"initial MSE is {current_mse!r}")
@@ -138,15 +136,15 @@ def _train(
         if moved is None or stopping_rule(history, cfg):
             stop_reason = StopReason.STALLED
             break
-    return net.with_params(best), TrainingHistory(tuple(history), stop_reason)
+    return best, TrainingHistory(tuple(history), stop_reason)
 
 
 def train_backprop(
-    net: Network, data: Dataset, cfg: TrainingConfig
-) -> tuple[Network, TrainingHistory]:
+    params: np.ndarray, data: Dataset, cfg: TrainingConfig
+) -> tuple[np.ndarray, TrainingHistory]:
     """Full-batch gradient descent: param <- param - lr * grad(MSE).
 
-    Returns the best-MSE network seen.  Raises DivergenceDetected if the
+    Returns the best-MSE vector seen.  Raises DivergenceDetected if the
     MSE or any parameter becomes non-finite.
     """
 
@@ -159,12 +157,12 @@ def train_backprop(
             raise DivergenceDetected(f"MSE became {m!r}")
         return params, m, activations
 
-    return _train(net, data, cfg, step)
+    return _train(params, data, cfg, step)
 
 
 def train_lm(
-    net: Network, data: Dataset, cfg: TrainingConfig
-) -> tuple[Network, TrainingHistory]:
+    params: np.ndarray, data: Dataset, cfg: TrainingConfig
+) -> tuple[np.ndarray, TrainingHistory]:
     """Damped Gauss-Newton (Levenberg-Marquardt).
 
     Each iteration computes the step d = (J^T J + lambda I)^-1 J^T r and
@@ -228,7 +226,7 @@ def train_lm(
             )
         return None  # no improving step exists
 
-    return _train(net, data, cfg, step)
+    return _train(params, data, cfg, step)
 
 
 OPTIMIZERS = ("lm", "backprop")
@@ -257,7 +255,6 @@ def node_sweep(
     """
     results = []
     for j in nodes:
-        net = init_network(int(j), cfg.seed)
-        trained, _history = train_fn(net, data, cfg)
-        results.append((int(j), mse(trained.params, data)))
+        trained, _history = train_fn(init_params(int(j), cfg.seed), data, cfg)
+        results.append((int(j), mse(trained, data)))
     return results

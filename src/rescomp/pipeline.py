@@ -54,10 +54,12 @@ from .fourier import (
 from .network import (
     AffineMap,
     DEFAULT_TARGET_BOUNDS_ARCMIN,
+    INPUT_NORM,
+    TARGET_OUT_RANGE,
     Network,
     dataset_from_profile,
     forward_batch,
-    init_network,
+    init_params,
 )
 from .optim import TrainingConfig, TrainingHistory, trainer
 from .prune import DEFAULT_RANK_REL_TOL, PruneReport, prune_and_retrain
@@ -143,14 +145,13 @@ def save_model(path, model: CompensationModel) -> None:
         "encoder_id": model.encoder_id,
     }
     if model.kind == KIND_ANN:
-        net = model.payload
-        doc["shape"] = {"n_inputs": 1, "n_hidden": net.n_hidden, "n_outputs": 1}
+        net, j = model.payload, model.payload.n_hidden
+        doc["shape"] = {"n_inputs": 1, "n_hidden": j, "n_outputs": 1}
         doc["input_norm"] = _affine_to_doc(net.input_norm)
         doc["target_norm"] = _affine_to_doc(net.target_norm)
-        doc["hidden_weights"] = net.w_hidden.tolist()
-        doc["hidden_thresholds"] = net.theta_hidden.tolist()
-        doc["output_weights"] = net.w_output.tolist()
-        doc["output_thresholds"] = net.theta_output.tolist()
+        # the parameter blocks, in canonical order, under the last four payload keys
+        blocks = np.split(net.params, [j, 2 * j, 3 * j])
+        doc.update((key, b.tolist()) for key, b in zip(_PAYLOAD_KEYS[KIND_ANN][3:], blocks))
     else:
         fm = model.payload
         doc["a0"] = fm.a0
@@ -386,17 +387,19 @@ def fit_network(
 ) -> tuple[Network, TrainingHistory, PruneReport | None]:
     """Train the 1:J:1 net on an error profile as `cfg` says: one training
     run, or with `cfg.prune` train, prune and retrain.  Returns the net, the
-    history of its training and the prune report (None without pruning)."""
-    net0 = init_network(cfg.hidden, cfg.training.seed, cfg.norm_bounds)
-    data = dataset_from_profile(profile, net0)
+    history of its training and the prune report (None without pruning).
+    The one place a fit's target map is decided, from `cfg.norm_bounds`."""
+    target_norm = AffineMap(*cfg.norm_bounds, *TARGET_OUT_RANGE)
+    data = dataset_from_profile(profile, target_norm)
     train_fn = trainer(cfg.optimizer)
-    if not cfg.prune:
-        return (*train_fn(net0, data, cfg.training), None)
-    net, report = prune_and_retrain(
-        data, cfg.hidden, cfg.training,
-        rel_tol=cfg.prune_rel_tol, norm_bounds=cfg.norm_bounds, train_fn=train_fn,
-    )
-    return net, report.history_pruned, report
+    if cfg.prune:
+        params, report = prune_and_retrain(data, cfg.hidden, cfg.training,
+                                           rel_tol=cfg.prune_rel_tol, train_fn=train_fn)
+        history = report.history_pruned
+    else:
+        report = None
+        params, history = train_fn(init_params(cfg.hidden, cfg.training.seed), data, cfg.training)
+    return Network(params, INPUT_NORM, target_norm), history, report
 
 
 def fit_fourier_baseline(

@@ -21,30 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig
-from .network import (
-    DEFAULT_TARGET_BOUNDS_ARCMIN,
-    Dataset,
-    Network,
-    _activations,
-    init_network,
-    mse,
-)
+from .errors import BadConfig, NonFiniteArray
+from .network import Dataset, _activations, init_params, mse
 from .optim import TrainingConfig, TrainingHistory, train_lm
 
 DEFAULT_RANK_REL_TOL = 1e-3
 
 
-def activation_matrix(net: Network, data: Dataset) -> np.ndarray:
-    """Hidden-node outputs for every pattern: (P, J) matrix."""
-    return _activations(net.params, data.design)[0]
+def activation_matrix(params: np.ndarray, data: Dataset) -> np.ndarray:
+    """Hidden-node outputs of a parameter vector for every pattern: (P, J) matrix."""
+    return _activations(params, data.design)[0]
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """Singular values of the matrix, descending."""
     matrix = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix must be finite")
+        raise NonFiniteArray("matrix must be finite")
     return np.linalg.svd(matrix, compute_uv=False)
 
 
@@ -66,7 +59,6 @@ class PruneReport:
     spectrum_pruned: tuple[float, ...]
     mse_initial: float
     mse_pruned: float
-    history_initial: TrainingHistory
     history_pruned: TrainingHistory
 
 
@@ -75,24 +67,21 @@ def prune_and_retrain(
     initial_hidden: int,
     cfg: TrainingConfig,
     rel_tol: float = DEFAULT_RANK_REL_TOL,
-    norm_bounds: tuple[float, float] = DEFAULT_TARGET_BOUNDS_ARCMIN,
     train_fn=train_lm,
-) -> tuple[Network, PruneReport]:
+) -> tuple[np.ndarray, PruneReport]:
     """Train at `initial_hidden`, estimate the non-redundant width from the
     activation-matrix spectrum, retrain a fresh net at that width.
 
-    Returns the pruned network and a report carrying both spectra and both
-    final MSEs.
+    Returns the pruned net's parameter vector and a report carrying both
+    spectra, both final MSEs and the retraining's history.
     """
     if initial_hidden < 2:
         raise BadConfig(f"initial_hidden must be >= 2, got {initial_hidden}")
-    net_full = init_network(initial_hidden, cfg.seed, norm_bounds)
-    trained_full, hist_full = train_fn(net_full, data, cfg)
+    trained_full, _history = train_fn(init_params(initial_hidden, cfg.seed), data, cfg)
     spectrum_full = singular_values(activation_matrix(trained_full, data))
     rank = max(effective_rank(spectrum_full, rel_tol), 1)
 
-    net_small = init_network(rank, cfg.seed, norm_bounds)
-    trained_small, hist_small = train_fn(net_small, data, cfg)
+    trained_small, hist_small = train_fn(init_params(rank, cfg.seed), data, cfg)
     spectrum_small = singular_values(activation_matrix(trained_small, data))
 
     report = PruneReport(
@@ -100,9 +89,8 @@ def prune_and_retrain(
         pruned_hidden=rank,
         spectrum_initial=tuple(float(s) for s in spectrum_full),
         spectrum_pruned=tuple(float(s) for s in spectrum_small),
-        mse_initial=mse(trained_full.params, data),
-        mse_pruned=mse(trained_small.params, data),
-        history_initial=hist_full,
+        mse_initial=mse(trained_full, data),
+        mse_pruned=mse(trained_small, data),
         history_pruned=hist_small,
     )
     return trained_small, report

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caldata import ARCMIN_PER_DEG, CalibrationSet, json_int, wrap_deg, write_json
-from .errors import BadGrid, CorruptFile
+from .errors import BadGrid, BadSpec, CorruptFile
 
 # One least-significant bit of a 16-bit single-turn encoder, in degrees.
 LSB_DEG = 360.0 / 65536.0
@@ -34,9 +34,9 @@ class HarmonicTerm:
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"harmonic order must be a non-negative integer, got {self.n!r}")
+            raise BadSpec(f"harmonic order must be a non-negative integer, got {self.n!r}")
         if not math.isfinite(self.amp_arcmin):
-            raise ValueError(f"amplitude must be finite, got {self.amp_arcmin!r}")
+            raise BadSpec(f"amplitude must be finite, got {self.amp_arcmin!r}")
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,11 @@ class HarmonicSpec:
         object.__setattr__(self, "terms", tuple(self.terms))
         orders = [t.n for t in self.terms]
         if len(set(orders)) != len(orders):
-            raise ValueError(f"harmonic orders must be distinct, got {orders}")
+            raise BadSpec(f"harmonic orders must be distinct, got {orders}")
         if not self.noise_sigma_arcmin >= 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma_arcmin!r}")
+            raise BadSpec(f"noise sigma must be >= 0, got {self.noise_sigma_arcmin!r}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+            raise BadSpec(f"seed must be >= 0, got {self.seed!r}")
 
 
 def harmonic_error_arcmin(terms, theta_deg):
@@ -184,7 +184,7 @@ ARCHETYPE_BASE_SEED = 42
 def archetype_spec(index: int) -> HarmonicSpec:
     """Reference spec for archetype 1..4 (seed 42 + index - 1)."""
     if not 1 <= index <= 4:
-        raise ValueError(f"archetype index must be 1..4, got {index}")
+        raise BadSpec(f"archetype index must be 1..4, got {index}")
     shape = _ARCHETYPE_SHAPES[index - 1]
     scale = _ARCHETYPE_SCALES[index - 1]
     terms = tuple(HarmonicTerm(n, rel * scale, phase) for n, rel, phase in shape)

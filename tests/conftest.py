@@ -28,7 +28,16 @@ import numpy as np
 import pytest
 
 from rescomp.caldata import error_profile, partition_even_odd
-from rescomp.network import dataset_from_profile, forward_batch, init_network
+from rescomp.network import (
+    DEFAULT_TARGET_BOUNDS_ARCMIN,
+    INPUT_NORM,
+    TARGET_OUT_RANGE,
+    AffineMap,
+    Network,
+    dataset_from_profile,
+    forward_batch,
+    init_params,
+)
 from rescomp.optim import TrainingConfig, train_backprop, train_lm
 from rescomp.simgen import archetype_spec, synthesize
 
@@ -38,9 +47,18 @@ from rescomp.simgen import archetype_spec, synthesize
 TRAINING_SECONDS: dict[str, float] = {}
 
 
+# the target map a fit builds from the default normalization bounds
+DEFAULT_TARGET_NORM = AffineMap(*DEFAULT_TARGET_BOUNDS_ARCMIN, *TARGET_OUT_RANGE)
+
+
 @pytest.fixture(scope="session")
 def training_seconds():
     return TRAINING_SECONDS
+
+
+def make_net(params, target_norm=DEFAULT_TARGET_NORM):
+    """The Network of a parameter vector with the input map and `target_norm`."""
+    return Network(np.asarray(params, dtype=float), INPUT_NORM, target_norm)
 
 
 def heldout_residuals(net, profile):
@@ -59,15 +77,16 @@ def arch1_data():
     train_set, test_set = partition_even_odd(cal)
     train_prof = error_profile(train_set)
     test_prof = error_profile(test_set)
-    net0 = init_network(80, seed=42)
-    dataset = dataset_from_profile(train_prof, net0)
+    params0 = init_params(80, seed=42)
+    params0.setflags(write=False)  # shared by every test of the session
+    dataset = dataset_from_profile(train_prof, DEFAULT_TARGET_NORM)
     return {
         "cal": cal,
         "train_set": train_set,
         "test_set": test_set,
         "train_prof": train_prof,
         "test_prof": test_prof,
-        "net0": net0,
+        "params0": params0,
         "dataset": dataset,
     }
 
@@ -77,24 +96,25 @@ FULL_BUDGET = TrainingConfig(max_iterations=10000, seed=42)
 
 @pytest.fixture(scope="session")
 def arch1_lm80(arch1_data):
-    """1:80:1 trained with Levenberg-Marquardt at the full iteration budget."""
+    """1:80:1 trained with Levenberg-Marquardt at the full iteration budget:
+    (net, history)."""
     start = time.perf_counter()
-    result = train_lm(arch1_data["net0"], arch1_data["dataset"], FULL_BUDGET)
+    params, history = train_lm(arch1_data["params0"], arch1_data["dataset"], FULL_BUDGET)
     TRAINING_SECONDS["arch1_lm80"] = time.perf_counter() - start
-    return result
+    return make_net(params), history
 
 
 @pytest.fixture(scope="session")
 def arch1_lm20(arch1_data):
-    """1:20:1 at the full budget, for the width-comparison checks."""
-    net0 = init_network(20, seed=42)
-    return train_lm(net0, arch1_data["dataset"], FULL_BUDGET)
+    """1:20:1 at the full budget, for the width-comparison checks: (net, history)."""
+    params, history = train_lm(init_params(20, seed=42), arch1_data["dataset"], FULL_BUDGET)
+    return make_net(params), history
 
 
 @pytest.fixture(scope="session")
 def arch1_backprop(arch1_data):
-    """1:80:1 trained with plain gradient descent at the full budget."""
+    """1:80:1 trained with plain gradient descent at the full budget: (net, history)."""
     start = time.perf_counter()
-    result = train_backprop(arch1_data["net0"], arch1_data["dataset"], FULL_BUDGET)
+    params, history = train_backprop(arch1_data["params0"], arch1_data["dataset"], FULL_BUDGET)
     TRAINING_SECONDS["arch1_backprop"] = time.perf_counter() - start
-    return result
+    return make_net(params), history

@@ -16,18 +16,13 @@ from rescomp.caldata import ErrorProfile, error_profile, partition_even_odd, sta
 from rescomp.cli import main as cli_main
 from rescomp.errors import CorruptFile, UnsupportedVersion
 from rescomp.fourier import fit_fourier, harmonic_spectrum, select_top
-from rescomp.network import (
-    Dataset,
-    dataset_from_profile,
-    forward_batch,
-    init_network,
-    mse,
-)
+from rescomp.network import Dataset, forward_batch, mse
 from rescomp.network import gradient as mse_gradient
-from rescomp.optim import train_lm
 from rescomp.pipeline import (
     CompensationModel,
+    ExperimentConfig,
     evaluate,
+    fit_network,
     load_model,
     save_model,
 )
@@ -38,7 +33,7 @@ from rescomp.simgen import (
     spec_to_json,
     synthesize,
 )
-from tests.conftest import FULL_BUDGET, heldout_residuals
+from tests.conftest import FULL_BUDGET, heldout_residuals, make_net
 
 
 def report_line(name, passed, detail):
@@ -72,8 +67,7 @@ def e2e_runs(arch1_data, arch1_lm80, training_seconds):
         cal = synthesize(archetype_spec(k), grid_step_deg=1.0, encoder_id=f"arch{k}")
         train_set, test_set = partition_even_odd(cal)
         train_prof = error_profile(train_set)
-        net0 = init_network(80, seed=42)
-        trained, _hist = train_lm(net0, dataset_from_profile(train_prof, net0), FULL_BUDGET)
+        trained, _hist, _report = fit_network(train_prof, ExperimentConfig(training=FULL_BUDGET))
         ann_report = evaluate(CompensationModel(f"arch{k}", trained), test_set)
         orders = select_top(harmonic_spectrum(train_prof), 10)
         fourier_report = evaluate(
@@ -97,8 +91,8 @@ def test_criterion_gradient_correctness():
     worst = 0.0
     for _ in range(100):
         hidden = int(rng.integers(1, 5))
-        net = init_network(hidden, seed=int(rng.integers(1 << 30)))
-        net = net.with_params(rng.uniform(-3, 3, 3 * hidden + 1))
+        rng.integers(1 << 30)  # an unused seed draw per net: keeps the 100 nets fixed
+        net = make_net(rng.uniform(-3, 3, 3 * hidden + 1))
         data = Dataset(rng.uniform(0, 1, (1, 1)), rng.uniform(0.05, 0.95, (1, 1)))
         analytic = mse_gradient(net.params, data)
         p0 = net.params
@@ -120,8 +114,7 @@ def test_criterion_gradient_correctness():
 
 def test_criterion_forward_oracle():
     """Hand-computed 1:2:1 forward pass to 1e-12."""
-    net = init_network(2, seed=0)
-    net = net.with_params(np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
+    net = make_net(np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
     got = forward_batch(net, np.array([[0.0]]))[0, 0]
     expected = 1.0 / (1.0 + math.exp(-1.0))
     err = abs(got - expected)
@@ -231,9 +224,10 @@ def test_criterion_svd_pruning(arch1_data, arch1_lm80):
     duplicated = np.hstack([base, base[:, :20]])
     rank_a = effective_rank(singular_values(duplicated))
 
-    pruned_net, prune_rep = prune_and_retrain(
+    pruned_params, prune_rep = prune_and_retrain(
         arch1_data["dataset"], initial_hidden=80, cfg=FULL_BUDGET
     )
+    pruned_net = make_net(pruned_params)
     test_prof = arch1_data["test_prof"]
     mae_full = float(np.mean(np.abs(heldout_residuals(arch1_lm80[0], test_prof))))
     mae_pruned = float(np.mean(np.abs(heldout_residuals(pruned_net, test_prof))))

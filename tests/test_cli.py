@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,9 +19,10 @@ from rescomp import errors, pipeline
 from rescomp.caldata import load_calibration
 from rescomp.cli import STDIN_BATCH_LINES, main
 from rescomp.fourier import FourierModel, FourierTerm
-from rescomp.network import init_network
+from rescomp.network import AffineMap, init_params
 from rescomp.pipeline import CompensationModel, correct, load_model, save_model
 from rescomp.simgen import LSB_DEG, archetype_spec, spec_to_json
+from tests.conftest import make_net
 
 
 @pytest.fixture()
@@ -161,8 +163,7 @@ def stream_case(request, tmp_path_factory):
     `pipeline.correct` calls."""
     rng = np.random.default_rng(2009)
     if request.param == "ann":
-        net = init_network(80, seed=7)
-        payload = net.with_params(rng.normal(0.0, 3.0, net.params.size))
+        payload = make_net(rng.normal(0.0, 3.0, 241))
     else:
         payload = FourierModel(0.3, tuple(
             FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in range(1, 11)))
@@ -385,7 +386,7 @@ def test_hidden_above_bound_fails_before_allocating(
 ):
     """Never allocates the net: building one would fail the test, and the
     peak traced memory stays far below one (P, J) block."""
-    monkeypatch.setattr(pipeline, "init_network", no_training)
+    monkeypatch.setattr(pipeline, "init_params", no_training)
     monkeypatch.setattr(pipeline, "fit_network", no_training)
     out = tmp_path / "out"
     args = {"run-experiment": ["--spec", str(spec_file), "--outdir", str(out)],
@@ -507,6 +508,27 @@ def test_errors_beyond_normalization_bounds_fail_with_error_name(
     assert not out.exists()
 
 
+def test_overflowing_statistics_fail_with_error_name(tmp_path, spec_file, train_csv, capsys):
+    """Bounds of +-1e200' give residuals whose squares overflow: no RMS of inf
+    is printed or written, and no warning either."""
+    out = tmp_path / "out"
+    args = ["run-experiment", "--spec", str(spec_file), "--outdir", str(out), "--hidden", "4",
+            "--max-iterations", "3", "--optimizer", "backprop",
+            "--norm-lo=-1e200", "--norm-hi=1e200"]
+    model, report = tmp_path / "wide.json", tmp_path / "report.json"
+    save_model(model, CompensationModel("wide", make_net(init_params(4, seed=1),
+                                                         AffineMap(-1e200, 1e200, 0.1, 0.9))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+        assert re.fullmatch(r"NonFiniteStats: MAE \S+' or RMS inf' of 180 errors is not finite\n",
+                            capsys.readouterr().err)
+        assert main(["evaluate", "--model", str(model), "--data", str(train_csv),
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err.startswith("NonFiniteStats: ")
+    assert not out.exists() and not report.exists()
+
+
 # a command-line byte that is not UTF-8 decodes to a lone surrogate
 @pytest.mark.parametrize("encoder_id", [os.fsdecode(b"enc-\xff"), "enc,7", "enc\n7", "enc\r7"])
 def test_encoder_id_not_one_csv_field_fails_before_writing(tmp_path, spec_file, capsys, encoder_id):
@@ -580,7 +602,7 @@ def cli_files(tmp_path_factory):
     with redirect_stdout(io.StringIO()):
         assert main(["simulate", "--spec", str(spec), "--step", "1", "--out", str(cal)]) == 0
     ann, series = d / "ann.json", d / "fourier.json"
-    save_model(ann, CompensationModel("flags", init_network(4, seed=1)))
+    save_model(ann, CompensationModel("flags", make_net(init_params(4, seed=1))))
     save_model(series, CompensationModel("flags", FourierModel(0.1, (FourierTerm(1, 0.5, -0.5),))))
     out = d / "out"
     out.mkdir()

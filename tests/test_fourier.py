@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from rescomp.caldata import ErrorProfile, error_profile
-from rescomp.errors import BadConfig, NonUniformGrid, RankDeficientDesign, UnderdeterminedFit
+from rescomp.errors import (
+    BadConfig,
+    BadOrders,
+    NonUniformGrid,
+    RankDeficientDesign,
+    RescompError,
+    UnderdeterminedFit,
+)
 from rescomp.fourier import (
     FourierModel,
     FourierTerm,
@@ -257,5 +264,14 @@ def test_eval_bit_identical_to_term_by_term(orders):
 
 
 def test_model_rejects_duplicate_orders():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadOrders):
         FourierModel(a0=0.0, terms=(FourierTerm(1, 1.0, 0.0), FourierTerm(1, 0.5, 0.0)))
+
+
+def test_order_errors_are_named_value_errors():
+    profile = grid_profile(math.cos)
+    for make in (lambda: FourierModel(a0=0.0, terms=(FourierTerm(0, 1.0, 0.0),)),
+                 lambda: fit_fourier(profile, [1, -2])):
+        with pytest.raises(BadOrders) as info:
+            make()
+        assert isinstance(info.value, RescompError) and isinstance(info.value, ValueError)

@@ -9,8 +9,17 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from rescomp.caldata import ErrorProfile
-from rescomp.errors import DegenerateBounds, EmptyDataset, ShapeMismatch, TargetOutOfRange
+from rescomp.errors import (
+    DegenerateBounds,
+    EmptyDataset,
+    NonFiniteArray,
+    PatternOutOfRange,
+    RescompError,
+    ShapeMismatch,
+    TargetOutOfRange,
+)
 from rescomp.network import (
+    INPUT_NORM,
     AffineMap,
     Dataset,
     _activations,
@@ -18,11 +27,12 @@ from rescomp.network import (
     dataset_from_profile,
     forward_batch,
     gradient,
-    init_network,
+    init_params,
     mse,
     residual_jacobian,
     sigmoid,
 )
+from tests.conftest import DEFAULT_TARGET_NORM, make_net
 
 
 def fd_gradient(net, data, h=1e-5):
@@ -53,8 +63,7 @@ def fd_residual_jacobian(net, data, h=1e-5):
 
 
 def random_net(rng, hidden=3, spread=2.0):
-    net = init_network(hidden, seed=int(rng.integers(1 << 30)))
-    return net.with_params(rng.uniform(-spread, spread, net.params.size))
+    return make_net(rng.uniform(-spread, spread, 3 * hidden + 1))
 
 
 def random_data(rng, n=4):
@@ -64,28 +73,26 @@ def random_data(rng, n=4):
 # --- initialization ---
 
 def test_init_deterministic():
-    a = init_network(5, seed=9)
-    b = init_network(5, seed=9)
-    assert np.array_equal(a.params, b.params)
+    assert np.array_equal(init_params(5, seed=9), init_params(5, seed=9))
 
 
 def test_init_weight_range_and_zero_thresholds():
-    net = init_network(2, seed=7)
-    assert np.all(np.abs(net.w_hidden) <= 0.5)
-    assert np.all(np.abs(net.w_output) <= 0.5)
-    assert np.all(net.theta_hidden == 0.0)
-    assert np.all(net.theta_output == 0.0)
+    w_hidden, theta_hidden, w_output, theta_output = np.split(init_params(2, seed=7), [2, 4, 6])
+    assert np.all(np.abs(w_hidden) <= 0.5)
+    assert np.all(np.abs(w_output) <= 0.5)
+    assert np.all(theta_hidden == 0.0)
+    assert np.all(theta_output == 0.0)
 
 
 def test_param_count_1_80_1():
-    net = init_network(80, seed=0)
+    net = make_net(init_params(80, seed=0))
     assert net.n_hidden == 80
     assert net.params.shape == (80 * 1 + 80 + 1 * 80 + 1,) == (241,)
 
 
 def test_degenerate_bounds():
     with pytest.raises(DegenerateBounds):
-        init_network(2, seed=0, norm_bounds=(3.0, 3.0))
+        AffineMap(3.0, 3.0, 0.1, 0.9)
 
 
 # --- normalization ---
@@ -98,10 +105,9 @@ def test_target_norm_endpoints():
 
 
 def test_input_norm_endpoints():
-    net = init_network(2, seed=0)
-    assert net.input_norm.normalize(0.0) == 0.0
-    assert net.input_norm.normalize(360.0) == 1.0
-    assert net.input_norm.normalize(180.0) == 0.5
+    assert INPUT_NORM.normalize(0.0) == 0.0
+    assert INPUT_NORM.normalize(360.0) == 1.0
+    assert INPUT_NORM.normalize(180.0) == 0.5
 
 
 def test_norm_roundtrip_tight():
@@ -178,8 +184,10 @@ def test_sigmoid_in_place_matches_reference(z):
 def activations_broadcast(net, x):
     """The kernel before the design matrix: the (P, 1) inputs broadcast
     against the hidden weights, with the min/max clamp."""
-    hidden = sigmoid_min_max(x * net.w_hidden + net.theta_hidden)
-    return hidden, sigmoid_min_max(hidden @ net.w_output[:, np.newaxis] + net.theta_output)
+    j = net.n_hidden
+    w_hidden, theta_hidden, w_output, theta_output = np.split(net.params, [j, 2 * j, 3 * j])
+    hidden = sigmoid_min_max(x * w_hidden + theta_hidden)
+    return hidden, sigmoid_min_max(hidden @ w_output[:, np.newaxis] + theta_output)
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,12 +198,11 @@ def test_activations_match_broadcast_bit_for_bit(rows, hidden, seed):
     """design @ [w; theta] rounds x w, then adds theta, like the broadcast:
     weights from 1e-8 to 1e3 of either sign, some of them +0 or -0."""
     rng = np.random.default_rng(seed)
-    net = init_network(hidden, seed=0)
-    n = net.params.size
+    n = 3 * hidden + 1
     params = 10.0 ** rng.uniform(-8, 3, n) * rng.choice([-1.0, 1.0], n)
     zeros = rng.random(n) < 0.1
     params[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
-    net = net.with_params(params)
+    net = make_net(params)
     x = rng.uniform(0, 1, (rows, 1))
     x[rng.random(rows) < 0.05] = rng.choice([0.0, 1.0])
     data = Dataset(x, np.full_like(x, 0.5))
@@ -216,8 +223,7 @@ def test_dataset_design_is_read_only_inputs_and_ones():
 
 
 def test_forward_zero_network_gives_half():
-    net = init_network(4, seed=0)
-    net = net.with_params(np.zeros(net.params.size))
+    net = make_net(np.zeros(13))
     assert forward_batch(net, np.array([[0.3]]))[0, 0] == 0.5
 
 
@@ -225,8 +231,7 @@ def test_forward_hand_computed():
     # 1:2:1, hidden weights [1, -1], thresholds 0, output weights [1, 1],
     # output threshold 0, input 0: both hidden nodes give g(0)=0.5 so the
     # output is g(1) = 0.731058...
-    net = init_network(2, seed=0)
-    net = net.with_params(np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
+    net = make_net(np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
     expected = 1.0 / (1.0 + math.exp(-1.0))
     assert forward_batch(net, np.array([[0.0]]))[0, 0] == pytest.approx(expected, abs=1e-12)
 
@@ -239,8 +244,7 @@ def test_forward_hand_computed():
 )
 def test_forward_output_strictly_inside_unit_interval(seed, x, spread):
     rng = np.random.default_rng(seed)
-    net = init_network(3, seed=seed)
-    net = net.with_params(rng.uniform(-spread, spread, net.params.size))
+    net = make_net(rng.uniform(-spread, spread, 10))
     y = forward_batch(net, np.array([[x]]))[0, 0]
     assert 0.0 < y < 1.0
 
@@ -258,16 +262,14 @@ def test_forward_batch_matches_single():
 # --- MSE ---
 
 def test_mse_exact_fit_is_zero():
-    net = init_network(2, seed=1)
-    net = net.with_params(np.zeros(net.params.size))
+    net = make_net(np.zeros(7))
     data = Dataset([[0.2], [0.8]], [[0.5], [0.5]])
     assert mse(net.params, data) == 0.0
 
 
 def test_mse_single_pattern():
     # output is exactly 0.5 (zero network), target 0.9 -> (0.4)^2
-    net = init_network(2, seed=1)
-    net = net.with_params(np.zeros(net.params.size))
+    net = make_net(np.zeros(7))
     data = Dataset([[0.3]], [[0.9]])
     assert mse(net.params, data) == pytest.approx(0.16, abs=1e-15)
 
@@ -278,21 +280,29 @@ def test_empty_dataset_rejected():
 
 
 def test_dataset_requires_unit_interval():
-    with pytest.raises(ValueError):
-        Dataset([[1.5]], [[0.5]])
+    for inputs, targets in (([[1.5]], [[0.5]]), ([[0.5]], [[-0.1]]), ([[np.nan]], [[0.5]])):
+        with pytest.raises(PatternOutOfRange) as info:
+            Dataset(inputs, targets)
+        assert isinstance(info.value, RescompError) and isinstance(info.value, ValueError)
+
+
+def test_non_finite_params_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteArray) as info:
+            make_net([0.0, 0.0, 0.0, bad])
+        assert isinstance(info.value, RescompError) and isinstance(info.value, ValueError)
 
 
 def test_shape_mismatch():
     # only 1:J:1 nets exist: a parameter vector is 3J + 1 long with J >= 1
-    # (14 is a 1:3:2 net, (1, 4) a 1:1:1 vector as a row), and init_network
+    # (14 is a 1:3:2 net, (1, 4) a 1:1:1 vector as a row), and init_params
     # rejects a width below 1 before it draws weights from the (bad) seed
-    net = init_network(2, seed=0)
     for params in (np.zeros(1), np.zeros(5), np.zeros(14), np.zeros((1, 4))):
         with pytest.raises(ShapeMismatch):
-            net.with_params(params)
+            make_net(params)
     for hidden in (0, -1):
         with pytest.raises(ShapeMismatch):
-            init_network(hidden, seed=-1)
+            init_params(hidden, seed=-1)
 
 
 # --- gradient ---
@@ -308,8 +318,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gradient_zero_at_exact_fit():
-    net = init_network(3, seed=2)
-    net = net.with_params(np.zeros(net.params.size))
+    net = make_net(np.zeros(10))
     data = Dataset([[0.25], [0.75]], [[0.5], [0.5]])
     assert np.max(np.abs(gradient(net.params, data))) < 1e-12
 
@@ -365,8 +374,7 @@ def test_jacobian_gradient_consistency():
 
 
 def test_zero_residuals_at_exact_fit():
-    net = init_network(2, seed=3)
-    net = net.with_params(np.zeros(net.params.size))
+    net = make_net(np.zeros(7))
     data = Dataset([[0.1], [0.9]], [[0.5], [0.5]])
     r, _ = residual_jacobian(net.params, data)
     assert np.all(r == 0.0)
@@ -405,7 +413,7 @@ def test_jacobian_buffer_matches_concatenated_blocks(hidden):
         if spread == 500.0:
             assert np.any(h * (1.0 - h) < 1e-15)
         s_out = out * (1.0 - out)
-        chain = -(s_out * net.w_output * (h * (1.0 - h)))
+        chain = -(s_out * net.params[2 * hidden:3 * hidden] * (h * (1.0 - h)))
         expected = np.concatenate([chain * data.inputs, chain, -s_out * h, -s_out], axis=1)
         for carried in (None, acts):
             residuals, jac = residual_jacobian(net.params, data, carried)
@@ -420,8 +428,7 @@ def test_jacobian_buffer_matches_concatenated_blocks(hidden):
 
 def test_dataset_from_profile():
     profile = ErrorProfile(((0.0, -6.0), (180.0, 0.0), (359.0, 6.0)))
-    net = init_network(2, seed=0)
-    data = dataset_from_profile(profile, net)
+    data = dataset_from_profile(profile, DEFAULT_TARGET_NORM)
     assert_allclose(data.inputs[:, 0], [0.0, 0.5, 359.0 / 360.0])
     assert_allclose(data.targets[:, 0], [0.1, 0.5, 0.9], atol=1e-15)
 
@@ -435,13 +442,12 @@ def test_dataset_from_profile_accepts_what_dataset_accepts(errors):
     targets would reject them ([-6', 6'] maps onto [0.1, 0.9], so [0, 1] is
     [-7.5', 7.5'] up to rounding)."""
     profile = ErrorProfile(tuple((float(i), e) for i, e in enumerate(errors)))
-    net = init_network(2, seed=0)
-    targets = net.target_norm.normalize(errors)[:, np.newaxis]
+    targets = DEFAULT_TARGET_NORM.normalize(errors)[:, np.newaxis]
     try:
         Dataset(inputs=np.zeros_like(targets), targets=targets)
-    except ValueError:
+    except PatternOutOfRange:
         with pytest.raises(TargetOutOfRange, match=r"maps outside \[0, 1\] with "
                                                    r"normalization bounds \[-6\.0, 6\.0\]'$"):
-            dataset_from_profile(profile, net)
+            dataset_from_profile(profile, DEFAULT_TARGET_NORM)
     else:
-        dataset_from_profile(profile, net)
+        dataset_from_profile(profile, DEFAULT_TARGET_NORM)

@@ -10,7 +10,7 @@ from rescomp.network import (
     Network,
     forward_batch,
     gradient,
-    init_network,
+    init_params,
     mse,
     residual_jacobian,
 )
@@ -25,6 +25,7 @@ from rescomp.optim import (
     train_lm,
     trainer,
 )
+from tests.conftest import make_net
 
 
 # --- config and history invariants ---
@@ -90,40 +91,40 @@ def test_stopping_rule_zero_floor():
 # --- gradient descent ---
 
 def test_backprop_constant_target_toy():
-    net = init_network(2, seed=4)
+    params = init_params(2, seed=4)
     data = Dataset(np.linspace(0, 1, 8)[:, None], np.full((8, 1), 0.5))
     cfg = TrainingConfig(max_iterations=2000, learning_rate=5.0, stall_window=100, seed=4)
-    trained, history = train_backprop(net, data, cfg)
-    assert mse(trained.params, data) < 1e-6
+    trained, history = train_backprop(params, data, cfg)
+    assert mse(trained, data) < 1e-6
     assert history.iterations_run <= 2000
 
 
 def test_backprop_huge_learning_rate_never_returns_nonfinite():
-    net = init_network(4, seed=6)
+    params = init_params(4, seed=6)
     data = Dataset(np.linspace(0, 1, 10)[:, None], np.linspace(0.2, 0.8, 10)[:, None])
     cfg = TrainingConfig(max_iterations=500, learning_rate=1e4, stall_window=100, seed=6)
     try:
-        trained, _history = train_backprop(net, data, cfg)
+        trained, _history = train_backprop(params, data, cfg)
     except Exception as exc:
         assert type(exc).__name__ == "DivergenceDetected"
     else:
-        assert np.all(np.isfinite(trained.params))
+        assert np.all(np.isfinite(trained))
 
 
 def test_backprop_returns_best_seen():
-    net = init_network(3, seed=7)
+    params = init_params(3, seed=7)
     data = Dataset(np.linspace(0, 1, 6)[:, None], np.linspace(0.3, 0.7, 6)[:, None])
     cfg = TrainingConfig(max_iterations=300, learning_rate=8.0, stall_window=50, seed=7)
-    trained, history = train_backprop(net, data, cfg)
-    assert mse(trained.params, data) <= min(history.mse_per_iteration) + 1e-18
+    trained, history = train_backprop(params, data, cfg)
+    assert mse(trained, data) <= min(history.mse_per_iteration) + 1e-18
 
 
 def test_backprop_deterministic():
-    net = init_network(3, seed=8)
+    params = init_params(3, seed=8)
     data = Dataset(np.linspace(0, 1, 5)[:, None], np.full((5, 1), 0.4))
     cfg = TrainingConfig(max_iterations=100, stall_window=50, seed=8)
-    _, h1 = train_backprop(net, data, cfg)
-    _, h2 = train_backprop(net, data, cfg)
+    _, h1 = train_backprop(params, data, cfg)
+    _, h2 = train_backprop(params, data, cfg)
     assert h1.mse_per_iteration == h2.mse_per_iteration
 
 
@@ -135,43 +136,41 @@ def test_backprop_never_builds_the_jacobian(monkeypatch):
 
     monkeypatch.setattr("rescomp.network.residual_jacobian", no_jacobian)
     monkeypatch.setattr("rescomp.optim.residual_jacobian", no_jacobian)
-    net = init_network(80, seed=9)
+    params = init_params(80, seed=9)
     data = Dataset(np.linspace(0, 1, 180)[:, None], np.linspace(0.2, 0.8, 180)[:, None])
     cfg = TrainingConfig(max_iterations=20, stall_window=50, seed=9)
-    trained, history = train_backprop(net, data, cfg)
+    trained, history = train_backprop(params, data, cfg)
     assert history.iterations_run == 20
-    assert mse(trained.params, data) < mse(net.params, data)
+    assert mse(trained, data) < mse(params, data)
 
 
 # --- Levenberg-Marquardt ---
 
 def test_lm_recovers_teacher_network():
-    teacher = init_network(2, seed=77)
-    teacher = teacher.with_params(np.array([1.7, -2.2, 0.3, -0.4, 1.1, -0.8, 0.25]))
+    teacher = make_net(np.array([1.7, -2.2, 0.3, -0.4, 1.1, -0.8, 0.25]))
     xs = np.linspace(0.1, 0.9, 5)[:, None]
     data = Dataset(xs, forward_batch(teacher, xs))
-    student = init_network(2, seed=5)
     cfg = TrainingConfig(max_iterations=200, stall_window=50, seed=5)
-    trained, history = train_lm(student, data, cfg)
-    assert mse(trained.params, data) < 1e-10
+    trained, history = train_lm(init_params(2, seed=5), data, cfg)
+    assert mse(trained, data) < 1e-10
     assert history.iterations_run < 200
 
 
 def test_lm_exact_fit_start_stalls_without_moving():
-    net = init_network(3, seed=8)
-    net = net.with_params(np.zeros(net.params.size))
+    params = np.zeros(10)
     data = Dataset([[0.2], [0.8]], [[0.5], [0.5]])
-    trained, history = train_lm(net, data, TrainingConfig(max_iterations=100, stall_window=50))
+    trained, history = train_lm(params, data, TrainingConfig(max_iterations=100, stall_window=50))
     assert history.iterations_run == 1
     assert history.stop_reason is StopReason.STALLED
-    assert np.array_equal(trained.params, net.params)
+    assert np.array_equal(trained, params)
 
 
 def test_lm_recorded_mse_non_increasing():
-    net = init_network(6, seed=9)
+    params = init_params(6, seed=9)
     rng = np.random.default_rng(9)
     data = Dataset(rng.uniform(0, 1, (20, 1)), rng.uniform(0.2, 0.8, (20, 1)))
-    _, history = train_lm(net, data, TrainingConfig(max_iterations=150, stall_window=60, seed=9))
+    cfg = TrainingConfig(max_iterations=150, stall_window=60, seed=9)
+    _, history = train_lm(params, data, cfg)
     h = history.mse_per_iteration
     assert all(h[i + 1] <= h[i] for i in range(len(h) - 1))
 
@@ -181,52 +180,52 @@ def test_lm_step_solves_damped_normal_equations(hidden, patterns):
     # 1:4:1 on 8 patterns has more parameters than patterns (13 > 8), so the
     # step goes through the 8 x 8 system; 1:3:1 on 20 patterns (10 <= 20)
     # solves the 10 x 10 normal equations themselves
-    net = init_network(hidden, seed=13)
+    params = init_params(hidden, seed=13)
     rng = np.random.default_rng(13)
     data = Dataset(rng.uniform(0, 1, (patterns, 1)), rng.uniform(0.2, 0.8, (patterns, 1)))
     cfg = TrainingConfig(max_iterations=1, seed=13)
-    trained, history = train_lm(net, data, cfg)
-    assert history.mse_per_iteration[0] < mse(net.params, data)  # the lambda0 step was accepted
-    residuals, jac = residual_jacobian(net.params, data)
-    damped = jac.T @ jac + cfg.lm_lambda0 * np.eye(net.params.size)
-    expected = net.params - np.linalg.solve(damped, jac.T @ residuals)
-    if net.params.size <= patterns:
-        assert np.array_equal(trained.params, expected)
+    trained, history = train_lm(params, data, cfg)
+    assert history.mse_per_iteration[0] < mse(params, data)  # the lambda0 step was accepted
+    residuals, jac = residual_jacobian(params, data)
+    damped = jac.T @ jac + cfg.lm_lambda0 * np.eye(params.size)
+    expected = params - np.linalg.solve(damped, jac.T @ residuals)
+    if params.size <= patterns:
+        assert np.array_equal(trained, expected)
     else:
-        np.testing.assert_allclose(trained.params, expected, rtol=1e-9)
+        np.testing.assert_allclose(trained, expected, rtol=1e-9)
 
 
 def test_lm_deterministic():
-    net = init_network(4, seed=10)
+    params = init_params(4, seed=10)
     rng = np.random.default_rng(10)
     data = Dataset(rng.uniform(0, 1, (12, 1)), rng.uniform(0.2, 0.8, (12, 1)))
     cfg = TrainingConfig(max_iterations=80, stall_window=40, seed=10)
-    net1, h1 = train_lm(net, data, cfg)
-    net2, h2 = train_lm(net, data, cfg)
+    params1, h1 = train_lm(params, data, cfg)
+    params2, h2 = train_lm(params, data, cfg)
     assert h1.mse_per_iteration == h2.mse_per_iteration
-    assert np.array_equal(net1.params, net2.params)
+    assert np.array_equal(params1, params2)
 
 
 def test_lm_never_returns_nonfinite():
-    net = init_network(5, seed=11)
+    params = init_params(5, seed=11)
     rng = np.random.default_rng(11)
     data = Dataset(rng.uniform(0, 1, (9, 1)), rng.uniform(0.1, 0.9, (9, 1)))
-    trained, _ = train_lm(net, data, TrainingConfig(max_iterations=60, stall_window=30))
-    assert np.all(np.isfinite(trained.params))
+    trained, _ = train_lm(params, data, TrainingConfig(max_iterations=60, stall_window=30))
+    assert np.all(np.isfinite(trained))
 
 
 def test_lm_overflowing_candidate_escalates_lambda(monkeypatch):
     # a finite step whose candidate params - delta overflows escalates lambda
     # like a non-finite step; with every candidate overflowing, no finite
     # candidate appears and the damped system is declared unsolvable
-    net = init_network(2, seed=14)
-    net = net.with_params(np.concatenate([net.params[:-1], [1.5e308]]))
+    params = init_params(2, seed=14)
+    params[-1] = 1.5e308
     data = Dataset(np.linspace(0, 1, 10)[:, None], np.linspace(0.2, 0.8, 10)[:, None])
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, -1.5e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularNormalEquations):
-            train_lm(net, data, TrainingConfig(max_iterations=5, seed=14))
+            train_lm(params, data, TrainingConfig(max_iterations=5, seed=14))
 
 
 # --- what one training computes ---
@@ -242,18 +241,18 @@ def _counting(monkeypatch, owner, name, counts):
 
 
 @pytest.mark.parametrize("train_fn", [train_lm, train_backprop])
-def test_training_builds_one_network(monkeypatch, train_fn):
-    # the trainer carries bare parameter vectors; only the vector it
-    # returns becomes a (validated) Network
-    net = init_network(6, seed=15)
+def test_training_builds_no_network(monkeypatch, train_fn):
+    # the trainer takes and returns bare parameter vectors; the caller pairs
+    # the result with its normalization maps
+    params = init_params(6, seed=15)
     rng = np.random.default_rng(15)
     data = Dataset(rng.uniform(0, 1, (20, 1)), rng.uniform(0.2, 0.8, (20, 1)))
     counts = {}
     _counting(monkeypatch, Network, "__post_init__", counts)
-    trained, history = train_fn(net, data, TrainingConfig(max_iterations=50, seed=15))
+    trained, history = train_fn(params, data, TrainingConfig(max_iterations=50, seed=15))
     assert history.iterations_run == 50
-    assert counts == {"__post_init__": 1}
-    assert isinstance(trained, Network)
+    assert counts == {}
+    assert isinstance(trained, np.ndarray) and trained.shape == (19,)
 
 
 def test_backprop_call_counts(monkeypatch):
@@ -262,9 +261,9 @@ def test_backprop_call_counts(monkeypatch):
     counts = {}
     for name in ("mse", "residual_jacobian", "gradient"):
         _counting(monkeypatch, optim, name, counts)
-    net = init_network(5, seed=16)
+    params = init_params(5, seed=16)
     data = Dataset(np.linspace(0, 1, 12)[:, None], np.linspace(0.3, 0.7, 12)[:, None])
-    _, history = train_backprop(net, data, TrainingConfig(max_iterations=40, seed=16))
+    _, history = train_backprop(params, data, TrainingConfig(max_iterations=40, seed=16))
     assert history.iterations_run == 40
     assert counts == {"gradient": 40, "mse": 41}
 
@@ -276,10 +275,10 @@ def test_lm_call_counts(monkeypatch):
     for name in ("mse", "residual_jacobian", "gradient"):
         _counting(monkeypatch, optim, name, counts)
     _counting(monkeypatch, np.linalg, "solve", counts)
-    net = init_network(4, seed=17)
+    params = init_params(4, seed=17)
     rng = np.random.default_rng(17)
     data = Dataset(rng.uniform(0, 1, (15, 1)), rng.uniform(0.2, 0.8, (15, 1)))
-    _, history = train_lm(net, data, TrainingConfig(max_iterations=60, seed=17))
+    _, history = train_lm(params, data, TrainingConfig(max_iterations=60, seed=17))
     assert "gradient" not in counts
     assert counts["residual_jacobian"] == history.iterations_run
     assert counts["solve"] > history.iterations_run      # some steps were rejected
@@ -288,18 +287,18 @@ def test_lm_call_counts(monkeypatch):
 
 # --- carried activations: bit-identical to recomputing every forward pass ---
 
-def _uncarried_train(net, data, cfg, lm):
+def _uncarried_train(params, data, cfg, lm):
     """The training loop with every forward pass recomputed: `mse`,
     `residual_jacobian` and `gradient` get no activations.  Returns the
-    best network and the MSE history."""
+    best parameter vector and the MSE history."""
     lam = cfg.lm_lambda0
-    current, current_mse = net, mse(net.params, data)
+    current, current_mse = params, mse(params, data)
     best, best_mse = current, current_mse
     history = []
     for _ in range(cfg.max_iterations):
         moved = None
         if lm:
-            residuals, jac = residual_jacobian(current.params, data)
+            residuals, jac = residual_jacobian(current, data)
             wide = jac.shape[0] < jac.shape[1]
             gram = jac @ jac.T if wide else jac.T @ jac
             rhs = residuals if wide else jac.T @ residuals
@@ -309,17 +308,17 @@ def _uncarried_train(net, data, cfg, lm):
                 delta = np.linalg.solve(gram, rhs)
                 if wide:
                     delta = jac.T @ delta
-                cand = current.with_params(current.params - delta)
-                cand_mse = mse(cand.params, data)
+                cand = current - delta
+                cand_mse = mse(cand, data)
                 if cand_mse < current_mse:
                     lam = max(lam / cfg.lm_factor, 1e-15)
                     moved = cand, cand_mse
                     break
                 lam *= cfg.lm_factor
         else:
-            grad = gradient(current.params, data)
-            cand = current.with_params(current.params - cfg.learning_rate * grad)
-            moved = cand, mse(cand.params, data)
+            grad = gradient(current, data)
+            cand = current - cfg.learning_rate * grad
+            moved = cand, mse(cand, data)
         if moved is not None:
             current, current_mse = moved
             if current_mse < best_mse:
@@ -336,13 +335,13 @@ def _uncarried_train(net, data, cfg, lm):
     (80, 200, train_backprop),
 ])
 def test_training_matches_uncarried_loop(arch1_data, hidden, iterations, train_fn):
-    net = init_network(hidden, seed=42)
+    params = init_params(hidden, seed=42)
     data = arch1_data["dataset"]
     cfg = TrainingConfig(max_iterations=iterations, seed=42)
-    trained, history = train_fn(net, data, cfg)
-    expected_net, expected_history = _uncarried_train(net, data, cfg, train_fn is train_lm)
+    trained, history = train_fn(params, data, cfg)
+    expected, expected_history = _uncarried_train(params, data, cfg, train_fn is train_lm)
     assert history.mse_per_iteration == expected_history
-    assert np.array_equal(trained.params, expected_net.params)
+    assert np.array_equal(trained, expected)
 
 
 # --- reference-profile convergence (shared heavyweight fixtures) ---

@@ -9,10 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescomp.caldata import CalibrationSet, ErrorProfile
-from rescomp.errors import BadConfig, CorruptFile, KindMismatch, OutOfRange, RescompError, UnsupportedVersion
+from rescomp.errors import (
+    BadConfig,
+    CorruptFile,
+    KindMismatch,
+    OutOfRange,
+    RescompError,
+    TargetOutOfRange,
+    UnsupportedVersion,
+)
 from rescomp.fourier import FourierModel, FourierTerm, eval_fourier
-from rescomp.network import forward_batch, init_network
-from rescomp.optim import TrainingConfig
+from rescomp.network import (
+    INPUT_NORM,
+    AffineMap,
+    Network,
+    _activations,
+    dataset_from_profile,
+    forward_batch,
+    init_params,
+)
+from rescomp.optim import TrainingConfig, train_lm
 from rescomp.pipeline import (
     KIND_ANN,
     KIND_FOURIER,
@@ -23,18 +39,20 @@ from rescomp.pipeline import (
     correct,
     evaluate,
     fit_fourier_baseline,
+    fit_network,
     load_model,
     predict_error,
     run_experiment,
     save_model,
 )
+from rescomp.prune import prune_and_retrain
 from rescomp.simgen import HarmonicSpec, HarmonicTerm, synthesize
+from tests.conftest import make_net
 
 
 def trained_like_net(seed=17, hidden=80):
     rng = np.random.default_rng(seed)
-    net = init_network(hidden, seed=seed)
-    return net.with_params(rng.uniform(-30, 30, 3 * hidden + 1))
+    return make_net(rng.uniform(-30, 30, 3 * hidden + 1))
 
 
 def fourier_model():
@@ -144,8 +162,7 @@ PINNED_FOURIER_FILE = """\
 def pinned_case(kind):
     """The pinned file text of a model kind and the model it holds."""
     if kind == KIND_ANN:
-        net = init_network(2, seed=0).with_params(
-            np.array([0.75, -1.25, 0.5, -0.25, 1.5, -2.0, 0.125]))
+        net = make_net(np.array([0.75, -1.25, 0.5, -0.25, 1.5, -2.0, 0.125]))
         return PINNED_ANN_FILE, CompensationModel("pin", net)
     series = FourierModel(0.5, (FourierTerm(1, 1.25, -0.75), FourierTerm(3, 0.1, 0.2)))
     return PINNED_FOURIER_FILE, CompensationModel("pin", series)
@@ -491,8 +508,7 @@ def chunk_edge_counts(rows):
 @pytest.mark.parametrize("hidden", [6, 80, 1000])
 def test_predict_error_ann_chunks_bit_identical_to_one_call(hidden):
     rng = np.random.default_rng(hidden)
-    net = init_network(hidden, seed=hidden)
-    net = net.with_params(rng.uniform(-3.0, 3.0, net.params.size))
+    net = make_net(rng.uniform(-3.0, 3.0, 3 * hidden + 1))
     model = CompensationModel("chunks", net)
     for n in chunk_edge_counts(chunk_rows(hidden)):
         angles = rng.uniform(0.0, 360.0, n)
@@ -514,7 +530,7 @@ def test_predict_error_fourier_chunks_bit_identical_to_one_call(n_terms):
 
 def test_predict_error_peak_memory_is_one_chunk():
     """4 096 angles at J = 80: unchunked, the hidden block alone is 2.6 MB."""
-    model = CompensationModel("peak", init_network(80, seed=0))
+    model = CompensationModel("peak", make_net(init_params(80, seed=0)))
     angles = np.linspace(0.0, 360.0, 4096, endpoint=False)
     tracemalloc.start()
     try:
@@ -601,6 +617,49 @@ def test_fourier_baseline_top_limit(n):
     assert sorted(orders) == list(range(8))
     with pytest.raises(BadConfig, match=rf"top must be in \[0, 8\] for a profile of {n} samples"):
         fit_fourier_baseline(profile, 9)
+
+
+def wide_error_profile():
+    """Errors of up to 9' on the 180-point even-degree grid: past the 7.5'
+    that the default [-6', 6'] bounds map onto 0 and 1."""
+    angles = np.arange(0.0, 360.0, 2.0)
+    return ErrorProfile(np.stack((angles, 9.0 * np.cos(np.radians(angles))), axis=1))
+
+
+@pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
+def test_fit_network_with_non_default_bounds(prune):
+    """The bounds reach the dataset the trainers see and the returned net's
+    target map, with and without pruning."""
+    profile = wide_error_profile()
+    training = TrainingConfig(max_iterations=20, seed=3)
+    cfg = ExperimentConfig(hidden=6, prune=prune, norm_bounds=(-8.0, 8.0), training=training)
+    net, history, report = fit_network(profile, cfg)
+    target_norm = AffineMap(-8.0, 8.0, 0.1, 0.9)
+    assert net.input_norm == INPUT_NORM and net.target_norm == target_norm
+    data = dataset_from_profile(profile, target_norm)
+    if prune:
+        params, expected_report = prune_and_retrain(data, 6, training)
+        assert report == expected_report and history == expected_report.history_pruned
+    else:
+        params, expected_history = train_lm(init_params(6, seed=3), data, training)
+        assert report is None and history == expected_history
+    assert np.array_equal(net.params, params)
+    outputs = _activations(params, data.design)[1][:, 0]
+    predicted = predict_error(CompensationModel("wide", net), profile.angles_deg())
+    assert np.array_equal(predicted, target_norm.denormalize(outputs))
+    with pytest.raises(TargetOutOfRange):
+        fit_network(profile, ExperimentConfig(hidden=6, prune=prune, training=training))
+
+
+@pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
+def test_fit_network_builds_one_network(monkeypatch, prune):
+    built = []
+    validate = Network.__post_init__
+    monkeypatch.setattr(Network, "__post_init__", lambda net: built.append(validate(net)))
+    cfg = ExperimentConfig(hidden=4, prune=prune, norm_bounds=(-8.0, 8.0),
+                           training=TrainingConfig(max_iterations=5, seed=1))
+    fit_network(wide_error_profile(), cfg)
+    assert len(built) == 1
 
 
 def test_run_experiment_writes_bundle(tmp_path):

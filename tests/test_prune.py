@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rescomp.errors import BadConfig, ShapeMismatch
-from rescomp.network import Dataset, init_network, sigmoid
+from rescomp.errors import BadConfig, NonFiniteArray, ShapeMismatch
+from rescomp.network import Dataset, init_params, sigmoid
 from rescomp.optim import TrainingConfig, train_lm
 from rescomp.prune import (
     activation_matrix,
@@ -13,18 +13,16 @@ from rescomp.prune import (
     prune_and_retrain,
     singular_values,
 )
-from tests.conftest import heldout_residuals
+from tests.conftest import heldout_residuals, make_net
 
 
 # --- activation matrix ---
 
 def test_activation_matrix_zero_weights():
-    net = init_network(4, seed=0)
-    params = np.zeros(net.params.size)
+    params = np.zeros(13)
     params[4:8] = [0.5, -0.5, 1.0, 0.0]  # hidden thresholds
-    net = net.with_params(params)
     data = Dataset([[0.2], [0.7], [0.9]], [[0.5], [0.5], [0.5]])
-    X = activation_matrix(net, data)
+    X = activation_matrix(params, data)
     expected_row = sigmoid(np.array([0.5, -0.5, 1.0, 0.0]))
     for row in X:
         assert_allclose(row, expected_row, rtol=0, atol=0)
@@ -32,17 +30,16 @@ def test_activation_matrix_zero_weights():
 
 def test_activation_matrix_hand_case():
     # single pattern x=0.3, hidden weights [2, -1], thresholds [0.1, -0.2]
-    net = init_network(2, seed=0)
-    net = net.with_params(np.array([2.0, -1.0, 0.1, -0.2, 0.0, 0.0, 0.0]))
+    params = np.array([2.0, -1.0, 0.1, -0.2, 0.0, 0.0, 0.0])
     data = Dataset([[0.3]], [[0.5]])
-    X = activation_matrix(net, data)
+    X = activation_matrix(params, data)
     assert X.shape == (1, 2)
     assert X[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-0.7)), abs=1e-15)
     assert X[0, 1] == pytest.approx(1.0 / (1.0 + np.exp(0.5)), abs=1e-15)
 
 
 def test_activation_matrix_dimensions(arch1_data, arch1_lm80):
-    X = activation_matrix(arch1_lm80[0], arch1_data["dataset"])
+    X = activation_matrix(arch1_lm80[0].params, arch1_data["dataset"])
     assert X.shape == (180, 80)
 
 
@@ -50,7 +47,7 @@ def test_activation_matrix_shape_mismatch():
     # a 2-output net (the 14 parameters of 1:3:2) or a 2-input dataset cannot
     # be built, so neither reaches activation_matrix
     with pytest.raises(ShapeMismatch):
-        init_network(3, seed=0).with_params(np.zeros(14))
+        make_net(np.zeros(14))
     with pytest.raises(ShapeMismatch):
         Dataset([[0.1, 0.2]], [[0.5]])
 
@@ -59,6 +56,13 @@ def test_activation_matrix_shape_mismatch():
 
 def test_singular_values_diagonal():
     assert_allclose(singular_values(np.diag([3.0, 2.0])), [3.0, 2.0])
+
+
+def test_singular_values_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteArray) as info:
+            singular_values(np.array([[1.0, bad]]))
+        assert isinstance(info.value, ValueError)
 
 
 def test_singular_values_rank_one():
@@ -125,10 +129,10 @@ def test_prune_and_retrain_small_problem():
     targets = 0.5 + 0.3 * np.cos(2 * np.pi * angles)
     data = Dataset(angles, targets)
     cfg = TrainingConfig(max_iterations=60, stall_window=20, seed=33)
-    net, report = prune_and_retrain(data, initial_hidden=2, cfg=cfg)
+    params, report = prune_and_retrain(data, initial_hidden=2, cfg=cfg)
     assert report.initial_hidden == 2
     assert 1 <= report.pruned_hidden <= 2
-    assert net.n_hidden == report.pruned_hidden
+    assert params.shape == (3 * report.pruned_hidden + 1,)
     assert len(report.spectrum_initial) == 2
 
 
@@ -143,15 +147,15 @@ def test_prune_reference_profile(arch1_data, arch1_lm80):
     data = arch1_data["dataset"]
     cfg = TrainingConfig(max_iterations=10000, seed=42)
 
-    def train(net, d, c):
+    def train(params, d, c):
         # the 80-wide training asked for is the fixture's, so reuse its result
-        if net.n_hidden != 80:
-            return train_lm(net, d, c)
-        assert np.array_equal(net.params, arch1_data["net0"].params)
+        if params.size != 241:
+            return train_lm(params, d, c)
+        assert np.array_equal(params, arch1_data["params0"])
         assert d is data and c == cfg
-        return arch1_lm80
+        return arch1_lm80[0].params, arch1_lm80[1]
 
-    pruned_net, report = prune_and_retrain(data, initial_hidden=80, cfg=cfg, train_fn=train)
+    pruned_params, report = prune_and_retrain(data, initial_hidden=80, cfg=cfg, train_fn=train)
     assert report.pruned_hidden < 80
     # the report's initial MSE is that of the net the trainer returned
     assert report.mse_initial == pytest.approx(
@@ -159,5 +163,5 @@ def test_prune_reference_profile(arch1_data, arch1_lm80):
     )
     test_prof = arch1_data["test_prof"]
     mae_full = np.mean(np.abs(heldout_residuals(arch1_lm80[0], test_prof)))
-    mae_pruned = np.mean(np.abs(heldout_residuals(pruned_net, test_prof)))
+    mae_pruned = np.mean(np.abs(heldout_residuals(make_net(pruned_params), test_prof)))
     assert abs(mae_full - mae_pruned) <= 0.05

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rescomp.caldata import error_profile, stats
-from rescomp.errors import BadGrid
+from rescomp.errors import BadGrid, BadSpec, RescompError
 from rescomp.simgen import (
     ARCHETYPE_MAE_TARGETS,
     LSB_ARCMIN,
@@ -162,13 +162,28 @@ def test_archetype_seeds_differ():
 # --- spec validation and JSON ---
 
 def test_duplicate_orders_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSpec):
         HarmonicSpec(terms=(HarmonicTerm(2, 1.0, 0.0), HarmonicTerm(2, 0.5, 1.0)))
 
 
 def test_negative_sigma_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSpec):
         HarmonicSpec(terms=(), noise_sigma_arcmin=-0.1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: HarmonicTerm(-1, 1.0, 0.0), "harmonic order must be a non-negative integer"),
+    (lambda: HarmonicTerm(1.5, 1.0, 0.0), "harmonic order must be a non-negative integer"),
+    (lambda: HarmonicTerm(1, math.inf, 0.0), "amplitude must be finite"),
+    (lambda: HarmonicSpec(terms=(), noise_sigma_arcmin=math.nan), "noise sigma must be >= 0"),
+    (lambda: HarmonicSpec(terms=(), seed=-1), "seed must be >= 0"),
+    (lambda: archetype_spec(5), "archetype index must be 1..4"),
+], ids=["negative-order", "fractional-order", "infinite-amplitude", "nan-sigma",
+        "negative-seed", "archetype-5"])
+def test_spec_errors_are_named_value_errors(make, message):
+    with pytest.raises(BadSpec, match=message) as info:
+        make()
+    assert isinstance(info.value, RescompError) and isinstance(info.value, ValueError)
 
 
 def test_spec_json_roundtrip(tmp_path):
