@@ -13,6 +13,8 @@ even-degree training half of a simulated archetype (180 patterns):
     lm-80    Levenberg-Marquardt, 1:80:1, archetype 1, 300 iterations
     lm-40    Levenberg-Marquardt, 1:40:1, archetype 2, 600 iterations
     lm-6     Levenberg-Marquardt, 1:6:1, archetype 2, 600 iterations
+    prune-40 Levenberg-Marquardt, 1:40:1 with SVD prune and retrain,
+             archetype 2, 600 iterations per fit
 
 `pipeline.predict_error` of a seeded 1:J:1 `CompensationModel` on 1 024
 angles (the `correct --stdin` block call, row chunks included) at J = 6, 40
@@ -20,8 +22,9 @@ and 80, each sample a run of calls, and each tree's
 `cli.main(["correct", "--model", M, "--stdin"])` over the same 6 000 seeded
 16-bit codes, for a 1:80:1 net and a 10-term Fourier model (stream-ann-80,
 stream-fourier-10), each sample a few runs of the stream.  Every training
-history, trained parameter vector, predicted error and stream's standard
-output bytes must be identical between the trees; the script exits 1 at the
+history, trained parameter vector, prune report (pruned width, both spectra
+and both MSEs), predicted error and stream's standard output bytes must be
+identical between the trees; the script exits 1 at the
 first difference.  It writes, per case,
 both trees' medians and quartiles, the ratio of medians (change / base) and
 the number of pairs the change won, with the Python, numpy and BLAS thread
@@ -30,7 +33,9 @@ settings and the CPU model.
 The script uses only these names of a tree, so it compares any two trees
 that share them: `simgen.synthesize`, `archetype_spec` and `LSB_DEG`,
 `caldata.partition_even_odd` and `error_profile`, `optim.TrainingConfig`,
-`pipeline.ExperimentConfig`, `fit_network`, `CompensationModel`,
+`pipeline.ExperimentConfig`, `fit_network` (and its prune report's
+`pruned_hidden`, `spectrum_initial`, `spectrum_pruned`, `mse_initial` and
+`mse_pruned`), `CompensationModel`,
 `predict_error` and `save_model`, `network.Network(params, input_norm,
 target_norm)`, `INPUT_NORM` and `AffineMap`, `fourier.FourierModel` and
 `FourierTerm`, and `cli.main`.
@@ -61,12 +66,13 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-# name: (optimizer, hidden width, archetype, iterations)
+# name: (optimizer, hidden width, archetype, iterations, prune)
 TRAININGS = {
-    "gd-80": ("backprop", 80, 3, 1000),
-    "lm-80": ("lm", 80, 1, 300),
-    "lm-40": ("lm", 40, 2, 600),
-    "lm-6": ("lm", 6, 2, 600),
+    "gd-80": ("backprop", 80, 3, 1000, False),
+    "lm-80": ("lm", 80, 1, 300, False),
+    "lm-40": ("lm", 40, 2, 600, False),
+    "lm-6": ("lm", 6, 2, 600, False),
+    "prune-40": ("lm", 40, 2, 600, True),
 }
 PREDICT_ANGLES = 1024
 PREDICT_WIDTHS = (6, 40, 80)
@@ -98,20 +104,25 @@ def tree_digest(src: Path) -> str:
     return h.hexdigest()
 
 
-def training_case(m, optimizer: str, hidden: int, archetype: int, iterations: int):
+def training_case(m, optimizer: str, hidden: int, archetype: int, iterations: int,
+                  prune: bool):
     """A zero-argument `pipeline.fit_network` on the archetype's training half,
-    as `run_experiment` runs it, returning (history, trained parameters)."""
+    as `run_experiment` runs it, returning (history, trained parameters, the
+    prune report's pruned width, spectra and MSEs or None without pruning)."""
     cal = m["simgen"].synthesize(m["simgen"].archetype_spec(archetype), grid_step_deg=1.0)
     train_set, _test = m["caldata"].partition_even_odd(cal)
     profile = m["caldata"].error_profile(train_set)
     cfg = m["pipeline"].ExperimentConfig(
-        hidden=hidden, optimizer=optimizer,
+        hidden=hidden, optimizer=optimizer, prune=prune,
         training=m["optim"].TrainingConfig(max_iterations=iterations, seed=SEED))
 
     def run():
-        trained, history, _report = m["pipeline"].fit_network(profile, cfg)
+        trained, history, report = m["pipeline"].fit_network(profile, cfg)
+        pruned = None if report is None else (
+            report.pruned_hidden, report.spectrum_initial, report.spectrum_pruned,
+            report.mse_initial, report.mse_pruned)
         return (np.array(history.mse_per_iteration).tobytes(), history.stop_reason.value,
-                trained.params.tobytes())
+                trained.params.tobytes(), pruned)
     return run
 
 
@@ -235,8 +246,9 @@ def main(argv=None) -> int:
         return max(1, round(n * args.scale))
 
     cases = {}
-    for name, (optimizer, hidden, archetype, iterations) in TRAININGS.items():
-        cases[name] = {side: training_case(m, optimizer, hidden, archetype, scaled(iterations))
+    for name, (optimizer, hidden, archetype, iterations, prune) in TRAININGS.items():
+        cases[name] = {side: training_case(m, optimizer, hidden, archetype, scaled(iterations),
+                                           prune)
                        for side, m in trees.items()}
     for hidden in PREDICT_WIDTHS:
         cases[f"predict-{PREDICT_ANGLES}x{hidden}"] = {
@@ -273,8 +285,8 @@ def main(argv=None) -> int:
         "rounds": args.rounds,
         "scale": args.scale,
         "trainings": {name: {"optimizer": o, "hidden": j, "archetype": a,
-                             "iterations": scaled(n), "patterns": 180}
-                      for name, (o, j, a, n) in TRAININGS.items()},
+                             "iterations": scaled(n), "prune": pr, "patterns": 180}
+                      for name, (o, j, a, n, pr) in TRAININGS.items()},
         "predict": {"angles": PREDICT_ANGLES, "calls_per_sample": scaled(PREDICT_CALLS)},
         "stream": {"codes": STREAM_CODES, "runs_per_sample": scaled(STREAM_RUNS),
                    "models": {"stream-ann-80": "seeded 1:80:1 net",

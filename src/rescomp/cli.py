@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from itertools import islice
 
-from . import caldata, optim, pipeline, prune, simgen
+from . import caldata, optim, pipeline, simgen
 from .errors import MalformedRow, OutOfRange, RescompError
 
 # Lines of `correct --stdin` read per block, one `pipeline.correct` call each.
@@ -23,6 +24,9 @@ from .errors import MalformedRow, OutOfRange, RescompError
 # `pipeline.predict_error` runs a block in row chunks that keep every
 # temporary under glibc's 128 KiB mmap threshold.
 STDIN_BATCH_LINES = 1024
+
+# the library's experiment defaults, which every flag's default reads
+DEFAULTS = pipeline.ExperimentConfig()
 
 
 def _experiment_config(args) -> pipeline.ExperimentConfig:
@@ -46,17 +50,20 @@ def _experiment_config(args) -> pipeline.ExperimentConfig:
 
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, default=80, help="hidden-layer width (default 80)")
-    p.add_argument("--seed", type=int, default=42, help="init seed (default 42)")
-    p.add_argument("--max-iterations", type=int, default=10000)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--lm-lambda0", type=float, default=1e-3)
-    p.add_argument("--lm-factor", type=float, default=10.0)
-    p.add_argument("--stall-window", type=int, default=200)
-    p.add_argument("--stall-tol", type=float, default=1e-9)
-    p.add_argument("--norm-lo", type=float, default=-6.0,
+    d, t = DEFAULTS, DEFAULTS.training
+    p.add_argument("--optimizer", choices=optim.OPTIMIZERS, default=d.optimizer)
+    p.add_argument("--hidden", type=int, default=d.hidden,
+                   help="hidden-layer width (default %(default)s)")
+    p.add_argument("--seed", type=int, default=t.seed, help="init seed (default %(default)s)")
+    p.add_argument("--max-iterations", type=int, default=t.max_iterations)
+    p.add_argument("--learning-rate", type=float, default=t.learning_rate)
+    p.add_argument("--lm-lambda0", type=float, default=t.lm_lambda0)
+    p.add_argument("--lm-factor", type=float, default=t.lm_factor)
+    p.add_argument("--stall-window", type=int, default=t.stall_window)
+    p.add_argument("--stall-tol", type=float, default=t.stall_tol)
+    p.add_argument("--norm-lo", type=float, default=d.norm_bounds[0],
                    help="lower error bound mapped to 0.1 (arc-min)")
-    p.add_argument("--norm-hi", type=float, default=6.0,
+    p.add_argument("--norm-hi", type=float, default=d.norm_bounds[1],
                    help="upper error bound mapped to 0.9 (arc-min)")
 
 
@@ -99,7 +106,7 @@ def _cmd_prune(args) -> int:
     model = pipeline.CompensationModel(cal.encoder_id, pruned_net)
     pipeline.save_model(args.out, model)
     if args.report:
-        caldata.write_json(args.report, pipeline.prune_doc(report))
+        caldata.write_json(args.report, asdict(report))
     print(f"pruned hidden layer {report.initial_hidden} -> {report.pruned_hidden}")
     print(f"wrote {args.out}")
     return 0
@@ -124,8 +131,8 @@ def _cmd_evaluate(args) -> int:
         doc = {
             "model_kind": model.kind,
             "encoder_id": model.encoder_id,
-            "pre": pipeline.stats_doc(report.pre_stats),
-            "post": pipeline.stats_doc(report.post_stats),
+            "pre": asdict(report.pre_stats),
+            "post": asdict(report.post_stats),
             "max_abs_residual_arcmin": report.max_abs_residual_arcmin,
         }
         caldata.write_json(args.report, doc)
@@ -235,27 +242,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a compensation network")
     p.add_argument("--data", required=True, help="training calibration CSV")
-    p.add_argument("--optimizer", choices=optim.OPTIMIZERS, default="lm")
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--history", help="optional convergence CSV (iteration,mse)")
     p.add_argument("--encoder-id", default="unknown")
     _add_training_flags(p)
-    p.set_defaults(func=_cmd_train, prune=False, top=10, rel_tol=prune.DEFAULT_RANK_REL_TOL)
+    p.set_defaults(func=_cmd_train, prune=False, top=DEFAULTS.top_orders,
+                   rel_tol=DEFAULTS.prune_rel_tol)
 
     p = sub.add_parser("prune", help="train, estimate redundancy, retrain smaller")
     p.add_argument("--data", required=True, help="training calibration CSV")
-    p.add_argument("--optimizer", choices=optim.OPTIMIZERS, default="lm")
-    p.add_argument("--rel-tol", type=float, default=prune.DEFAULT_RANK_REL_TOL,
-                   help="singular-value threshold relative to the largest")
+    p.add_argument("--rel-tol", type=float, default=DEFAULTS.prune_rel_tol,
+                   help="singular-value threshold relative to the largest (default %(default)s)")
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--report", help="optional prune report JSON")
     p.add_argument("--encoder-id", default="unknown")
     _add_training_flags(p)
-    p.set_defaults(func=_cmd_prune, prune=True, top=10)
+    p.set_defaults(func=_cmd_prune, prune=True, top=DEFAULTS.top_orders)
 
     p = sub.add_parser("fourier", help="fit the Fourier-series baseline")
     p.add_argument("--data", required=True, help="training calibration CSV")
-    p.add_argument("--top", type=int, default=10, help="number of harmonics kept")
+    p.add_argument("--top", type=int, default=DEFAULTS.top_orders,
+                   help="number of harmonics kept (default %(default)s)")
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--spectrum", help="optional spectrum CSV (order,amplitude)")
     p.add_argument("--encoder-id", default="unknown")
@@ -284,10 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthesis grid step (synthetic runs; default 1)")
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--outdir", required=True, help="report bundle directory")
-    p.add_argument("--optimizer", choices=optim.OPTIMIZERS, default="lm")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=int, default=DEFAULTS.top_orders)
     p.add_argument("--prune", action="store_true", help="prune and retrain the network")
-    p.add_argument("--rel-tol", type=float, default=prune.DEFAULT_RANK_REL_TOL)
+    p.add_argument("--rel-tol", type=float, default=DEFAULTS.prune_rel_tol)
     p.add_argument("--encoder-id", default="unknown")
     _add_training_flags(p)
     p.set_defaults(func=_cmd_run_experiment)

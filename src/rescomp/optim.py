@@ -157,7 +157,9 @@ def train_backprop(
             raise DivergenceDetected(f"MSE became {m!r}")
         return params, m, activations
 
-    return _train(params, data, cfg, step)
+    # a step too large for float64 overflows to inf, which `step` names
+    with np.errstate(over="ignore"):
+        return _train(params, data, cfg, step)
 
 
 def train_lm(

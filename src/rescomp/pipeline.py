@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -347,27 +347,6 @@ class ExperimentResult:
     files: tuple[str, ...]
 
 
-def stats_doc(s: ProfileStats) -> dict:
-    return {
-        "mae_arcmin": s.mae_arcmin,
-        "rms_arcmin": s.rms_arcmin,
-        "min_arcmin": s.min_arcmin,
-        "max_arcmin": s.max_arcmin,
-        "n_samples": s.n_samples,
-    }
-
-
-def prune_doc(report: PruneReport) -> dict:
-    return {
-        "initial_hidden": report.initial_hidden,
-        "pruned_hidden": report.pruned_hidden,
-        "mse_initial": report.mse_initial,
-        "mse_pruned": report.mse_pruned,
-        "spectrum_initial": list(report.spectrum_initial),
-        "spectrum_pruned": list(report.spectrum_pruned),
-    }
-
-
 def write_spectrum_csv(path, spectrum: HarmonicSpectrum) -> None:
     write_csv(path, "order,amplitude_arcmin",
               ((e.order, e.amplitude_arcmin) for e in spectrum.entries))
@@ -385,20 +364,19 @@ def write_residuals_csv(path, report: EvaluationReport) -> None:
 def fit_network(
     profile: ErrorProfile, cfg: ExperimentConfig
 ) -> tuple[Network, TrainingHistory, PruneReport | None]:
-    """Train the 1:J:1 net on an error profile as `cfg` says: one training
-    run, or with `cfg.prune` train, prune and retrain.  Returns the net, the
-    history of its training and the prune report (None without pruning).
-    The one place a fit's target map is decided, from `cfg.norm_bounds`."""
+    """Train the 1:J:1 net on an error profile as `cfg` says and, with
+    `cfg.prune`, prune the trained net and retrain it at the pruned width.
+    Returns the net, the history of its training and the prune report (None
+    without pruning).  The one place a fit's target map is decided, from
+    `cfg.norm_bounds`, and the one place the wide net is drawn."""
     target_norm = AffineMap(*cfg.norm_bounds, *TARGET_OUT_RANGE)
     data = dataset_from_profile(profile, target_norm)
     train_fn = trainer(cfg.optimizer)
+    params, history = train_fn(init_params(cfg.hidden, cfg.training.seed), data, cfg.training)
+    report = None
     if cfg.prune:
-        params, report = prune_and_retrain(data, cfg.hidden, cfg.training,
-                                           rel_tol=cfg.prune_rel_tol, train_fn=train_fn)
-        history = report.history_pruned
-    else:
-        report = None
-        params, history = train_fn(init_params(cfg.hidden, cfg.training.seed), data, cfg.training)
+        params, history, report = prune_and_retrain(params, data, cfg.training,
+                                                    rel_tol=cfg.prune_rel_tol, train_fn=train_fn)
     return Network(params, INPUT_NORM, target_norm), history, report
 
 
@@ -474,17 +452,17 @@ def run_experiment(
         },
         "n_train": len(train_set),
         "n_test": len(test_set),
-        "pre_full": stats_doc(full_stats),
-        "pre_test": stats_doc(ann_report.pre_stats),
+        "pre_full": asdict(full_stats),
+        "pre_test": asdict(ann_report.pre_stats),
         "ann": {
-            "post": stats_doc(ann_report.post_stats),
+            "post": asdict(ann_report.post_stats),
             "max_abs_residual_arcmin": ann_report.max_abs_residual_arcmin,
             "iterations_run": history.iterations_run,
             "stop_reason": history.stop_reason.value,
             "final_mse": history.mse_per_iteration[-1],
         },
         "fourier": {
-            "post": stats_doc(fourier_report.post_stats),
+            "post": asdict(fourier_report.post_stats),
             "max_abs_residual_arcmin": fourier_report.max_abs_residual_arcmin,
             "orders": orders,
         },
@@ -492,7 +470,7 @@ def run_experiment(
     files = ("ann_model.json", "fourier_model.json", "history.csv", "residuals_ann.csv",
              "residuals_fourier.csv", "spectrum.csv", "comparison.csv", "report.json")
     if prune_report is not None:
-        doc["prune"] = prune_doc(prune_report)
+        doc["prune"] = asdict(prune_report)
         write_json(outdir / "prune_report.json", doc["prune"])
         files += ("prune_report.json",)
     write_json(outdir / "report.json", doc)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadConfig, NonFiniteArray
-from .network import Dataset, _activations, init_params, mse
+from .network import Dataset, _activations, _width, init_params, mse
 from .optim import TrainingConfig, TrainingHistory, train_lm
 
 DEFAULT_RANK_REL_TOL = 1e-3
@@ -53,44 +53,44 @@ def effective_rank(spectrum: np.ndarray, rel_tol: float = DEFAULT_RANK_REL_TOL) 
 
 @dataclass(frozen=True)
 class PruneReport:
+    """What a prune found, in the order `prune_report.json` writes it."""
+
     initial_hidden: int
     pruned_hidden: int
-    spectrum_initial: tuple[float, ...]
-    spectrum_pruned: tuple[float, ...]
     mse_initial: float
     mse_pruned: float
-    history_pruned: TrainingHistory
+    spectrum_initial: tuple[float, ...]
+    spectrum_pruned: tuple[float, ...]
 
 
 def prune_and_retrain(
+    params: np.ndarray,
     data: Dataset,
-    initial_hidden: int,
     cfg: TrainingConfig,
     rel_tol: float = DEFAULT_RANK_REL_TOL,
     train_fn=train_lm,
-) -> tuple[np.ndarray, PruneReport]:
-    """Train at `initial_hidden`, estimate the non-redundant width from the
-    activation-matrix spectrum, retrain a fresh net at that width.
+) -> tuple[np.ndarray, TrainingHistory, PruneReport]:
+    """Estimate the non-redundant width of the trained net `params` from its
+    activation-matrix spectrum and retrain a fresh net at that width.
 
-    Returns the pruned net's parameter vector and a report carrying both
-    spectra, both final MSEs and the retraining's history.
+    Returns the pruned net's parameter vector, the retraining's history and
+    a report carrying both widths, both final MSEs and both spectra.
     """
+    initial_hidden = _width(params)
     if initial_hidden < 2:
-        raise BadConfig(f"initial_hidden must be >= 2, got {initial_hidden}")
-    trained_full, _history = train_fn(init_params(initial_hidden, cfg.seed), data, cfg)
-    spectrum_full = singular_values(activation_matrix(trained_full, data))
+        raise BadConfig(f"pruning needs a net of width >= 2, got {initial_hidden}")
+    spectrum_full = singular_values(activation_matrix(params, data))
     rank = max(effective_rank(spectrum_full, rel_tol), 1)
 
-    trained_small, hist_small = train_fn(init_params(rank, cfg.seed), data, cfg)
+    trained_small, history = train_fn(init_params(rank, cfg.seed), data, cfg)
     spectrum_small = singular_values(activation_matrix(trained_small, data))
 
     report = PruneReport(
         initial_hidden=initial_hidden,
         pruned_hidden=rank,
+        mse_initial=mse(params, data),
+        mse_pruned=mse(trained_small, data),
         spectrum_initial=tuple(float(s) for s in spectrum_full),
         spectrum_pruned=tuple(float(s) for s in spectrum_small),
-        mse_initial=mse(trained_full, data),
-        mse_pruned=mse(trained_small, data),
-        history_pruned=hist_small,
     )
-    return trained_small, report
+    return trained_small, history, report

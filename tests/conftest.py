@@ -39,6 +39,7 @@ from rescomp.network import (
     init_params,
 )
 from rescomp.optim import TrainingConfig, train_backprop, train_lm
+from rescomp.prune import prune_and_retrain
 from rescomp.simgen import archetype_spec, synthesize
 
 # wall-clock seconds of the heavyweight trainings, keyed by fixture name;
@@ -102,6 +103,15 @@ def arch1_lm80(arch1_data):
     params, history = train_lm(arch1_data["params0"], arch1_data["dataset"], FULL_BUDGET)
     TRAINING_SECONDS["arch1_lm80"] = time.perf_counter() - start
     return make_net(params), history
+
+
+@pytest.fixture(scope="session")
+def arch1_pruned(arch1_data, arch1_lm80):
+    """`arch1_lm80`'s net pruned by its activation spectrum and retrained at
+    the full budget: (pruned net, retraining history, prune report)."""
+    params, history, report = prune_and_retrain(arch1_lm80[0].params, arch1_data["dataset"],
+                                                FULL_BUDGET)
+    return make_net(params), history, report
 
 
 @pytest.fixture(scope="session")

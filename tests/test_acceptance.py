@@ -26,7 +26,7 @@ from rescomp.pipeline import (
     load_model,
     save_model,
 )
-from rescomp.prune import effective_rank, prune_and_retrain, singular_values
+from rescomp.prune import effective_rank, singular_values
 from rescomp.simgen import (
     ARCHETYPE_MAE_TARGETS,
     archetype_spec,
@@ -217,17 +217,14 @@ def test_criterion_fourier_exactness():
     )
 
 
-def test_criterion_svd_pruning(arch1_data, arch1_lm80):
+def test_criterion_svd_pruning(arch1_data, arch1_lm80, arch1_pruned):
     """(a) duplicated columns cap the effective rank; (b) prune preserves accuracy."""
     rng = np.random.default_rng(55)
     base = rng.normal(size=(180, 60))
     duplicated = np.hstack([base, base[:, :20]])
     rank_a = effective_rank(singular_values(duplicated))
 
-    pruned_params, prune_rep = prune_and_retrain(
-        arch1_data["dataset"], initial_hidden=80, cfg=FULL_BUDGET
-    )
-    pruned_net = make_net(pruned_params)
+    pruned_net, _history, prune_rep = arch1_pruned
     test_prof = arch1_data["test_prof"]
     mae_full = float(np.mean(np.abs(heldout_residuals(arch1_lm80[0], test_prof))))
     mae_pruned = float(np.mean(np.abs(heldout_residuals(pruned_net, test_prof))))

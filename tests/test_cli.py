@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import rescomp
 from rescomp import errors, pipeline
 from rescomp.caldata import load_calibration
-from rescomp.cli import STDIN_BATCH_LINES, main
+from rescomp.cli import STDIN_BATCH_LINES, _experiment_config, build_parser, main
 from rescomp.fourier import FourierModel, FourierTerm
 from rescomp.network import AffineMap, init_params
 from rescomp.pipeline import CompensationModel, correct, load_model, save_model
@@ -340,6 +340,29 @@ def test_bad_training_flag_fails_with_error_name(tmp_path, train_csv, capsys, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, required", [
+    ("train", ["--data", "cal.csv", "--out", "m.json"]),
+    ("prune", ["--data", "cal.csv", "--out", "m.json"]),
+    ("run-experiment", ["--spec", "spec.json", "--outdir", "out"]),
+])
+def test_flag_defaults_are_the_library_defaults(command, required):
+    args = build_parser().parse_args([command, *required])
+    assert _experiment_config(args) == pipeline.ExperimentConfig(prune=command == "prune")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["train", "prune"])
+def test_overflowing_gradient_step_fails_with_error_name(tmp_path, train_csv, capsys, command):
+    """A learning rate whose step overflows float64 ends in the named error,
+    with no numpy warning before it."""
+    out = tmp_path / "m.json"
+    args = [command, "--data", str(train_csv), "--out", str(out), "--optimizer", "backprop",
+            "--hidden", "8", "--max-iterations", "5", "--learning-rate", "1e300"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "DivergenceDetected: parameters became non-finite\n"
+    assert not out.exists()
+
+
 def no_training(*_args):
     raise AssertionError("the command started training before it checked its flags")
 
@@ -649,6 +672,7 @@ def command_lines(command, f):
     return argv.map(lambda a: (a, ""))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["simulate", "train", "prune", "fourier", "evaluate",
                                      "correct", "run-experiment"])
 @settings(max_examples=200, deadline=None)

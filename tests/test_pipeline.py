@@ -637,12 +637,11 @@ def test_fit_network_with_non_default_bounds(prune):
     target_norm = AffineMap(-8.0, 8.0, 0.1, 0.9)
     assert net.input_norm == INPUT_NORM and net.target_norm == target_norm
     data = dataset_from_profile(profile, target_norm)
+    params, expected_history = train_lm(init_params(6, seed=3), data, training)
+    expected_report = None
     if prune:
-        params, expected_report = prune_and_retrain(data, 6, training)
-        assert report == expected_report and history == expected_report.history_pruned
-    else:
-        params, expected_history = train_lm(init_params(6, seed=3), data, training)
-        assert report is None and history == expected_history
+        params, expected_history, expected_report = prune_and_retrain(params, data, training)
+    assert report == expected_report and history == expected_history
     assert np.array_equal(net.params, params)
     outputs = _activations(params, data.design)[1][:, 0]
     predicted = predict_error(CompensationModel("wide", net), profile.angles_deg())

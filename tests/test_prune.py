@@ -129,39 +129,34 @@ def test_prune_and_retrain_small_problem():
     targets = 0.5 + 0.3 * np.cos(2 * np.pi * angles)
     data = Dataset(angles, targets)
     cfg = TrainingConfig(max_iterations=60, stall_window=20, seed=33)
-    params, report = prune_and_retrain(data, initial_hidden=2, cfg=cfg)
+    wide, _history = train_lm(init_params(2, seed=33), data, cfg)
+    params, history, report = prune_and_retrain(wide, data, cfg)
     assert report.initial_hidden == 2
     assert 1 <= report.pruned_hidden <= 2
     assert params.shape == (3 * report.pruned_hidden + 1,)
     assert len(report.spectrum_initial) == 2
+    # the history is the retraining's, from a fresh draw at the pruned width
+    expected = train_lm(init_params(report.pruned_hidden, seed=33), data, cfg)
+    assert np.array_equal(params, expected[0]) and history == expected[1]
 
 
 def test_prune_and_retrain_validates_width():
     data = Dataset([[0.5]], [[0.5]])
     with pytest.raises(BadConfig):
-        prune_and_retrain(data, initial_hidden=1, cfg=TrainingConfig())
+        prune_and_retrain(init_params(1, seed=0), data, TrainingConfig())
 
 
-def test_prune_reference_profile(arch1_data, arch1_lm80):
+def test_prune_reference_profile(arch1_data, arch1_lm80, arch1_pruned):
     """Width shrinks strictly below 80 and held-out accuracy is preserved."""
-    data = arch1_data["dataset"]
-    cfg = TrainingConfig(max_iterations=10000, seed=42)
-
-    def train(params, d, c):
-        # the 80-wide training asked for is the fixture's, so reuse its result
-        if params.size != 241:
-            return train_lm(params, d, c)
-        assert np.array_equal(params, arch1_data["params0"])
-        assert d is data and c == cfg
-        return arch1_lm80[0].params, arch1_lm80[1]
-
-    pruned_params, report = prune_and_retrain(data, initial_hidden=80, cfg=cfg, train_fn=train)
-    assert report.pruned_hidden < 80
-    # the report's initial MSE is that of the net the trainer returned
+    pruned_net, history, report = arch1_pruned
+    assert report.initial_hidden == 80 and report.pruned_hidden < 80
+    assert pruned_net.n_hidden == report.pruned_hidden
+    # the report's MSEs are those of the trained nets, the last of each history
     assert report.mse_initial == pytest.approx(
         arch1_lm80[1].mse_per_iteration[-1], rel=1e-12
     )
+    assert report.mse_pruned == pytest.approx(history.mse_per_iteration[-1], rel=1e-12)
     test_prof = arch1_data["test_prof"]
     mae_full = np.mean(np.abs(heldout_residuals(arch1_lm80[0], test_prof)))
-    mae_pruned = np.mean(np.abs(heldout_residuals(make_net(pruned_params), test_prof)))
+    mae_pruned = np.mean(np.abs(heldout_residuals(pruned_net, test_prof)))
     assert abs(mae_full - mae_pruned) <= 0.05
