@@ -16,29 +16,28 @@ even-degree training half of a simulated archetype (180 patterns):
     prune-40 Levenberg-Marquardt, 1:40:1 with SVD prune and retrain,
              archetype 2, 600 iterations per fit
 
-`pipeline.predict_error` of a seeded 1:J:1 `CompensationModel` on 1 024
-angles (the `correct --stdin` block call, row chunks included) at J = 6, 40
-and 80, each sample a run of calls, and each tree's
+`pipeline.predict_error` of a seeded 1:J:1 model on 1 024 angles (the
+`correct --stdin` block call, row chunks included) at J = 6, 40 and 80, each
+sample a run of calls, and each tree's
 `cli.main(["correct", "--model", M, "--stdin"])` over the same 6 000 seeded
 16-bit codes, for a 1:80:1 net and a 10-term Fourier model (stream-ann-80,
-stream-fourier-10), each sample a few runs of the stream.  Every training
-history, trained parameter vector, prune report (pruned width, both spectra
-and both MSEs), predicted error and stream's standard output bytes must be
-identical between the trees; the script exits 1 at the
-first difference.  It writes, per case,
-both trees' medians and quartiles, the ratio of medians (change / base) and
-the number of pairs the change won, with the Python, numpy and BLAS thread
-settings and the CPU model.
+stream-fourier-10), each sample a few runs of the stream.  The seeded models
+are written once as version-1 model files, and each tree reads them with its
+own loader.  Every training history, trained parameter vector, prune report
+(pruned width, both spectra and both MSEs), predicted error and stream's
+standard output bytes must be identical between the trees; the script exits
+1 at the first difference.  It writes, per case, both trees' medians and
+quartiles, the ratio of medians (change / base) and the number of pairs the
+change won, with the Python, numpy and BLAS thread settings and the CPU
+model.
 
 The script uses only these names of a tree, so it compares any two trees
-that share them: `simgen.synthesize`, `archetype_spec` and `LSB_DEG`,
-`caldata.partition_even_odd` and `error_profile`, `optim.TrainingConfig`,
-`pipeline.ExperimentConfig`, `fit_network` (and its prune report's
-`pruned_hidden`, `spectrum_initial`, `spectrum_pruned`, `mse_initial` and
-`mse_pruned`), `CompensationModel`,
-`predict_error` and `save_model`, `network.Network(params, input_norm,
-target_norm)`, `INPUT_NORM` and `AffineMap`, `fourier.FourierModel` and
-`FourierTerm`, and `cli.main`.
+that share them and read version-1 model files: `simgen.synthesize`,
+`archetype_spec` and `LSB_DEG`, `caldata.partition_even_odd` and
+`error_profile`, `optim.TrainingConfig`, `pipeline.ExperimentConfig`,
+`fit_network` (its net's `params` and its prune report's `pruned_hidden`,
+`spectrum_initial`, `spectrum_pruned`, `mse_initial` and `mse_pruned`),
+`load_model` and `predict_error`, and `cli.main`.
 
 Usage:
     python scripts/ab_kernels.py --base OLD/src --change NEW/src --out ab.json
@@ -93,7 +92,7 @@ def load_tree(src: Path, alias: str):
     sys.modules[alias] = package
     spec.loader.exec_module(package)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("caldata", "cli", "fourier", "network", "optim", "pipeline", "simgen")}
+            for name in ("caldata", "cli", "optim", "pipeline", "simgen")}
 
 
 def tree_digest(src: Path) -> str:
@@ -126,10 +125,24 @@ def training_case(m, optimizer: str, hidden: int, archetype: int, iterations: in
     return run
 
 
-def seeded_net(m, params: np.ndarray):
-    """Tree `m`'s network of `params` with the default normalization maps."""
-    network = m["network"]
-    return network.Network(params, network.INPUT_NORM, network.AffineMap(-6.0, 6.0, 0.1, 0.9))
+def write_model(path: Path, kind: str, payload: dict) -> Path:
+    """Write a version-1 model file of `kind` for encoder "ab", with the
+    payload keys and values of `payload`."""
+    doc = {"format_version": 1, "kind": kind, "encoder_id": "ab", **payload}
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def ann_payload(params: np.ndarray) -> dict:
+    """The model-file payload of the 1:J:1 net of `params`, with the input map
+    every fit writes and the target map of the default bounds."""
+    j = (len(params) - 1) // 3
+    payload = {"shape": {"n_inputs": 1, "n_hidden": j, "n_outputs": 1},
+               "input_norm": {"lo": 0.0, "hi": 360.0, "out_lo": 0.0, "out_hi": 1.0},
+               "target_norm": {"lo": -6.0, "hi": 6.0, "out_lo": 0.1, "out_hi": 0.9}}
+    keys = ("hidden_weights", "hidden_thresholds", "output_weights", "output_thresholds")
+    payload.update(zip(keys, (b.tolist() for b in np.split(params, [j, 2 * j, 3 * j]))))
+    return payload
 
 
 def init_draw(hidden: int) -> np.ndarray:
@@ -140,9 +153,10 @@ def init_draw(hidden: int) -> np.ndarray:
     return np.concatenate([w_hidden, np.zeros(hidden), w_output, np.zeros(1)])
 
 
-def predict_case(m, hidden: int, calls: int):
-    """A zero-argument run of `calls` error predictions on `PREDICT_ANGLES` angles."""
-    model = m["pipeline"].CompensationModel("ab", seeded_net(m, init_draw(hidden)))
+def predict_case(m, model_path: Path, calls: int):
+    """A zero-argument run of `calls` error predictions on `PREDICT_ANGLES`
+    angles by tree `m`'s load of the model file `model_path`."""
+    model = m["pipeline"].load_model(model_path)
     angles = np.linspace(0.0, 360.0, PREDICT_ANGLES, endpoint=False)
     predict_error = m["pipeline"].predict_error
 
@@ -153,23 +167,23 @@ def predict_case(m, hidden: int, calls: int):
     return run
 
 
-def write_stream_inputs(m, workdir: Path) -> dict:
-    """Save a seeded 1:80:1 net and a 10-term Fourier model with tree `m`, and
-    write `STREAM_CODES` seeded 16-bit codes, one angle a line, as an R/D
-    converter emits them.  Returns {case name: (model path, codes path)}."""
+def write_stream_inputs(lsb_deg: float, workdir: Path) -> dict:
+    """Write the model files of a seeded 1:80:1 net and a 10-term Fourier
+    model, and `STREAM_CODES` seeded 16-bit codes of `lsb_deg` degrees, one
+    angle a line, as an R/D converter emits them.  Returns {case name: (model
+    path, codes path)}."""
     rng = np.random.default_rng(SEED)
-    net = seeded_net(m, rng.normal(0.0, 3.0, 3 * 80 + 1))
-    series = m["fourier"].FourierModel(0.3, tuple(
-        m["fourier"].FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in range(1, 11)))
+    net = ann_payload(rng.normal(0.0, 3.0, 3 * 80 + 1))
+    terms = []
+    for n in range(1, 11):
+        a, b = rng.normal(0.0, 1.0, 2).tolist()
+        terms.append({"n": n, "a": a, "b": b})
     codes = workdir / "codes.txt"
-    codes.write_text("".join(f"{float(k) * m['simgen'].LSB_DEG!r}\n"
+    codes.write_text("".join(f"{float(k) * lsb_deg!r}\n"
                              for k in rng.integers(0, 65536, STREAM_CODES)), encoding="utf-8")
-    cases = {}
-    for name, payload in (("stream-ann-80", net), ("stream-fourier-10", series)):
-        path = workdir / f"{name}.json"
-        m["pipeline"].save_model(path, m["pipeline"].CompensationModel("ab", payload))
-        cases[name] = (path, codes)
-    return cases
+    return {"stream-ann-80": (write_model(workdir / "stream-ann-80.json", "ann", net), codes),
+            "stream-fourier-10": (write_model(workdir / "stream-fourier-10.json", "fourier",
+                                              {"a0": 0.3, "terms": terms}), codes)}
 
 
 def stream_case(m, model: Path, codes: Path, runs: int):
@@ -250,12 +264,15 @@ def main(argv=None) -> int:
         cases[name] = {side: training_case(m, optimizer, hidden, archetype, scaled(iterations),
                                            prune)
                        for side, m in trees.items()}
-    for hidden in PREDICT_WIDTHS:
-        cases[f"predict-{PREDICT_ANGLES}x{hidden}"] = {
-            side: predict_case(m, hidden, scaled(PREDICT_CALLS)) for side, m in trees.items()}
 
     with tempfile.TemporaryDirectory() as workdir:
-        for name, (model, codes) in write_stream_inputs(trees["base"], Path(workdir)).items():
+        for hidden in PREDICT_WIDTHS:
+            path = write_model(Path(workdir) / f"predict-{hidden}.json", "ann",
+                               ann_payload(init_draw(hidden)))
+            cases[f"predict-{PREDICT_ANGLES}x{hidden}"] = {
+                side: predict_case(m, path, scaled(PREDICT_CALLS)) for side, m in trees.items()}
+        lsb_deg = trees["base"]["simgen"].LSB_DEG
+        for name, (model, codes) in write_stream_inputs(lsb_deg, Path(workdir)).items():
             cases[name] = {side: stream_case(m, model, codes, scaled(STREAM_RUNS))
                            for side, m in trees.items()}
         seconds = time_rounds(cases, args.rounds)

@@ -20,9 +20,9 @@ vector, and it applies the sigmoid in place in the arrays it allocates.  A
 Training never reads the maps: `init_params` draws a bare parameter vector
 and `mse`, `residual_jacobian` and `gradient` take one (J follows from its
 length 3J + 1), so trainers and pruning carry vectors, and
-`pipeline.fit_network` pairs the trained vector with its maps.  The kernels
-also take the `(hidden, out)` activations already computed, so a trainer
-runs each candidate's forward pass once.
+`pipeline.fit_network` pairs the trained vector with its target map.  The
+kernels also take the `(hidden, out)` activations already computed, so a
+trainer runs each candidate's forward pass once.
 
 All operations are pure; a Network is immutable and validated.  Double
 precision throughout: the damped normal equations used in training are
@@ -111,15 +111,14 @@ DEFAULT_TARGET_BOUNDS_ARCMIN = (-6.0, 6.0)  # manufacturer tolerance band
 
 @dataclass(frozen=True)
 class Network:
-    """A 1:J:1 sigmoid net: its parameters and normalization maps.
+    """A 1:J:1 sigmoid net: its parameters and target map.
 
     `params` holds the 3J + 1 parameters in canonical order: hidden
     weights, hidden thresholds, output weights, output threshold.  The
-    width J follows from the length.
+    width J follows from the length.  Inputs always go through `INPUT_NORM`.
     """
 
     params: np.ndarray
-    input_norm: AffineMap
     target_norm: AffineMap
 
     def __post_init__(self) -> None:

@@ -147,7 +147,7 @@ def save_model(path, model: CompensationModel) -> None:
     if model.kind == KIND_ANN:
         net, j = model.payload, model.payload.n_hidden
         doc["shape"] = {"n_inputs": 1, "n_hidden": j, "n_outputs": 1}
-        doc["input_norm"] = _affine_to_doc(net.input_norm)
+        doc["input_norm"] = _affine_to_doc(INPUT_NORM)
         doc["target_norm"] = _affine_to_doc(net.target_norm)
         # the parameter blocks, in canonical order, under the last four payload keys
         blocks = np.split(net.params, [j, 2 * j, 3 * j])
@@ -202,20 +202,26 @@ def load_model(path) -> CompensationModel:
                                   for key in ("n_inputs", "n_hidden", "n_outputs"))
         if n_inputs != 1 or n_outputs != 1 or j < 1:
             raise CorruptFile(f"bad shape: need a 1:J:1 network with J >= 1, got {shape!r}")
-        params = (_float_list(doc, "hidden_weights", j) + _float_list(doc, "hidden_thresholds", j)
-                  + _float_list(doc, "output_weights", j)
-                  + _float_list(doc, "output_thresholds", 1))
-        net = Network(params, _affine_from_doc(doc.get("input_norm")),
-                      _affine_from_doc(doc.get("target_norm")))
-        # the net sees wrapped angles in [0, 360) and outputs in (0, 1); an
-        # affine map finite at both ends of its range is finite inside it
+        w, theta, v, theta_out = (_float_list(doc, key, n) for key, n in
+                                  zip(_PAYLOAD_KEYS[KIND_ANN][3:], (j, j, j, 1)))
+        # bounds each hidden pre-activation (inputs lie in [0, 1)) and the
+        # output sum (hidden activations lie in (0, 1)), as the Fourier check
+        # bounds its partial sums, so the forward pass stays finite
+        if not (all(math.isfinite(abs(a) + abs(b)) for a, b in zip(w, theta))
+                and math.isfinite(sum(map(abs, v)) + abs(theta_out[0]))):
+            raise CorruptFile(f"ann model {encoder_id!r}: the forward pass can overflow")
+        if _affine_from_doc(doc.get("input_norm")) != INPUT_NORM:
+            raise CorruptFile(f"ann model {encoder_id!r}: input_norm must be {INPUT_NORM}")
+        target_norm = _affine_from_doc(doc.get("target_norm"))
+        if (target_norm.out_lo, target_norm.out_hi) != TARGET_OUT_RANGE:
+            raise CorruptFile(f"ann model {encoder_id!r}: target_norm must map onto "
+                              f"{TARGET_OUT_RANGE}")
+        # the net's outputs lie in (0, 1), so a map finite at both ends is finite inside
         with np.errstate(over="ignore"):
-            ends = (("input_norm", net.input_norm.normalize([0.0, 360.0])),
-                    ("target_norm", net.target_norm.denormalize([0.0, 1.0])))
-        for key, values in ends:
-            if not np.all(np.isfinite(values)):
-                raise CorruptFile(f"ann model {encoder_id!r}: {key} maps past the float range")
-        return CompensationModel(encoder_id, net)
+            ends = target_norm.denormalize([0.0, 1.0])
+        if not np.all(np.isfinite(ends)):
+            raise CorruptFile(f"ann model {encoder_id!r}: target_norm maps past the float range")
+        return CompensationModel(encoder_id, Network(w + theta + v + theta_out, target_norm))
 
     try:
         a0 = float(doc["a0"])
@@ -250,7 +256,7 @@ def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray
     payload = model.payload
     ann = model.kind == KIND_ANN
     if ann:
-        x, width = payload.input_norm.normalize(wrapped)[:, np.newaxis], payload.n_hidden
+        x, width = INPUT_NORM.normalize(wrapped)[:, np.newaxis], payload.n_hidden
     else:
         x, width = wrapped, len(payload.terms)
     n, rows = len(x), chunk_rows(width)
@@ -377,7 +383,7 @@ def fit_network(
     if cfg.prune:
         params, history, report = prune_and_retrain(params, data, cfg.training,
                                                     rel_tol=cfg.prune_rel_tol, train_fn=train_fn)
-    return Network(params, INPUT_NORM, target_norm), history, report
+    return Network(params, target_norm), history, report
 
 
 def fit_fourier_baseline(

@@ -30,15 +30,14 @@ import pytest
 from rescomp.caldata import error_profile, partition_even_odd
 from rescomp.network import (
     DEFAULT_TARGET_BOUNDS_ARCMIN,
-    INPUT_NORM,
     TARGET_OUT_RANGE,
     AffineMap,
     Network,
     dataset_from_profile,
-    forward_batch,
     init_params,
 )
 from rescomp.optim import TrainingConfig, train_backprop, train_lm
+from rescomp.pipeline import CompensationModel, predict_error
 from rescomp.prune import prune_and_retrain
 from rescomp.simgen import archetype_spec, synthesize
 
@@ -58,17 +57,15 @@ def training_seconds():
 
 
 def make_net(params, target_norm=DEFAULT_TARGET_NORM):
-    """The Network of a parameter vector with the input map and `target_norm`."""
-    return Network(np.asarray(params, dtype=float), INPUT_NORM, target_norm)
+    """The Network of a parameter vector with `target_norm`."""
+    return Network(np.asarray(params, dtype=float), target_norm)
 
 
 def heldout_residuals(net, profile):
     """predicted - observed, arc-min, at the profile's encoder angles."""
     angles = np.array(profile.angles_deg())
     observed = np.array(profile.errors_arcmin())
-    x = net.input_norm.normalize(angles)[:, np.newaxis]
-    predicted = net.target_norm.denormalize(forward_batch(net, x)[:, 0])
-    return predicted - observed
+    return predict_error(CompensationModel("", net), angles) - observed
 
 
 @pytest.fixture(scope="session")

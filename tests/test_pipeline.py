@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -74,7 +75,6 @@ def test_ann_roundtrip_bit_exact(tmp_path):
     assert loaded.encoder_id == "enc-1"
     again = loaded.payload
     assert np.array_equal(again.params, net.params)  # all 241 params
-    assert again.input_norm == net.input_norm
     assert again.target_norm == net.target_norm
 
 
@@ -314,22 +314,69 @@ def test_non_finite_norm_bounds_rejected(tmp_path, key, lo, hi):
         load_model(path)
 
 
-@pytest.mark.parametrize("key, bounds", [
-    # finite spans and scale factors, but the net's outputs (0, 1) land past
-    # the float range: scale 1e22 applied to about -1e300
-    ("target_norm", (-1e307, 1e307, 1e300, 1e300 + 2e285)),
-    # scale 1e306 sends the angle 360 to 3.6e308
-    ("input_norm", (0.0, 1.0, 0.0, 1e306)),
-])
-def test_norm_map_past_float_range_rejected(tmp_path, key, bounds):
+def write_ann_with_map(tmp_path, key, bounds):
+    """A saved 1:4:1 model file whose map `key` holds `bounds`."""
     path = tmp_path / "model.json"
     save_model(path, CompensationModel("enc", trained_like_net(hidden=4)))
     doc = json.loads(path.read_text())
     doc[key] = dict(zip(("lo", "hi", "out_lo", "out_hi"), bounds))
     path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("key, bounds", [
+    # finite spans and scale factors and the out range a fit writes, but the
+    # net's output 0 lands past the float range: -1.7e308 - 1.7e308 / 8
+    ("target_norm", (-1.7e308, -3e307, 0.1, 0.9)),
+    # finite, but not the one input map every fit uses
+    ("input_norm", (0.0, 360.0, 0.0, 0.5)),
+])
+def test_norm_map_past_float_range_rejected(tmp_path, key, bounds):
+    path = write_ann_with_map(tmp_path, key, bounds)
+    message = ("target_norm maps past the float range" if key == "target_norm"
+               else re.escape(f"input_norm must be {INPUT_NORM}"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-        with pytest.raises(CorruptFile, match=rf"^ann model 'enc': {key} maps past the float range$"):
+        with pytest.raises(CorruptFile, match=rf"^ann model 'enc': {message}$"):
+            load_model(path)
+
+
+def test_target_out_range_other_than_a_fit_writes_rejected(tmp_path):
+    path = write_ann_with_map(tmp_path, "target_norm", (-6.0, 6.0, 0.2, 0.8))
+    with pytest.raises(CorruptFile,
+                       match=r"^ann model 'enc': target_norm must map onto \(0\.1, 0\.9\)$"):
+        load_model(path)
+
+
+def overflow_edge_net(hidden_weight, hidden_threshold, output_weight, output_threshold):
+    """A 1:4:1 net with the given hidden weights, hidden thresholds and output
+    threshold, and output weights (w, w, -w, -w)."""
+    w = output_weight
+    return make_net([hidden_weight] * 4 + [hidden_threshold] * 4
+                    + [w, w, -w, -w, output_threshold])
+
+
+@pytest.mark.parametrize("params, loads", [
+    # predicted 7.5' at 10 deg alone and 0' at 10 deg in a batch, with a
+    # numpy overflow warning, when it loaded
+    ((1.0, 50.0, 1.7e308, 0.0), False),
+    # hidden 1e308 + 0.79e308 and output 4 * 0.44e308 + 0.03e308, both
+    # 1.79e308, under the float maximum of about 1.798e308
+    ((1e308, 0.79e308, 0.44e308, 0.03e308), True),
+    # one step past each of those bounds, to 1.8e308
+    ((1e308, 0.8e308, 0.44e308, 0.03e308), False),
+    ((1e308, 0.79e308, 0.44e308, 0.04e308), False),
+], ids=["outputs-overflow", "at-bound", "hidden-past-bound", "output-past-bound"])
+def test_ann_forward_pass_past_float_range_rejected(tmp_path, params, loads):
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel("enc", overflow_edge_net(*params)))
+    if loads:
+        # the suite turns a numpy RuntimeWarning into an error
+        model = load_model(path)
+        alone, batch = predict_error(model, 10.0), predict_error(model, np.full(9, 10.0))
+        assert math.isfinite(alone) and np.all(batch == alone)
+    else:
+        with pytest.raises(CorruptFile, match=r"^ann model 'enc': the forward pass can overflow$"):
             load_model(path)
 
 
@@ -512,7 +559,7 @@ def test_predict_error_ann_chunks_bit_identical_to_one_call(hidden):
     model = CompensationModel("chunks", net)
     for n in chunk_edge_counts(chunk_rows(hidden)):
         angles = rng.uniform(0.0, 360.0, n)
-        x = net.input_norm.normalize(angles)[:, np.newaxis]
+        x = INPUT_NORM.normalize(angles)[:, np.newaxis]
         whole = net.target_norm.denormalize(forward_batch(net, x)[:, 0])
         assert predict_error(model, angles).tobytes() == whole.tobytes()
 
@@ -635,7 +682,7 @@ def test_fit_network_with_non_default_bounds(prune):
     cfg = ExperimentConfig(hidden=6, prune=prune, norm_bounds=(-8.0, 8.0), training=training)
     net, history, report = fit_network(profile, cfg)
     target_norm = AffineMap(-8.0, 8.0, 0.1, 0.9)
-    assert net.input_norm == INPUT_NORM and net.target_norm == target_norm
+    assert net.target_norm == target_norm
     data = dataset_from_profile(profile, target_norm)
     params, expected_history = train_lm(init_params(6, seed=3), data, training)
     expected_report = None
