@@ -15,15 +15,90 @@ import sys
 from dataclasses import asdict
 from itertools import islice
 
+import numpy as np
+
 from . import caldata, optim, pipeline, simgen
 from .errors import MalformedRow, OutOfRange, RescompError
 
-# Lines of `correct --stdin` read per block, one `pipeline.correct` call each.
-# Per-call dispatch dominates short blocks: on a 1:80:1 net at one BLAS thread,
-# 6 144 angles took 3.32 ms in 128-row calls and 1.73 ms in 1 024-row calls.
-# `pipeline.predict_error` runs a block in row chunks that keep every
-# temporary under glibc's 128 KiB mmap threshold.
+# Lines of `correct --stdin` read per block: one parse, one `pipeline.correct`
+# call and one `format_angles` call each.  Per-call dispatch dominates short
+# blocks: on a 1:80:1 net at one BLAS thread, 6 144 angles took 3.32 ms in
+# 128-row calls and 1.73 ms in 1 024-row calls.  `pipeline.predict_error` runs
+# a block in row chunks through one hidden buffer of at most 125 KiB, and every
+# array of a block stays under glibc's 128 KiB mmap threshold.
 STDIN_BATCH_LINES = 1024
+
+# `format_angles` prints v with `"%.6f"` from q = rint(v * 1e6) when v is in
+# [0, FAST_FORMAT_BOUND): there v * 1e6 < 2**30, so the product is within
+# 2**-24 of the exact v * 10**6, and q is its correctly rounded value whenever
+# the product lies within TIE_MARGIN of q.  A block with any value nearer a
+# tie (about 1 block in 400 of random angles), exact ties included, is printed
+# with the `%` operator instead.
+FAST_FORMAT_BOUND = 999.0
+TIE_MARGIN = 0.5 - 2.0 ** -20
+
+
+def _digit_words(count: int, digits: int, suffix: bytes, pad: bytes = b"0") -> np.ndarray:
+    """For each k < `count`, the four ASCII bytes of k in `digits` decimals,
+    leading zeros written as `pad`, then `suffix`, as one uint32 word."""
+    chars = np.empty((count, 4), dtype=np.uint8)
+    k = np.arange(count, dtype=np.uint16)
+    for col in range(digits - 1, -1, -1):
+        chars[:, col] = k % 10 + ord("0")
+        k //= 10
+    for col in range(digits - 1):   # the leading zeros of k < 10**(digits - 1 - col)
+        chars[:10 ** (digits - 1 - col), col] = ord(pad)
+    chars[:, digits:] = np.frombuffer(suffix, dtype=np.uint8)
+    return chars.view(np.uint32).ravel()
+
+
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words of `"%3d."`, `"%04d"` and `"%02d\n "` for the integer part,
+    the first four decimals and the last two; `format_angles` deletes the
+    spaces.  Built with numpy integer arithmetic: every array is at most 40 KB."""
+    return (_digit_words(1000, 3, b".", pad=b" "), _digit_words(10000, 4, b""),
+            _digit_words(100, 2, b"\n "))
+
+
+_INT_WORDS, _HIGH_WORDS, _LOW_WORDS = _format_tables()
+
+
+def _rounded_micro(values: np.ndarray) -> np.ndarray | None:
+    """rint(values * 1e6) as uint32 for values in [0, `FAST_FORMAT_BOUND`),
+    or None if any value lies within 2**-20 of a rounding tie."""
+    scaled = values * 1e6
+    micro = np.rint(scaled)
+    scaled -= micro
+    return micro.astype(np.uint32) if np.abs(scaled, out=scaled).max() <= TIE_MARGIN else None
+
+
+def _micro_words(micro: np.ndarray) -> np.ndarray:
+    """The (n, 3) table words of the lines of `n` micro-unit counts; its
+    index arrays are freed before the caller copies the words to bytes."""
+    whole, micro = np.divmod(micro, 1_000_000)
+    high, low = np.divmod(micro, 100)
+    words = np.empty((micro.size, 3), dtype=np.uint32)
+    words[:, 0] = _INT_WORDS.take(whole)
+    words[:, 1] = _HIGH_WORDS.take(high)
+    words[:, 2] = _LOW_WORDS.take(low)
+    return words
+
+
+def format_angles(values: np.ndarray) -> str:
+    """`"%.6f\n"` of each float64 in the 1-D array `values`, joined.
+
+    A block whose values all lie in [0, `FAST_FORMAT_BOUND`) is printed by
+    table lookups from its rounded micro-units (see `TIE_MARGIN`); a block
+    with any other value, -0.0 or a value near a rounding tie goes through
+    the `%` operator."""
+    if not values.size:
+        return ""
+    if not np.signbit(values).any() and values.max() < FAST_FORMAT_BOUND:
+        micro = _rounded_micro(values)
+        if micro is not None:
+            return _micro_words(micro).tobytes().translate(None, b" ").decode("ascii")
+    return ("%.6f\n" * values.size) % tuple(values.tolist())
+
 
 # the library's experiment defaults, which every flag's default reads
 DEFAULTS = pipeline.ExperimentConfig()
@@ -145,10 +220,10 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _write_corrected(model, angles: list[float]) -> None:
-    if angles:
-        corrected = pipeline.correct(model, angles).tolist()
-        sys.stdout.write(("%.6f\n" * len(corrected)) % tuple(corrected))
+def _write_corrected(model, angles) -> None:
+    """Print the corrected angle of each of `angles`, one `"%.6f"` line each."""
+    if len(angles):
+        sys.stdout.write(format_angles(pipeline.correct(model, angles)))
 
 
 def _correct_lines(model, lines: list[str], first_lineno: int) -> None:
@@ -180,12 +255,12 @@ def _cmd_correct(args) -> int:
     block_lines = 1 if sys.stdin.isatty() else STDIN_BATCH_LINES
     lines_read = 0
     while lines := list(islice(sys.stdin, block_lines)):
-        # blank lines are skipped and float() strips whitespace itself; a
-        # malformed or non-finite line sends the block down the line-by-line
-        # path, which names it
+        # float() strips whitespace itself; a blank, malformed or non-finite
+        # line sends the block down the line-by-line path, which skips blank
+        # lines and names a bad one
         try:
-            angles = list(map(float, filter(str.strip, lines)))
-            fast = all(map(math.isfinite, angles))
+            angles = np.fromiter(map(float, lines), float, len(lines))
+            fast = np.isfinite(angles).all()
         except ValueError:
             fast = False
         if fast:

@@ -8,14 +8,16 @@ with g the logistic sigmoid.  Because g at the output layer confines
 predictions to (0, 1), raw arc-minute errors are unreachable as targets;
 an affine map sends a configurable error range onto [0.1, 0.9] (margins
 keep targets away from sigmoid saturation), and the inverse map converts
-predictions back to arc-minutes.  Inputs use degrees / 360.  One kernel,
-`_activations`, feeds the forward pass, the residual Jacobian, the gradient
-(which contracts J^T r block by block without building J) and the pruning
-activation matrix.  It takes the inputs as the (P, 2) design matrix [x, 1],
-so the hidden pre-activations x w_j + theta_j of all patterns are one matrix
-product with the (2, J) view [w_hidden; theta_hidden] of the parameter
-vector, and it applies the sigmoid in place in the arrays it allocates.  A
-`Dataset` builds its design once.
+predictions back to arc-minutes.  Inputs use degrees / 360.  One kernel
+feeds the forward pass, the residual Jacobian, the gradient (which contracts
+J^T r block by block without building J) and the pruning activation matrix:
+`_activations`, the hidden layer `_hidden` followed by the output layer
+`_output_sums` and `_output`.  It takes the inputs as the (P, 2) design
+matrix [x, 1], so the hidden pre-activations x w_j + theta_j of all patterns
+are one matrix product with the (2, J) view [w_hidden; theta_hidden] of the
+parameter vector, and it applies the sigmoid in place, in the arrays it
+allocates or in the buffers it is given.  A `Dataset` builds its design
+once; `pipeline.predict_error` runs the layers chunk by chunk.
 
 Training never reads the maps: `init_params` draws a bare parameter vector
 and `mse`, `residual_jacobian` and `gradient` take one (J follows from its
@@ -93,10 +95,11 @@ class AffineMap:
                    for v in (span, out_span, out_span / span, span / out_span)):
             raise DegenerateBounds(f"spans and scale factors must be finite and nonzero: {self}")
 
-    def normalize(self, x):
-        return self.out_lo + (np.asarray(x, dtype=float) - self.lo) * (
+    def normalize(self, x, out=None):
+        """The image of `x`, written into `out` when given."""
+        return np.add(self.out_lo, (np.asarray(x, dtype=float) - self.lo) * (
             (self.out_hi - self.out_lo) / (self.hi - self.lo)
-        )
+        ), out=out)
 
     def denormalize(self, y):
         return self.lo + (np.asarray(y, dtype=float) - self.out_lo) * (
@@ -197,9 +200,18 @@ def _design(x: np.ndarray) -> np.ndarray:
     return design
 
 
-def _activations(params: np.ndarray, design: np.ndarray) -> Activations:
-    """Hidden (P, J) and output (P, 1) activations of `params` for a (P, 2)
-    design [x, 1].
+def _angle_design(angles_deg: np.ndarray) -> np.ndarray:
+    """The (P, 2) design matrix [x, 1] of a 1-D batch of angles in degrees,
+    with x their `INPUT_NORM` image written straight into column 0."""
+    design = np.empty((angles_deg.shape[0], 2))
+    INPUT_NORM.normalize(angles_deg, out=design[:, 0])
+    design[:, 1] = 1.0
+    return design
+
+
+def _hidden(params: np.ndarray, design: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Hidden (P, J) activations of `params` for a (P, 2) design [x, 1],
+    written into `out` (a C-contiguous (P, J) float64 array) when given.
 
     The hidden pre-activations are one product, design @ [w_hidden;
     theta_hidden], with a zero-copy (2, J) view of the parameters.  The
@@ -208,18 +220,37 @@ def _activations(params: np.ndarray, design: np.ndarray) -> Activations:
     kernel that fuses multiply and add would otherwise round x w_j + theta_j
     once.  numpy hands a one-row or one-column product to a matrix-vector
     kernel, which fuses even in this order, so those shapes keep the broadcast.
-    Both sigmoids run in place, in the arrays allocated here.
+    The sigmoid runs in place.
     """
     j = _width(params)
     w_theta = params[:2 * j].reshape(2, j)
     if design.shape[0] > 1 and j > 1:
-        pre = design @ w_theta
+        pre = np.matmul(design, w_theta, out=out)
     else:
-        pre = design[:, :1] * w_theta[0] + w_theta[1]
-    hidden = _sigmoid_in_place(pre)
-    out = hidden @ params[2 * j:3 * j, np.newaxis]
-    out += params[3 * j:]
-    return hidden, _sigmoid_in_place(out)
+        pre = np.multiply(design[:, :1], w_theta[0], out=out)
+        pre += w_theta[1]
+    return _sigmoid_in_place(pre)
+
+
+def _output_sums(params: np.ndarray, hidden: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The output node's weighted sums hidden @ w_out, (P, 1), before its
+    threshold; written into `out` (a C-contiguous (P, 1) array) when given."""
+    j = _width(params)
+    return np.matmul(hidden, params[2 * j:3 * j, np.newaxis], out=out)
+
+
+def _output(params: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Output activations g(sums + theta) of `_output_sums`, in place in `sums`."""
+    sums += params[-1:]
+    return _sigmoid_in_place(sums)
+
+
+def _activations(params: np.ndarray, design: np.ndarray) -> Activations:
+    """Hidden (P, J) and output (P, 1) activations of `params` for a (P, 2)
+    design [x, 1]: `_hidden`, then `_output_sums` and `_output`."""
+    hidden = _hidden(params, design)
+    return hidden, _output(params, _output_sums(params, hidden))
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:

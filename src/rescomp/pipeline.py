@@ -57,8 +57,11 @@ from .network import (
     INPUT_NORM,
     TARGET_OUT_RANGE,
     Network,
+    _angle_design,
+    _hidden,
+    _output,
+    _output_sums,
     dataset_from_profile,
-    forward_batch,
     init_params,
 )
 from .optim import TrainingConfig, TrainingHistory, trainer
@@ -77,10 +80,10 @@ MAX_FOURIER_ORDER = 2 ** 53
 # (8, J) hidden block under 128 KiB, and one LM Jacobian row is 48 KB.
 MAX_HIDDEN = 2000
 
-# Element bound of `predict_error`'s largest temporary: it runs a long batch
-# through the model's kernel in chunks of `chunk_rows(width)` rows, so each
-# (rows, width) float64 temporary stays at 125 KiB, under glibc's default
-# 128 KiB mmap threshold.  An unchunked (1 024, 80) hidden block is 640 KiB: it
+# Element bound of `predict_error`'s (rows, width) hidden buffer, which one
+# call allocates once and reuses for every chunk of `chunk_rows(width)` rows,
+# and of a Fourier chunk's temporaries: 125 KiB, under glibc's default 128 KiB
+# mmap threshold.  An unchunked (1 024, 80) hidden block is 640 KiB: it
 # is mmapped, and freeing it raises glibc's threshold, so later temporaries of a
 # few hundred KiB (the 241 x 241 normal equations of a fit in the same process)
 # come from the heap instead of fresh mmaps and run at a different speed.
@@ -248,30 +251,42 @@ def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray
     """Model-predicted systematic error (arc-min) at an encoder angle in
     degrees (returns a float) or at a 1-D array of them (returns an array).
 
-    A batch runs through `forward_batch` or `eval_fourier` in chunks of
+    A batch runs through the net's kernel or `eval_fourier` in chunks of
     `chunk_rows(width)` rows, the width being J or the number of Fourier
-    terms; every value has the bits of one kernel call over the batch."""
+    terms; every value has the bits of one kernel call over the batch.  A
+    net builds its design once per call, reuses one hidden buffer across the
+    chunks, writes each chunk's output sums into the result, and adds the
+    output threshold and applies the sigmoid once per call."""
     theta = np.asarray(theta_enc_deg, dtype=float)
     wrapped = wrap_deg(np.atleast_1d(theta))
     payload = model.payload
     ann = model.kind == KIND_ANN
-    if ann:
-        x, width = INPUT_NORM.normalize(wrapped)[:, np.newaxis], payload.n_hidden
-    else:
-        x, width = wrapped, len(payload.terms)
-    n, rows = len(x), chunk_rows(width)
+    width = payload.n_hidden if ann else len(payload.terms)
+    n, rows = len(wrapped), chunk_rows(width)
     pred = np.empty(n)
+    if ann:
+        params, design = payload.params, _angle_design(wrapped)
+        sums = pred.reshape(n, 1)   # the output sums, written into `pred`
+        hidden = np.empty((min(n, rows), width))
     for start in range(0, n, rows):
         # numpy computes a one-row product as a dot product, which rounds
         # differently from the matrix-vector kernel of a longer batch: a
         # one-row tail runs as the last row of a call that starts one row
-        # group earlier
+        # group earlier, and writes only that row
         lo = start - CHUNK_ROW_MULTIPLE if 0 < start == n - 1 else start
-        chunk = x[lo:start + rows]
-        part = forward_batch(payload, chunk)[:, 0] if ann else eval_fourier(payload, chunk)
-        pred[start:start + rows] = part[start - lo:]
+        stop = min(start + rows, n)
+        if not ann:
+            pred[start:stop] = eval_fourier(payload, wrapped[lo:stop])[start - lo:]
+        elif lo == start:
+            chunk_hidden = _hidden(params, design[lo:stop], out=hidden[:stop - lo])
+            _output_sums(params, chunk_hidden, out=sums[lo:stop])
+        else:
+            # the nine-row tail does not fit the buffer of eight-row chunks
+            buffer = hidden[:stop - lo] if stop - lo <= len(hidden) else None
+            chunk_hidden = _hidden(params, design[lo:stop], out=buffer)
+            sums[start:stop] = _output_sums(params, chunk_hidden)[start - lo:]
     if ann:
-        pred = payload.target_norm.denormalize(pred)
+        pred = payload.target_norm.denormalize(_output(params, pred))
     return float(pred[0]) if theta.ndim == 0 else pred
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadConfig, NonFiniteArray
-from .network import Dataset, _activations, _width, init_params, mse
+from .network import Dataset, _hidden, _width, init_params, mse
 from .optim import TrainingConfig, TrainingHistory, train_lm
 
 DEFAULT_RANK_REL_TOL = 1e-3
@@ -30,7 +30,7 @@ DEFAULT_RANK_REL_TOL = 1e-3
 
 def activation_matrix(params: np.ndarray, data: Dataset) -> np.ndarray:
     """Hidden-node outputs of a parameter vector for every pattern: (P, J) matrix."""
-    return _activations(params, data.design)[0]
+    return _hidden(params, data.design)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

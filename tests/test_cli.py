@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 import rescomp
 from rescomp import errors, pipeline
 from rescomp.caldata import load_calibration
-from rescomp.cli import STDIN_BATCH_LINES, _experiment_config, build_parser, main
+from rescomp.cli import (
+    STDIN_BATCH_LINES,
+    _experiment_config,
+    _format_tables,
+    _rounded_micro,
+    build_parser,
+    format_angles,
+    main,
+)
 from rescomp.fourier import FourierModel, FourierTerm
 from rescomp.network import AffineMap, init_params
 from rescomp.pipeline import CompensationModel, correct, load_model, save_model
@@ -283,6 +291,94 @@ def test_terminal_stdin_answers_each_line_before_the_next(tiny_model, monkeypatc
     monkeypatch.setattr("sys.stdin", stdin)
     assert main(["correct", "--model", str(tiny_model), "--stdin"]) == 0
     assert stdin.answers_at_read == [0, 1, 1, 2, 3]  # the last read meets EOF
+
+
+# --- the "%.6f" formatter of corrected angles ---
+
+def percent_lines(values):
+    return "".join("%.6f\n" % v for v in values)
+
+
+def near_ties(k):
+    """(k + 1/2) micro-units and the floats on either side of it."""
+    mid = (k + 0.5) / 1e6
+    return [np.nextafter(mid, 0.0), mid, np.nextafter(mid, 1e3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_format_angles_matches_percent_for_finite_floats(values):
+    assert format_angles(np.array(values, dtype=float)) == percent_lines(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(0.0, 1100.0),
+    st.integers(0, 1_099_999_999).map(near_ties).flatmap(st.sampled_from),
+), max_size=40))
+def test_format_angles_matches_percent_near_the_table_range(values):
+    assert format_angles(np.array(values, dtype=float)) == percent_lines(values)
+
+
+@pytest.mark.parametrize("value, line", [
+    (2.0 ** -7, "0.007812"),          # an exact tie, rounded to even
+    (359.9999995, "360.000000"),
+    (998.9999995, "%.6f" % 998.9999995),
+    (-0.0, "-0.000000"),
+    (5e-324, "0.000000"),
+    (-1.5, "-1.500000"),
+    (-359.9999995, "-360.000000"),
+    (999.0, "999.000000"),
+    (999.9999996, "1000.000000"),
+    (1e300, "%.6f" % 1e300),
+])
+def test_format_angles_fixed_cases(value, line):
+    assert format_angles(np.array([value])) == line + "\n"
+
+
+@pytest.mark.parametrize("k", [0, 1, 7811, 359_999_999, 998_999_999])
+def test_format_angles_either_side_of_a_tie(k):
+    values = near_ties(k)
+    assert format_angles(np.array(values)) == percent_lines(values)
+    for v in values:
+        assert format_angles(np.array([v])) == percent_lines([v])
+
+
+@pytest.mark.parametrize("n", [0, 1, STDIN_BATCH_LINES - 1, STDIN_BATCH_LINES])
+def test_format_angles_blocks(n):
+    values = np.random.default_rng(n).uniform(0.0, 360.0, n)
+    assert format_angles(values) == percent_lines(values.tolist())
+
+
+def test_format_angles_every_16_bit_code():
+    codes = np.arange(65536) * LSB_DEG
+    assert format_angles(codes) == percent_lines(codes.tolist())
+
+
+def test_format_angles_takes_the_table_path_for_a_block():
+    assert _rounded_micro(np.random.default_rng(0).uniform(0.0, 360.0, STDIN_BATCH_LINES)) \
+        is not None
+    assert _rounded_micro(np.array([10.0, 2.0 ** -7])) is None
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_format_tables_build_under_mmap_threshold():
+    """No temporary of the build may reach glibc's 128 KiB mmap threshold:
+    freeing one raises the threshold for the rest of the process."""
+    assert traced_peak(_format_tables) < 128 * 1024
+
+
+def test_format_angles_block_peak_memory():
+    values = np.random.default_rng(1).uniform(0.0, 360.0, STDIN_BATCH_LINES)
+    assert traced_peak(format_angles, values) < 64 * 1024
 
 
 def test_import_leaves_scipy_unloaded():

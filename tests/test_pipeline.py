@@ -552,8 +552,10 @@ def chunk_edge_counts(rows):
     return (rows - 1, rows, rows + 1, 2 * rows + 1)
 
 
-@pytest.mark.parametrize("hidden", [6, 80, 1000])
+@pytest.mark.parametrize("hidden", [1, 6, 80, 1000, MAX_HIDDEN])
 def test_predict_error_ann_chunks_bit_identical_to_one_call(hidden):
+    """At MAX_HIDDEN a chunk is 8 rows, and the 9-row tail of a one-row
+    remainder does not fit the hidden buffer."""
     rng = np.random.default_rng(hidden)
     net = make_net(rng.uniform(-3.0, 3.0, 3 * hidden + 1))
     model = CompensationModel("chunks", net)
@@ -576,16 +578,19 @@ def test_predict_error_fourier_chunks_bit_identical_to_one_call(n_terms):
 
 
 def test_predict_error_peak_memory_is_one_chunk():
-    """4 096 angles at J = 80: unchunked, the hidden block alone is 2.6 MB."""
-    model = CompensationModel("peak", make_net(init_params(80, seed=0)))
-    angles = np.linspace(0.0, 360.0, 4096, endpoint=False)
-    tracemalloc.start()
-    try:
-        predict_error(model, angles)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 512 * 1024
+    """Unchunked, the hidden block alone is 2.6 MB for 4 096 angles at J = 80
+    and 66 MB for 4 097 angles at J = 2 000, where the one-row remainder runs
+    a 9-row tail without the 8-row buffer."""
+    for hidden, n in ((80, 4096), (MAX_HIDDEN, 4097)):
+        model = CompensationModel("peak", make_net(init_params(hidden, seed=0)))
+        angles = np.linspace(0.0, 360.0, n, endpoint=False)
+        tracemalloc.start()
+        try:
+            predict_error(model, angles)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, hidden
 
 
 def zero_error_calset(n=8):
