@@ -23,13 +23,16 @@ sample a run of calls, and each tree's
 16-bit codes, for a 1:80:1 net and a 10-term Fourier model (stream-ann-80,
 stream-fourier-10), each sample a few runs of the stream.  The seeded models
 are written once as version-1 model files, and each tree reads them with its
-own loader.  Every training history, trained parameter vector, prune report
-(pruned width, both spectra and both MSEs), predicted error and stream's
-standard output bytes must be identical between the trees; the script exits
-1 at the first difference.  It writes, per case, both trees' medians and
-quartiles, the ratio of medians (change / base) and the number of pairs the
-change won, with the Python, numpy and BLAS thread settings and the CPU
-model.
+own loader.  Before any timing, both trees predict the error of the three
+predict nets and the 10-term series at seeded batches of every length 0-420
+and of 961, 1 001, 1 025 and 4 097 angles, around the chunk edges of
+`predict_error`.  Those predictions, and every training history, trained
+parameter vector, prune report (pruned width, both spectra and both MSEs),
+timed prediction and stream's standard output bytes must be identical
+between the trees; the script exits 1 at the first difference.  It writes,
+per case, both trees' medians and quartiles, the ratio of medians (change /
+base) and the number of pairs the change won, with the Python, numpy and
+BLAS thread settings and the CPU model.
 
 The script uses only these names of a tree, so it compares any two trees
 that share them and read version-1 model files: `simgen.synthesize`,
@@ -76,6 +79,8 @@ TRAININGS = {
 PREDICT_ANGLES = 1024
 PREDICT_WIDTHS = (6, 40, 80)
 PREDICT_CALLS = 250    # per sample
+# batch lengths at which both trees' predictions are compared before timing
+CHECK_LENGTHS = (*range(421), 961, 1001, 1025, 4097)
 STREAM_CODES = 6000
 STREAM_RUNS = 5        # per sample
 SEED = 42
@@ -165,6 +170,25 @@ def predict_case(m, model_path: Path, calls: int):
             predict_error(model, angles)
         return predict_error(model, angles).tobytes()
     return run
+
+
+def predictions_match(trees: dict, model_paths) -> bool:
+    """Whether both trees' `predict_error` give the same bytes for each model
+    file at seeded batches of every length in CHECK_LENGTHS."""
+    rng = np.random.default_rng(SEED)
+    batches = [rng.uniform(0.0, 360.0, n) for n in CHECK_LENGTHS]
+    for path in model_paths:
+        predicted = {}
+        for side, m in trees.items():
+            model = m["pipeline"].load_model(path)
+            predicted[side] = [m["pipeline"].predict_error(model, angles).tobytes()
+                               for angles in batches]
+        for n, base, change in zip(CHECK_LENGTHS, predicted["base"], predicted["change"]):
+            if base != change:
+                print(f"{path.name}: the trees' predictions differ at {n} angles",
+                      file=sys.stderr)
+                return False
+    return True
 
 
 def write_stream_inputs(lsb_deg: float, workdir: Path) -> dict:
@@ -266,15 +290,21 @@ def main(argv=None) -> int:
                        for side, m in trees.items()}
 
     with tempfile.TemporaryDirectory() as workdir:
+        checked = []
         for hidden in PREDICT_WIDTHS:
             path = write_model(Path(workdir) / f"predict-{hidden}.json", "ann",
                                ann_payload(init_draw(hidden)))
+            checked.append(path)
             cases[f"predict-{PREDICT_ANGLES}x{hidden}"] = {
                 side: predict_case(m, path, scaled(PREDICT_CALLS)) for side, m in trees.items()}
         lsb_deg = trees["base"]["simgen"].LSB_DEG
-        for name, (model, codes) in write_stream_inputs(lsb_deg, Path(workdir)).items():
+        streams = write_stream_inputs(lsb_deg, Path(workdir))
+        for name, (model, codes) in streams.items():
             cases[name] = {side: stream_case(m, model, codes, scaled(STREAM_RUNS))
                            for side, m in trees.items()}
+        checked.append(streams["stream-fourier-10"][0])
+        if not predictions_match(trees, checked):
+            return 1
         seconds = time_rounds(cases, args.rounds)
     if seconds is None:
         return 1

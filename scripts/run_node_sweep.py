@@ -16,22 +16,11 @@ import time
 from pathlib import Path
 
 from rescomp.caldata import error_profile, partition_even_odd, write_csv
-from rescomp.network import (
-    DEFAULT_TARGET_BOUNDS_ARCMIN,
-    TARGET_OUT_RANGE,
-    AffineMap,
-    dataset_from_profile,
-    init_params,
-)
-from rescomp.optim import (
-    DEFAULT_SWEEP_NODES,
-    OPTIMIZERS,
-    TrainingConfig,
-    node_sweep,
-    trainer,
-)
-from rescomp.pipeline import write_history_csv
+from rescomp.optim import OPTIMIZERS, TrainingConfig
+from rescomp.pipeline import ExperimentConfig, fit_network, write_history_csv
 from rescomp.simgen import archetype_spec, synthesize
+
+SWEEP_WIDTHS = range(10, 111, 10)
 
 
 def main(argv=None) -> int:
@@ -52,16 +41,19 @@ def main(argv=None) -> int:
     cal = synthesize(archetype_spec(args.archetype), grid_step_deg=1.0)
     train_set, _test = partition_even_odd(cal)
     profile = error_profile(train_set)
-    data = dataset_from_profile(
-        profile, AffineMap(*DEFAULT_TARGET_BOUNDS_ARCMIN, *TARGET_OUT_RANGE))
-    cfg = TrainingConfig(max_iterations=args.max_iterations, seed=args.seed)
+    training = TrainingConfig(max_iterations=args.max_iterations, seed=args.seed)
 
     if not args.skip_sweep:
-        print(f"width sweep over {DEFAULT_SWEEP_NODES} ...")
+        print(f"width sweep over {tuple(SWEEP_WIDTHS)} ...")
         start = time.perf_counter()
-        results = node_sweep(data, cfg=cfg)
-        for width, final in results:
-            print(f"  J = {width:4d}: final MSE {final:.4e}")
+        results = []
+        for j in SWEEP_WIDTHS:
+            _net, history, _report = fit_network(
+                profile, ExperimentConfig(hidden=j, training=training))
+            # LM accepts only improving steps, so its last MSE is the returned net's
+            final = history.mse_per_iteration[-1]
+            results.append((j, final))
+            print(f"  J = {j:4d}: final MSE {final:.4e}")
         path = outdir / "width_sweep.csv"
         write_csv(path, "hidden_nodes,final_mse", results)
         print(f"wrote {path} ({time.perf_counter() - start:.0f}s)")
@@ -69,7 +61,8 @@ def main(argv=None) -> int:
     print(f"optimizer comparison at width {args.hidden} ...")
     for name in OPTIMIZERS:
         start = time.perf_counter()
-        _trained, history = trainer(name)(init_params(args.hidden, args.seed), data, cfg)
+        cfg = ExperimentConfig(hidden=args.hidden, optimizer=name, training=training)
+        _trained, history, _report = fit_network(profile, cfg)
         path = outdir / f"convergence_{name}.csv"
         write_history_csv(path, history)
         print(

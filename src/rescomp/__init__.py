@@ -42,7 +42,6 @@ from .optim import (
     StopReason,
     TrainingConfig,
     TrainingHistory,
-    node_sweep,
     stopping_rule,
     train_backprop,
     train_lm,

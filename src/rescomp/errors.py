@@ -71,7 +71,8 @@ class EmptyDataset(RescompError):
 
 
 class ShapeMismatch(RescompError):
-    """A network or dataset does not have the dimensions of a 1:J:1 net."""
+    """A network or dataset does not have the dimensions of a 1:J:1 net, or a
+    batch of angles to correct is not 0-D or 1-D."""
 
 
 class NonFiniteArray(RescompError, ValueError):

@@ -36,7 +36,6 @@ from .network import (
     Dataset,
     _activations,
     gradient,
-    init_params,
     mse,
     residual_jacobian,
 )
@@ -240,23 +239,3 @@ def trainer(optimizer: str):
         raise BadConfig(f"optimizer must be 'lm' or 'backprop', got {optimizer!r}")
     return train_lm if optimizer == "lm" else train_backprop
 
-
-DEFAULT_SWEEP_NODES = tuple(range(10, 111, 10))
-
-
-def node_sweep(
-    data: Dataset,
-    nodes=DEFAULT_SWEEP_NODES,
-    train_fn=train_lm,
-    cfg: TrainingConfig = TrainingConfig(),
-) -> list[tuple[int, float]]:
-    """Train one network per hidden-layer width, report (width, final MSE).
-
-    Every width starts from the same seed so the comparison isolates the
-    effect of network size.
-    """
-    results = []
-    for j in nodes:
-        trained, _history = train_fn(init_params(int(j), cfg.seed), data, cfg)
-        results.append((int(j), mse(trained, data)))
-    return results

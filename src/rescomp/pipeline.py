@@ -40,6 +40,7 @@ from .errors import (
     CorruptFile,
     DegenerateBounds,
     KindMismatch,
+    ShapeMismatch,
     UnsupportedVersion,
 )
 from .fourier import (
@@ -75,18 +76,20 @@ KIND_FOURIER = "fourier"
 MAX_FOURIER_ORDER = 2 ** 53
 
 # The widest hidden layer a fit accepts: 25 times the paper's 80 nodes and
-# 6 001 parameters against the 180 patterns of a 2-degree grid.  At this width
-# a `predict_error` chunk of 8 rows (`CHUNK_ROW_MULTIPLE`) still holds its
-# (8, J) hidden block under 128 KiB, and one LM Jacobian row is 48 KB.
+# 6 001 parameters against the 180 patterns of a 2-degree grid.  Up to J = 1 777
+# a `predict_error` chunk with a one-row remainder added still holds its hidden
+# block under `CHUNK_ELEMENTS`; from J = 1 778 the 8-row floor of `chunk_rows`
+# makes that block 9 rows, 144 KB at this width.  One LM Jacobian row is 48 KB.
 MAX_HIDDEN = 2000
 
-# Element bound of `predict_error`'s (rows, width) hidden buffer, which one
-# call allocates once and reuses for every chunk of `chunk_rows(width)` rows,
-# and of a Fourier chunk's temporaries: 125 KiB, under glibc's default 128 KiB
-# mmap threshold.  An unchunked (1 024, 80) hidden block is 640 KiB: it
-# is mmapped, and freeing it raises glibc's threshold, so later temporaries of a
-# few hundred KiB (the 241 x 241 normal equations of a fit in the same process)
-# come from the heap instead of fresh mmaps and run at a different speed.
+# Element bound of `predict_error`'s hidden buffer of `chunk_rows(width) + 1`
+# rows (fewer for a shorter batch), which one call allocates once and reuses for
+# every chunk, and of a Fourier chunk's temporaries: 125 KiB, under glibc's
+# default 128 KiB mmap threshold.  An unchunked (1 024, 80) hidden block is
+# 640 KiB: it is mmapped, and freeing it raises glibc's threshold, so later
+# temporaries of a few hundred KiB (the 241 x 241 normal equations of a fit in
+# the same process) come from the heap instead of fresh mmaps and run at a
+# different speed.
 CHUNK_ELEMENTS = 16_000
 # Chunk lengths are multiples of this: a matrix-vector kernel computes the rows
 # of a product in groups, and a group rounds differently from the rows left
@@ -96,8 +99,9 @@ CHUNK_ROW_MULTIPLE = 8
 
 
 def chunk_rows(width: int) -> int:
-    """Rows per kernel call for a batch whose temporaries are `width` wide."""
-    rows = CHUNK_ELEMENTS // max(width, 1)
+    """Rows per kernel call for a batch whose temporaries are `width` wide,
+    leaving room for the one-row remainder that joins a batch's last chunk."""
+    rows = CHUNK_ELEMENTS // max(width, 1) - 1
     return max(CHUNK_ROW_MULTIPLE, rows - rows % CHUNK_ROW_MULTIPLE)
 
 
@@ -258,6 +262,8 @@ def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray
     chunks, writes each chunk's output sums into the result, and adds the
     output threshold and applies the sigmoid once per call."""
     theta = np.asarray(theta_enc_deg, dtype=float)
+    if theta.ndim > 1:
+        raise ShapeMismatch(f"need one angle or a 1-D batch of angles, got shape {theta.shape}")
     wrapped = wrap_deg(np.atleast_1d(theta))
     payload = model.payload
     ann = model.kind == KIND_ANN
@@ -267,24 +273,18 @@ def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray
     if ann:
         params, design = payload.params, _angle_design(wrapped)
         sums = pred.reshape(n, 1)   # the output sums, written into `pred`
-        hidden = np.empty((min(n, rows), width))
-    for start in range(0, n, rows):
-        # numpy computes a one-row product as a dot product, which rounds
-        # differently from the matrix-vector kernel of a longer batch: a
-        # one-row tail runs as the last row of a call that starts one row
-        # group earlier, and writes only that row
-        lo = start - CHUNK_ROW_MULTIPLE if 0 < start == n - 1 else start
-        stop = min(start + rows, n)
-        if not ann:
-            pred[start:stop] = eval_fourier(payload, wrapped[lo:stop])[start - lo:]
-        elif lo == start:
-            chunk_hidden = _hidden(params, design[lo:stop], out=hidden[:stop - lo])
-            _output_sums(params, chunk_hidden, out=sums[lo:stop])
+        hidden = np.empty((min(n, rows + 1), width))
+    # numpy computes a one-row product as a dot product, which rounds
+    # differently from the matrix-vector kernel of a longer batch, so a
+    # one-row remainder joins the chunk before it
+    lo = 0
+    for hi in [*range(rows, n - 1, rows), n]:
+        if ann:
+            chunk_hidden = _hidden(params, design[lo:hi], out=hidden[:hi - lo])
+            _output_sums(params, chunk_hidden, out=sums[lo:hi])
         else:
-            # the nine-row tail does not fit the buffer of eight-row chunks
-            buffer = hidden[:stop - lo] if stop - lo <= len(hidden) else None
-            chunk_hidden = _hidden(params, design[lo:stop], out=buffer)
-            sums[start:stop] = _output_sums(params, chunk_hidden)[start - lo:]
+            pred[lo:hi] = eval_fourier(payload, wrapped[lo:hi])
+        lo = hi
     if ann:
         pred = payload.target_norm.denormalize(_output(params, pred))
     return float(pred[0]) if theta.ndim == 0 else pred

@@ -15,11 +15,9 @@ from rescomp.network import (
     residual_jacobian,
 )
 from rescomp.optim import (
-    DEFAULT_SWEEP_NODES,
     StopReason,
     TrainingConfig,
     TrainingHistory,
-    node_sweep,
     stopping_rule,
     train_backprop,
     train_lm,
@@ -363,17 +361,3 @@ def test_wider_net_fits_better_at_full_budget(arch1_data, arch1_lm80, arch1_lm20
     data = arch1_data["dataset"]
     assert mse(arch1_lm80[0].params, data) < mse(arch1_lm20[0].params, data)
 
-
-# --- node sweep ---
-
-def test_default_sweep_nodes():
-    assert DEFAULT_SWEEP_NODES == tuple(range(10, 111, 10))
-
-
-def test_node_sweep_handles_tiny_widths():
-    rng = np.random.default_rng(12)
-    data = Dataset(rng.uniform(0, 1, (10, 1)), rng.uniform(0.3, 0.7, (10, 1)))
-    cfg = TrainingConfig(max_iterations=30, stall_window=10, seed=12)
-    results = node_sweep(data, nodes=(1, 2), cfg=cfg)
-    assert [j for j, _ in results] == [1, 2]
-    assert all(np.isfinite(m) for _, m in results)

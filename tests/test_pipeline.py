@@ -16,6 +16,7 @@ from rescomp.errors import (
     KindMismatch,
     OutOfRange,
     RescompError,
+    ShapeMismatch,
     TargetOutOfRange,
     UnsupportedVersion,
 )
@@ -31,6 +32,7 @@ from rescomp.network import (
 )
 from rescomp.optim import TrainingConfig, train_lm
 from rescomp.pipeline import (
+    CHUNK_ELEMENTS,
     KIND_ANN,
     KIND_FOURIER,
     MAX_HIDDEN,
@@ -533,6 +535,18 @@ def test_array_non_finite_angle_named():
             call(model, np.array([10.0, -math.inf, math.nan]))
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("payload", [trained_like_net(hidden=6), fourier_model()],
+                         ids=["ann", "fourier"])
+def test_batch_of_more_than_one_dimension_named(payload, shape):
+    model = CompensationModel("enc", payload)
+    angles = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+    message = re.escape(f"need one angle or a 1-D batch of angles, got shape {shape}")
+    for call in (predict_error, correct):
+        with pytest.raises(ShapeMismatch, match=message):
+            call(model, angles)
+
+
 @settings(max_examples=200)
 @given(theta=st.floats(min_value=-720.0, max_value=720.0))
 def test_correction_identity(theta):
@@ -548,14 +562,25 @@ def test_correction_identity(theta):
 # --- evaluation ---
 
 def chunk_edge_counts(rows):
-    """Batch lengths around a chunk of `rows`, the last leaving a one-row tail."""
-    return (rows - 1, rows, rows + 1, 2 * rows + 1)
+    """Batch lengths around a chunk of `rows`: empty and tiny batches, one-
+    and two-row remainders, and the 1 024-line block of `correct --stdin`."""
+    return (0, 1, 2, 9, rows - 1, rows, rows + 1, rows + 8, rows + 9, 2 * rows + 1,
+            1023, 1024, 1025)
 
 
-@pytest.mark.parametrize("hidden", [1, 6, 80, 1000, MAX_HIDDEN])
+def test_chunk_rows_leave_room_for_a_one_row_remainder():
+    """Below J = 1 778 the last chunk with a one-row remainder added stays
+    within CHUNK_ELEMENTS; at and above it the 8-row floor decides."""
+    for width in range(1, 1778):
+        rows = chunk_rows(width)
+        assert rows % 8 == 0 and (rows + 1) * width <= CHUNK_ELEMENTS, width
+    assert chunk_rows(80) == 192
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 6, 80, 1000, MAX_HIDDEN])
 def test_predict_error_ann_chunks_bit_identical_to_one_call(hidden):
-    """At MAX_HIDDEN a chunk is 8 rows, and the 9-row tail of a one-row
-    remainder does not fit the hidden buffer."""
+    """J = 2 is the first width whose hidden layer is a matrix product; at
+    MAX_HIDDEN a chunk is 8 rows, and a one-row remainder makes it 9."""
     rng = np.random.default_rng(hidden)
     net = make_net(rng.uniform(-3.0, 3.0, 3 * hidden + 1))
     model = CompensationModel("chunks", net)
@@ -579,8 +604,8 @@ def test_predict_error_fourier_chunks_bit_identical_to_one_call(n_terms):
 
 def test_predict_error_peak_memory_is_one_chunk():
     """Unchunked, the hidden block alone is 2.6 MB for 4 096 angles at J = 80
-    and 66 MB for 4 097 angles at J = 2 000, where the one-row remainder runs
-    a 9-row tail without the 8-row buffer."""
+    and 66 MB for 4 097 angles at J = 2 000, where the one-row remainder
+    joins the last 8-row chunk in a 9-row buffer."""
     for hidden, n in ((80, 4096), (MAX_HIDDEN, 4097)):
         model = CompensationModel("peak", make_net(init_params(hidden, seed=0)))
         angles = np.linspace(0.0, 360.0, n, endpoint=False)
@@ -678,18 +703,20 @@ def wide_error_profile():
     return ErrorProfile(np.stack((angles, 9.0 * np.cos(np.radians(angles))), axis=1))
 
 
-@pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
-def test_fit_network_with_non_default_bounds(prune):
+@pytest.mark.parametrize("hidden, prune", [(6, False), (6, True), (1, False), (2, False)],
+                         ids=["plain", "prune", "plain-1", "plain-2"])
+def test_fit_network_with_non_default_bounds(hidden, prune):
     """The bounds reach the dataset the trainers see and the returned net's
-    target map, with and without pruning."""
+    target map, with and without pruning, down to the tiny widths 1 and 2."""
     profile = wide_error_profile()
     training = TrainingConfig(max_iterations=20, seed=3)
-    cfg = ExperimentConfig(hidden=6, prune=prune, norm_bounds=(-8.0, 8.0), training=training)
+    cfg = ExperimentConfig(hidden=hidden, prune=prune, norm_bounds=(-8.0, 8.0),
+                           training=training)
     net, history, report = fit_network(profile, cfg)
     target_norm = AffineMap(-8.0, 8.0, 0.1, 0.9)
     assert net.target_norm == target_norm
     data = dataset_from_profile(profile, target_norm)
-    params, expected_history = train_lm(init_params(6, seed=3), data, training)
+    params, expected_history = train_lm(init_params(hidden, seed=3), data, training)
     expected_report = None
     if prune:
         params, expected_history, expected_report = prune_and_retrain(params, data, training)
@@ -698,8 +725,9 @@ def test_fit_network_with_non_default_bounds(prune):
     outputs = _activations(params, data.design)[1][:, 0]
     predicted = predict_error(CompensationModel("wide", net), profile.angles_deg())
     assert np.array_equal(predicted, target_norm.denormalize(outputs))
+    assert np.all(np.isfinite(history.mse_per_iteration))
     with pytest.raises(TargetOutOfRange):
-        fit_network(profile, ExperimentConfig(hidden=6, prune=prune, training=training))
+        fit_network(profile, ExperimentConfig(hidden=hidden, prune=prune, training=training))
 
 
 @pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])

@@ -25,6 +25,17 @@ def test_script_runs_at_tiny_budget(tmp_path, script, extra, outputs):
         assert (tmp_path / name).is_file()
 
 
+def test_node_sweep_script_lists_every_width(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(rescomp.__file__).parents[1]))
+    args = [sys.executable, str(SCRIPTS / "run_node_sweep.py"), "--outdir", str(tmp_path),
+            "--max-iterations", "3", "--hidden", "4"]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "width_sweep.csv").read_text().splitlines()
+    assert lines[0] == "hidden_nodes,final_mse"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(10, 111, 10))
+
+
 def test_ab_kernels_runs_at_tiny_budget(tmp_path):
     src = str(Path(rescomp.__file__).parents[1])
     out = tmp_path / "ab.json"
