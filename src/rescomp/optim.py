@@ -209,8 +209,7 @@ def train_lm(
                 continue
             if wide:
                 delta = jac.T @ delta
-            with np.errstate(over="ignore"):
-                candidate = params - delta
+            candidate = params - delta
             if not np.all(np.isfinite(candidate)):
                 lam *= cfg.lm_factor
                 continue
@@ -227,7 +226,9 @@ def train_lm(
             )
         return None  # no improving step exists
 
-    return _train(params, data, cfg, step)
+    # a candidate that overflows to inf escalates lambda in `step`
+    with np.errstate(over="ignore"):
+        return _train(params, data, cfg, step)
 
 
 OPTIMIZERS = ("lm", "backprop")
