@@ -22,11 +22,12 @@ from rescomp.simgen import archetype_spec, synthesize
 
 
 def main(argv=None) -> int:
+    d = ExperimentConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="results", help="output directory")
-    parser.add_argument("--hidden", type=int, default=80)
-    parser.add_argument("--max-iterations", type=int, default=10000)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--hidden", type=int, default=d.hidden)
+    parser.add_argument("--max-iterations", type=int, default=d.training.max_iterations)
+    parser.add_argument("--seed", type=int, default=d.training.seed)
     parser.add_argument("--prune", action="store_true",
                         help="also prune/retrain each network")
     args = parser.parse_args(argv)

@@ -24,13 +24,14 @@ SWEEP_WIDTHS = range(10, 111, 10)
 
 
 def main(argv=None) -> int:
+    d = ExperimentConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="sweep")
     parser.add_argument("--archetype", type=int, default=1, choices=(1, 2, 3, 4))
-    parser.add_argument("--max-iterations", type=int, default=10000)
-    parser.add_argument("--hidden", type=int, default=80,
+    parser.add_argument("--max-iterations", type=int, default=d.training.max_iterations)
+    parser.add_argument("--hidden", type=int, default=d.hidden,
                         help="width for the optimizer comparison")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=d.training.seed)
     parser.add_argument("--skip-sweep", action="store_true",
                         help="only run the optimizer comparison")
     args = parser.parse_args(argv)

@@ -115,8 +115,6 @@ def _experiment_config(args) -> pipeline.ExperimentConfig:
         training=optim.TrainingConfig(
             max_iterations=args.max_iterations,
             learning_rate=args.learning_rate,
-            lm_lambda0=args.lm_lambda0,
-            lm_factor=args.lm_factor,
             stall_window=args.stall_window,
             stall_tol=args.stall_tol,
             seed=args.seed,
@@ -132,8 +130,6 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=t.seed, help="init seed (default %(default)s)")
     p.add_argument("--max-iterations", type=int, default=t.max_iterations)
     p.add_argument("--learning-rate", type=float, default=t.learning_rate)
-    p.add_argument("--lm-lambda0", type=float, default=t.lm_lambda0)
-    p.add_argument("--lm-factor", type=float, default=t.lm_factor)
     p.add_argument("--stall-window", type=int, default=t.stall_window)
     p.add_argument("--stall-tol", type=float, default=t.stall_tol)
     p.add_argument("--norm-lo", type=float, default=d.norm_bounds[0],

@@ -130,7 +130,7 @@ def harmonic_spectrum(profile: ErrorProfile) -> HarmonicSpectrum:
     return HarmonicSpectrum(tuple(entries))
 
 
-def select_top(spectrum: HarmonicSpectrum, count: int = 10) -> list[int]:
+def select_top(spectrum: HarmonicSpectrum, count: int) -> list[int]:
     """The `count` orders of largest amplitude, descending (ties: lower order first)."""
     if count < 0 or count > len(spectrum):
         raise BadConfig(f"count must be in [0, {len(spectrum)}], got {count}")

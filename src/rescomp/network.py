@@ -95,11 +95,10 @@ class AffineMap:
                    for v in (span, out_span, out_span / span, span / out_span)):
             raise DegenerateBounds(f"spans and scale factors must be finite and nonzero: {self}")
 
-    def normalize(self, x, out=None):
-        """The image of `x`, written into `out` when given."""
-        return np.add(self.out_lo, (np.asarray(x, dtype=float) - self.lo) * (
+    def normalize(self, x):
+        return self.out_lo + (np.asarray(x, dtype=float) - self.lo) * (
             (self.out_hi - self.out_lo) / (self.hi - self.lo)
-        ), out=out)
+        )
 
     def denormalize(self, y):
         return self.lo + (np.asarray(y, dtype=float) - self.out_lo) * (
@@ -196,15 +195,6 @@ def _design(x: np.ndarray) -> np.ndarray:
     """The (P, 2) design matrix [x, 1] of a (P, 1) batch of normalized inputs."""
     design = np.empty((x.shape[0], 2))
     design[:, :1] = x
-    design[:, 1] = 1.0
-    return design
-
-
-def _angle_design(angles_deg: np.ndarray) -> np.ndarray:
-    """The (P, 2) design matrix [x, 1] of a 1-D batch of angles in degrees,
-    with x their `INPUT_NORM` image written straight into column 0."""
-    design = np.empty((angles_deg.shape[0], 2))
-    INPUT_NORM.normalize(angles_deg, out=design[:, 0])
     design[:, 1] = 1.0
     return design
 

@@ -40,6 +40,10 @@ from .network import (
     residual_jacobian,
 )
 
+# Marquardt's (1963) schedule: start at lambda0, divide by the factor after an
+# accepted step, multiply by it after a rejected one.
+_LAMBDA0 = 1e-3
+_LAMBDA_FACTOR = 10.0
 # Floor keeps the damping alive after long runs of accepted steps.
 _LAMBDA_MIN = 1e-15
 # Rejected-step retries per iteration before giving up.
@@ -50,22 +54,18 @@ _MAX_ESCALATIONS = 30
 class TrainingConfig:
     max_iterations: int = 10000
     learning_rate: float = 0.5        # gradient descent only
-    lm_lambda0: float = 1e-3
-    lm_factor: float = 10.0
     stall_window: int = 200           # at or above max_iterations: never fires
     stall_tol: float = 1e-9           # relative MSE improvement
-    seed: int = 0
+    seed: int = 42
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise BadConfig("max_iterations must be >= 1")
-        for name in ("learning_rate", "lm_lambda0", "lm_factor", "stall_tol"):
+        for name in ("learning_rate", "stall_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise BadConfig(f"{name} must be finite")
-        if self.learning_rate <= 0 or self.lm_lambda0 <= 0:
-            raise BadConfig("learning_rate and lm_lambda0 must be > 0")
-        if self.lm_factor <= 1:
-            raise BadConfig("lm_factor must be > 1")
+        if self.learning_rate <= 0:
+            raise BadConfig("learning_rate must be > 0")
         if self.stall_window < 1:
             raise BadConfig("stall_window must be >= 1")
         if self.stall_tol <= 0:
@@ -180,7 +180,7 @@ def train_lm(
     damped system is declared unsolvable; if finite candidates exist but
     none improves, the run has converged and stops.
     """
-    lam = cfg.lm_lambda0
+    lam = _LAMBDA0
     # The last step's J and Gram matrix stay referenced until the next step
     # has built its own.  Freed at every return, they let malloc give the
     # memory back to the OS and fault it in again on each iteration: a
@@ -205,21 +205,21 @@ def train_lm(
             try:
                 delta = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
-                lam *= cfg.lm_factor
+                lam *= _LAMBDA_FACTOR
                 continue
             if wide:
                 delta = jac.T @ delta
             candidate = params - delta
             if not np.all(np.isfinite(candidate)):
-                lam *= cfg.lm_factor
+                lam *= _LAMBDA_FACTOR
                 continue
             cand_mse, cand_activations = _scored(candidate, data)
             if np.isfinite(cand_mse):
                 any_finite_candidate = True
                 if cand_mse < current_mse:
-                    lam = max(lam / cfg.lm_factor, _LAMBDA_MIN)
+                    lam = max(lam / _LAMBDA_FACTOR, _LAMBDA_MIN)
                     return candidate, cand_mse, cand_activations
-            lam *= cfg.lm_factor
+            lam *= _LAMBDA_FACTOR
         if not any_finite_candidate:
             raise SingularNormalEquations(
                 f"no solvable damped system after {_MAX_ESCALATIONS} escalations"

@@ -58,7 +58,7 @@ from .network import (
     INPUT_NORM,
     TARGET_OUT_RANGE,
     Network,
-    _angle_design,
+    _design,
     _hidden,
     _output,
     _output_sums,
@@ -271,7 +271,7 @@ def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray
     n, rows = len(wrapped), chunk_rows(width)
     pred = np.empty(n)
     if ann:
-        params, design = payload.params, _angle_design(wrapped)
+        params, design = payload.params, _design(INPUT_NORM.normalize(wrapped)[:, np.newaxis])
         sums = pred.reshape(n, 1)   # the output sums, written into `pred`
         hidden = np.empty((min(n, rows + 1), width))
     # numpy computes a one-row product as a dot product, which rounds
@@ -340,7 +340,7 @@ class ExperimentConfig:
     prune: bool = False
     prune_rel_tol: float = DEFAULT_RANK_REL_TOL
     norm_bounds: tuple[float, float] = DEFAULT_TARGET_BOUNDS_ARCMIN
-    training: TrainingConfig = TrainingConfig(seed=42)
+    training: TrainingConfig = TrainingConfig()
 
     def __post_init__(self) -> None:
         trainer(self.optimizer)  # BadConfig for an unknown optimizer name
@@ -405,18 +405,22 @@ def fit_fourier_baseline(
     profile: ErrorProfile, top: int
 ) -> tuple[FourierModel, HarmonicSpectrum, list[int]]:
     """Fit the Fourier series on the `top` strongest harmonics of a profile.
-    Returns the model, the spectrum and the fitted orders.
+    Returns the model, the spectrum (every order) and the fitted orders.
 
-    BadConfig names `top` and the largest value the profile can fit: every
-    order but 0 (the DC term, always fitted) adds two coefficients, and a
-    profile of P samples fits at most P of them."""
+    The Nyquist order P/2 of a profile of an even count P is never selected:
+    its sine column is zero on an exact grid and badly conditioned on a
+    jittered one.  BadConfig names `top` and the largest value the profile
+    can fit: every order but 0 (the DC term, always fitted) adds two
+    coefficients, and a profile of P samples fits at most P of them."""
     spectrum = harmonic_spectrum(profile)
-    coefficients = 1 + 2 * np.cumsum([e.order != 0 for e in spectrum.entries])
-    limit = int(np.searchsorted(coefficients, len(profile), side="right"))
+    p = len(profile)
+    candidates = HarmonicSpectrum(tuple(e for e in spectrum.entries if 2 * e.order != p))
+    coefficients = 1 + 2 * np.cumsum([e.order != 0 for e in candidates.entries])
+    limit = int(np.searchsorted(coefficients, p, side="right"))
     if not 0 <= top <= limit:
-        raise BadConfig(f"top must be in [0, {limit}] for a profile of {len(profile)} "
+        raise BadConfig(f"top must be in [0, {limit}] for a profile of {p} "
                         f"samples, got {top}")
-    orders = select_top(spectrum, top)
+    orders = select_top(candidates, top)
     return fit_fourier(profile, orders), spectrum, orders
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BadConfig, NonFiniteArray
 from .network import Dataset, _hidden, _width, init_params, mse
-from .optim import TrainingConfig, TrainingHistory, train_lm
+from .optim import TrainingConfig, TrainingHistory
 
 DEFAULT_RANK_REL_TOL = 1e-3
 
@@ -68,10 +68,12 @@ def prune_and_retrain(
     data: Dataset,
     cfg: TrainingConfig,
     rel_tol: float = DEFAULT_RANK_REL_TOL,
-    train_fn=train_lm,
+    *,
+    train_fn,
 ) -> tuple[np.ndarray, TrainingHistory, PruneReport]:
     """Estimate the non-redundant width of the trained net `params` from its
-    activation-matrix spectrum and retrain a fresh net at that width.
+    activation-matrix spectrum and retrain a fresh net at that width with
+    `train_fn` (a trainer of `optim`, as `pipeline.fit_network` picks it).
 
     Returns the pruned net's parameter vector, the retraining's history and
     a report carrying both widths, both final MSEs and both spectra.

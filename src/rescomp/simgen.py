@@ -99,7 +99,8 @@ def synthesize(
         raise BadGrid(f"grid step {grid_step_deg!r} is finer than one 16-bit LSB "
                       f"({LSB_DEG!r} deg, {round(360.0 / LSB_DEG)} points)")
     n_points = 360.0 / grid_step_deg
-    if abs(n_points - round(n_points)) > 1e-9:
+    # a step above 360 can give a point count within 1e-9 of 0 (1e12: 3.6e-10)
+    if round(n_points) < 1 or abs(n_points - round(n_points)) > 1e-9:
         raise BadGrid(f"grid step {grid_step_deg!r} does not divide 360")
     if not (0.0 <= grid_offset_deg < grid_step_deg):
         raise BadGrid(f"offset {grid_offset_deg!r} not in [0, step)")

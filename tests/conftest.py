@@ -107,7 +107,7 @@ def arch1_pruned(arch1_data, arch1_lm80):
     """`arch1_lm80`'s net pruned by its activation spectrum and retrained at
     the full budget: (pruned net, retraining history, prune report)."""
     params, history, report = prune_and_retrain(arch1_lm80[0].params, arch1_data["dataset"],
-                                                FULL_BUDGET)
+                                                FULL_BUDGET, train_fn=train_lm)
     return make_net(params), history, report
 
 

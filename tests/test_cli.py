@@ -700,8 +700,7 @@ TRAINING_FLAGS = st.tuples(
     mostly(st.integers(1, 8), st.integers(-1, 0)), mostly(st.integers(1, 5), st.integers(-1, 0)),
     optional_flags(
         seed=mostly(st.integers(0, 2 ** 64), st.just(-1)),
-        learning_rate=mostly(st.floats(1e-3, 10.0)), lm_lambda0=mostly(st.floats(1e-9, 1e3)),
-        lm_factor=mostly(st.floats(1.5, 100.0)),
+        learning_rate=mostly(st.floats(1e-3, 10.0)),
         stall_window=mostly(st.integers(1, 10), st.integers(-1, 0)),
         stall_tol=mostly(st.floats(1e-12, 1e-2)), norm_lo=mostly(st.floats(-100.0, -4.0)),
         norm_hi=mostly(st.floats(4.0, 100.0)), encoder_id=ARGV_TEXT,

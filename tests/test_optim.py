@@ -34,10 +34,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
-        TrainingConfig(lm_factor=1.0)
-    with pytest.raises(ValueError):
         TrainingConfig(stall_window=0)
-    for name in ("learning_rate", "lm_lambda0", "lm_factor", "stall_tol"):
+    for name in ("learning_rate", "stall_tol"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
                 TrainingConfig(**{name: value})
@@ -185,7 +183,7 @@ def test_lm_step_solves_damped_normal_equations(hidden, patterns):
     trained, history = train_lm(params, data, cfg)
     assert history.mse_per_iteration[0] < mse(params, data)  # the lambda0 step was accepted
     residuals, jac = residual_jacobian(params, data)
-    damped = jac.T @ jac + cfg.lm_lambda0 * np.eye(params.size)
+    damped = jac.T @ jac + optim._LAMBDA0 * np.eye(params.size)
     expected = params - np.linalg.solve(damped, jac.T @ residuals)
     if params.size <= patterns:
         assert np.array_equal(trained, expected)
@@ -289,7 +287,7 @@ def _uncarried_train(params, data, cfg, lm):
     """The training loop with every forward pass recomputed: `mse`,
     `residual_jacobian` and `gradient` get no activations.  Returns the
     best parameter vector and the MSE history."""
-    lam = cfg.lm_lambda0
+    lam = optim._LAMBDA0
     current, current_mse = params, mse(params, data)
     best, best_mse = current, current_mse
     history = []
@@ -309,10 +307,10 @@ def _uncarried_train(params, data, cfg, lm):
                 cand = current - delta
                 cand_mse = mse(cand, data)
                 if cand_mse < current_mse:
-                    lam = max(lam / cfg.lm_factor, 1e-15)
+                    lam = max(lam / optim._LAMBDA_FACTOR, 1e-15)
                     moved = cand, cand_mse
                     break
-                lam *= cfg.lm_factor
+                lam *= optim._LAMBDA_FACTOR
         else:
             grad = gradient(current, data)
             cand = current - cfg.learning_rate * grad

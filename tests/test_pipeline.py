@@ -696,8 +696,8 @@ def test_hidden_bound():
 @pytest.mark.parametrize("n", [15, 16])
 def test_fourier_baseline_top_limit(n):
     """The DC term and two coefficients per other order, at most one per
-    sample: 15 samples fit all eight orders, 16 samples fit the DC term and 7
-    of the 8 harmonic orders (the absent order 8 ranks last)."""
+    sample: 15 samples fit all eight orders, 16 samples fit the DC term and
+    the 7 harmonic orders below their Nyquist order 8."""
     angles = np.arange(n) * (360.0 / n)
     theta = np.radians(angles)
     errors = 3.0 + sum(np.cos(k * theta) / k for k in range(1, 8))
@@ -706,6 +706,23 @@ def test_fourier_baseline_top_limit(n):
     assert sorted(orders) == list(range(8))
     with pytest.raises(BadConfig, match=rf"top must be in \[0, 8\] for a profile of {n} samples"):
         fit_fourier_baseline(profile, 9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 179, 180])
+def test_fourier_baseline_fits_every_top_up_to_the_limit(n):
+    """White noise on an exact grid of n angles: every `top` the limit admits
+    fits.  The Nyquist order n/2 of an even n, whose sine column is zero on
+    this grid, is never selected, though the spectrum lists it."""
+    angles = np.arange(n) * (360.0 / n)
+    errors = np.random.default_rng(n).standard_normal(n)
+    profile = ErrorProfile(np.stack((angles, errors), axis=1))
+    limit = (n + 1) // 2   # the DC term and every order below n/2
+    for top in range(limit + 1):
+        _model, spectrum, orders = fit_fourier_baseline(profile, top)
+        assert len(orders) == top and 2 * max(orders, default=0) < n
+    assert len(spectrum) == n // 2 + 1
+    with pytest.raises(BadConfig, match=rf"top must be in \[0, {limit}\] for a profile of {n} "):
+        fit_fourier_baseline(profile, limit + 1)
 
 
 def wide_error_profile():
@@ -731,7 +748,8 @@ def test_fit_network_with_non_default_bounds(hidden, prune):
     params, expected_history = train_lm(init_params(hidden, seed=3), data, training)
     expected_report = None
     if prune:
-        params, expected_history, expected_report = prune_and_retrain(params, data, training)
+        params, expected_history, expected_report = prune_and_retrain(params, data, training,
+                                                                      train_fn=train_lm)
     assert report == expected_report and history == expected_history
     assert np.array_equal(net.params, params)
     outputs = _activations(params, data.design)[1][:, 0]

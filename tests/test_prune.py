@@ -130,7 +130,7 @@ def test_prune_and_retrain_small_problem():
     data = Dataset(angles, targets)
     cfg = TrainingConfig(max_iterations=60, stall_window=20, seed=33)
     wide, _history = train_lm(init_params(2, seed=33), data, cfg)
-    params, history, report = prune_and_retrain(wide, data, cfg)
+    params, history, report = prune_and_retrain(wide, data, cfg, train_fn=train_lm)
     assert report.initial_hidden == 2
     assert 1 <= report.pruned_hidden <= 2
     assert params.shape == (3 * report.pruned_hidden + 1,)
@@ -143,7 +143,7 @@ def test_prune_and_retrain_small_problem():
 def test_prune_and_retrain_validates_width():
     data = Dataset([[0.5]], [[0.5]])
     with pytest.raises(BadConfig):
-        prune_and_retrain(init_params(1, seed=0), data, TrainingConfig())
+        prune_and_retrain(init_params(1, seed=0), data, TrainingConfig(), train_fn=train_lm)
 
 
 def test_prune_reference_profile(arch1_data, arch1_lm80, arch1_pruned):

@@ -106,8 +106,10 @@ def test_synthesize_matches_per_sample_reference(index, step):
 
 
 def test_bad_grid_step():
-    with pytest.raises(BadGrid):
-        synthesize(archetype_spec(1), grid_step_deg=7.0)
+    # 360 / 1e12 lies within the divisor check's 1e-9 of zero points
+    for step in (7.0, 400.0, 1e9, 1e12):
+        with pytest.raises(BadGrid, match="does not divide 360"):
+            synthesize(archetype_spec(1), grid_step_deg=step)
 
 
 def test_grid_step_finer_than_lsb_rejected_before_allocation():
