@@ -20,8 +20,9 @@ allocates or in the buffers it is given.  A `Dataset` builds its design
 once; `pipeline.predict_error` runs the layers chunk by chunk.
 
 Training never reads the maps: `init_params` draws a bare parameter vector
-and `mse`, `residual_jacobian` and `gradient` take one (J follows from its
-length 3J + 1), so trainers and pruning carry vectors, and
+(steep hidden sigmoids whose centres are spread over the input range, after
+Nguyen & Widrow) and `mse`, `residual_jacobian` and `gradient` take one (J
+follows from its length 3J + 1), so trainers and pruning carry vectors, and
 `pipeline.fit_network` pairs the trained vector with its target map.  The
 kernels also take the `(hidden, out)` activations already computed, so a
 trainer runs each candidate's forward pass once.
@@ -169,15 +170,30 @@ class Dataset:
         object.__setattr__(self, "design", design)
 
 
+# |hidden weight| of a fresh net at every width: 0.7 J at the paper's J = 80
+# (Nguyen & Widrow, IJCNN 1990).  With inputs in [0, 1] a sigmoid of this
+# slope rises over about 1/14 of the circle, so the hidden nodes start as
+# steps spread over the input range, not as near-linear ramps that training
+# must first pull apart.  It stays fixed at pruned widths: 0.7 J at J = 29
+# left the retrain of a pruned net on an early plateau.
+INIT_SLOPE = 56.0
+
+
 def init_params(hidden: int, seed: int) -> np.ndarray:
-    """The 3J + 1 parameters of a fresh 1:`hidden`:1 net: weights uniform in
-    [-0.5, 0.5] from `seed`, thresholds zero."""
+    """The 3J + 1 parameters of a fresh 1:`hidden`:1 net, drawn from `seed`.
+
+    Each hidden node is a sigmoid of slope +-`INIT_SLOPE` (random sign)
+    centred at c_j, uniform in [0, 1]: w_j = +-INIT_SLOPE and threshold
+    theta_j = -w_j c_j.  Output weights are uniform in [-0.5, 0.5] and the
+    output threshold is 0.  One generator draws the signs, then the centres,
+    then the output weights."""
     if hidden < 1:
         raise ShapeMismatch(f"need a 1:J:1 network with J >= 1, got J = {hidden!r}")
     rng = np.random.default_rng(seed)
-    w_hidden = rng.uniform(-0.5, 0.5, size=hidden)
+    w_hidden = rng.choice((-INIT_SLOPE, INIT_SLOPE), size=hidden)
+    centres = rng.uniform(0.0, 1.0, size=hidden)
     w_output = rng.uniform(-0.5, 0.5, size=hidden)
-    return np.concatenate([w_hidden, np.zeros(hidden), w_output, np.zeros(1)])
+    return np.concatenate([w_hidden, -w_hidden * centres, w_output, np.zeros(1)])
 
 
 # hidden (P, J) and output (P, 1) activations of a parameter vector on a

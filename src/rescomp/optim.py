@@ -54,8 +54,10 @@ _MAX_ESCALATIONS = 30
 class TrainingConfig:
     max_iterations: int = 10000
     learning_rate: float = 0.5        # gradient descent only
-    stall_window: int = 200           # at or above max_iterations: never fires
-    stall_tol: float = 1e-9           # relative MSE improvement
+    # stop once `stall_window` iterations cut the MSE by less than `stall_tol`
+    # (relative); a window at or above max_iterations never fires
+    stall_window: int = 200
+    stall_tol: float = 0.1
     seed: int = 42
 
     def __post_init__(self) -> None:

@@ -19,6 +19,7 @@ from rescomp.errors import (
     TargetOutOfRange,
 )
 from rescomp.network import (
+    INIT_SLOPE,
     INPUT_NORM,
     AffineMap,
     Dataset,
@@ -76,12 +77,16 @@ def test_init_deterministic():
     assert np.array_equal(init_params(5, seed=9), init_params(5, seed=9))
 
 
-def test_init_weight_range_and_zero_thresholds():
-    w_hidden, theta_hidden, w_output, theta_output = np.split(init_params(2, seed=7), [2, 4, 6])
-    assert np.all(np.abs(w_hidden) <= 0.5)
+def test_init_spread_centres():
+    params = init_params(80, seed=7)
+    w_hidden, theta_hidden, w_output, theta_output = np.split(params, [80, 160, 240])
+    assert np.all(np.abs(w_hidden) == INIT_SLOPE)
+    assert np.any(w_hidden > 0) and np.any(w_hidden < 0)
+    centres = -theta_hidden / w_hidden
+    assert np.all((centres >= 0.0) & (centres <= 1.0))
     assert np.all(np.abs(w_output) <= 0.5)
-    assert np.all(theta_hidden == 0.0)
     assert np.all(theta_output == 0.0)
+    assert np.array_equal(params, init_params(80, seed=7))
 
 
 def test_param_count_1_80_1():

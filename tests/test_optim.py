@@ -23,7 +23,7 @@ from rescomp.optim import (
     train_lm,
     trainer,
 )
-from tests.conftest import make_net
+from tests.conftest import heldout_residuals, make_net
 
 
 # --- config and history invariants ---
@@ -359,3 +359,13 @@ def test_wider_net_fits_better_at_full_budget(arch1_data, arch1_lm80, arch1_lm20
     data = arch1_data["dataset"]
     assert mse(arch1_lm80[0].params, data) < mse(arch1_lm20[0].params, data)
 
+
+
+def test_default_config_lm_fit_stops_early_within_bound(arch1_data):
+    # the spread-centre draw reaches the error's noise floor in a few hundred
+    # iterations; the default stop must end the fit there, before it overfits
+    params, history = train_lm(arch1_data["params0"], arch1_data["dataset"], TrainingConfig())
+    assert history.stop_reason is StopReason.STALLED
+    assert history.iterations_run <= 1000
+    residuals = heldout_residuals(make_net(params), arch1_data["test_prof"])
+    assert np.max(np.abs(residuals)) <= 0.65

@@ -48,3 +48,18 @@ def test_ab_kernels_runs_at_tiny_budget(tmp_path):
     assert set(doc["cases"]) == {"gd-80", "lm-80", "lm-40", "lm-6", "prune-40", "predict-1024x6",
                                  "predict-1024x40", "predict-1024x80", "stream-ann-80",
                                  "stream-fourier-10"}
+
+
+def test_margin_report_runs_at_tiny_budget():
+    env = dict(os.environ, PYTHONPATH=str(Path(rescomp.__file__).parents[1]))
+    args = [sys.executable, str(SCRIPTS / "margin_report.py"), "--hidden", "4",
+            "--max-iterations", "3", "--check"]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+    # three iterations leave a 1:4:1 net far outside the held-out bounds
+    assert proc.returncode == 1, proc.stderr
+    assert "check failed" in proc.stderr
+    rows = [line.split()[:2] for line in proc.stdout.splitlines()[2:46]]
+    assert rows == [[str(k), str(s)] for k in (1, 2, 3, 4) for s in (*range(10), 42)]
+    summary = [line for line in proc.stdout.splitlines() if line.startswith(
+        ("held-out MAE", "held-out max", "dense max", "10-epoch max"))]
+    assert len(summary) == 4 and all("/44 " in line for line in summary)
