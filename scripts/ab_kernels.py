@@ -26,7 +26,7 @@ are written once as version-1 model files, and each tree reads them with its
 own loader.  Before any timing, both trees predict the error of the three
 predict nets and the 10-term series at seeded batches of every length 0-420
 and of 961, 1 001, 1 025 and 4 097 angles, around the chunk edges of
-`predict_error`.  Those predictions, and every training history, trained
+`network.forward_batch`.  Those predictions, and every training history, trained
 parameter vector, prune report (pruned width, both spectra and both MSEs),
 timed prediction and stream's standard output bytes must be identical
 between the trees; the script exits 1 at the first difference.  It writes,

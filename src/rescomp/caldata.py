@@ -10,6 +10,7 @@ downstream models (network and Fourier) are fit to that profile.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +201,14 @@ def json_int(doc, key: str) -> int:
     if type(value) is not int:
         raise CorruptFile(f"missing or non-integer {key!r}: {value!r}")
     return value
+
+
+def json_float(value, what: str) -> float:
+    """`value` as a float where it is a float or an int within the float range
+    (a bool or a string such as "0.5" is not one); CorruptFile naming `what` otherwise."""
+    if type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise CorruptFile(f"non-numeric or out-of-range {what!r}: {value!r}")
 
 
 def error_profile(cal: CalibrationSet) -> ErrorProfile:

@@ -23,9 +23,10 @@ from .errors import MalformedRow, OutOfRange, RescompError
 # Lines of `correct --stdin` read per block: one parse, one `pipeline.correct`
 # call and one `format_angles` call each.  Per-call dispatch dominates short
 # blocks: on a 1:80:1 net at one BLAS thread, 6 144 angles took 3.32 ms in
-# 128-row calls and 1.73 ms in 1 024-row calls.  `pipeline.predict_error` runs
-# a block in row chunks through one hidden buffer of at most 125 KiB, and every
-# array of a block stays under glibc's 128 KiB mmap threshold.
+# 128-row calls and 1.73 ms in 1 024-row calls.  `network.forward_batch` runs
+# a block in row chunks through one hidden buffer of at most 125 KiB, the
+# Fourier series sums it term by term in 8 KiB arrays, and every array of a
+# block stays under glibc's 128 KiB mmap threshold.
 STDIN_BATCH_LINES = 1024
 
 # `format_angles` prints v with `"%.6f"` from q = rint(v * 1e6) when v is in

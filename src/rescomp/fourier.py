@@ -175,14 +175,12 @@ def fit_fourier(profile: ErrorProfile, orders) -> FourierModel:
 
 
 def eval_fourier(model: FourierModel, theta_enc_deg) -> float | np.ndarray:
-    """Model error in arc-minutes at the given encoder angle(s) in degrees."""
+    """Model error in arc-minutes at the given encoder angle(s) in degrees.
+
+    The series is summed term by term, in term order, so every temporary is
+    as long as the batch and a value has the same bits in any batch."""
     theta = np.radians(np.asarray(theta_enc_deg, dtype=float))
-    orders, a, b = np.array([(t.n, t.a, t.b) for t in model.terms], dtype=float).reshape(-1, 3).T
-    angle = np.multiply.outer(orders, theta.ravel())
-    terms = a[:, np.newaxis] * np.cos(angle) + b[:, np.newaxis] * np.sin(angle)
-    value = np.full(theta.size, model.a0)
-    for term in terms:  # term by term, so the sum rounds as a per-term loop does
-        value += term
-    if np.isscalar(theta_enc_deg) or np.ndim(theta_enc_deg) == 0:
-        return float(value[0])
-    return value.reshape(theta.shape)
+    value = np.full(theta.shape, model.a0, dtype=float)
+    for t in model.terms:
+        value += t.a * np.cos(t.n * theta) + t.b * np.sin(t.n * theta)
+    return float(value) if value.ndim == 0 else value

@@ -8,16 +8,16 @@ with g the logistic sigmoid.  Because g at the output layer confines
 predictions to (0, 1), raw arc-minute errors are unreachable as targets;
 an affine map sends a configurable error range onto [0.1, 0.9] (margins
 keep targets away from sigmoid saturation), and the inverse map converts
-predictions back to arc-minutes.  Inputs use degrees / 360.  One kernel
-feeds the forward pass, the residual Jacobian, the gradient (which contracts
-J^T r block by block without building J) and the pruning activation matrix:
-`_activations`, the hidden layer `_hidden` followed by the output layer
-`_output_sums` and `_output`.  It takes the inputs as the (P, 2) design
-matrix [x, 1], so the hidden pre-activations x w_j + theta_j of all patterns
-are one matrix product with the (2, J) view [w_hidden; theta_hidden] of the
-parameter vector, and it applies the sigmoid in place, in the arrays it
-allocates or in the buffers it is given.  A `Dataset` builds its design
-once; `pipeline.predict_error` runs the layers chunk by chunk.
+predictions back to arc-minutes.  Inputs use degrees / 360.  The hidden
+layer `_hidden` and the output layer (sums hidden @ w_out, then `_output`)
+feed the residual Jacobian, the gradient (which contracts J^T r block by
+block without building J) and the pruning activation matrix through
+`_activations`, and a trained net's forward pass through `forward_batch`,
+chunk by chunk.  They take the inputs as the (P, 2) design matrix [x, 1],
+so the hidden pre-activations x w_j + theta_j of all patterns are one matrix
+product with the (2, J) view [w_hidden; theta_hidden] of the parameter
+vector, and apply the sigmoid in place, in the arrays they allocate or in
+the buffers they are given.  A `Dataset` builds its design once.
 
 Training never reads the maps: `init_params` draws a bare parameter vector
 (steep hidden sigmoids whose centres are spread over the input range, after
@@ -238,30 +238,61 @@ def _hidden(params: np.ndarray, design: np.ndarray, out: np.ndarray | None = Non
     return _sigmoid_in_place(pre)
 
 
-def _output_sums(params: np.ndarray, hidden: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The output node's weighted sums hidden @ w_out, (P, 1), before its
-    threshold; written into `out` (a C-contiguous (P, 1) array) when given."""
-    j = _width(params)
-    return np.matmul(hidden, params[2 * j:3 * j, np.newaxis], out=out)
-
-
 def _output(params: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Output activations g(sums + theta) of `_output_sums`, in place in `sums`."""
+    """Output activations g(sums + theta) of the (P, 1) sums hidden @ w_out, in place."""
     sums += params[-1:]
     return _sigmoid_in_place(sums)
 
 
 def _activations(params: np.ndarray, design: np.ndarray) -> Activations:
     """Hidden (P, J) and output (P, 1) activations of `params` for a (P, 2)
-    design [x, 1]: `_hidden`, then `_output_sums` and `_output`."""
+    design [x, 1]: `_hidden`, then the output sums and `_output`."""
+    j = _width(params)
     hidden = _hidden(params, design)
-    return hidden, _output(params, _output_sums(params, hidden))
+    return hidden, _output(params, hidden @ params[2 * j:3 * j, np.newaxis])
+
+
+# Element bound of `forward_batch`'s one hidden buffer of `chunk_rows(J) + 1`
+# rows: 125 KiB, under glibc's default 128 KiB mmap threshold.  Freeing an
+# mmapped block (an unchunked (1 024, 80) hidden block is 640 KiB) raises that
+# threshold, so later temporaries of a few hundred KiB (the 241 x 241 normal
+# equations of a fit in the same process) run from the heap at another speed.
+CHUNK_ELEMENTS = 16_000
+# Chunk lengths are multiples of this: the output sums' matrix-vector kernel
+# computes rows in groups, and a group rounds differently from the rows left
+# after the last one, so a row keeps its bits only when every chunk starts at
+# a group boundary of the whole batch.
+CHUNK_ROW_MULTIPLE = 8
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per chunk of a batch through a net of `width` hidden nodes,
+    leaving room for the one-row remainder that joins a batch's last chunk."""
+    rows = CHUNK_ELEMENTS // max(width, 1) - 1
+    return max(CHUNK_ROW_MULTIPLE, rows - rows % CHUNK_ROW_MULTIPLE)
 
 
 def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Outputs for a (P, 1) batch of normalized inputs; returns (P, 1) in (0, 1)."""
-    return _activations(net.params, _design(np.asarray(x, dtype=float)))[1]
+    """Outputs for a (P, 1) batch of normalized inputs; returns (P, 1) in (0, 1).
+
+    Chunks of `chunk_rows(J)` rows share one design and one hidden buffer and
+    write their output sums in place; every value has the bits of
+    `_activations` over the whole batch."""
+    params, width = net.params, net.n_hidden
+    w_out = params[2 * width:3 * width, np.newaxis]
+    design = _design(np.asarray(x, dtype=float))
+    n, rows = design.shape[0], chunk_rows(width)
+    sums = np.empty((n, 1))
+    hidden = np.empty((min(n, rows + 1), width))
+    # numpy computes a one-row product as a dot product, which rounds
+    # differently from the matrix-vector kernel of a longer batch, so a
+    # one-row remainder joins the chunk before it
+    lo = 0
+    for hi in [*range(rows, n - 1, rows), n]:
+        chunk = _hidden(params, design[lo:hi], out=hidden[:hi - lo])
+        np.matmul(chunk, w_out, out=sums[lo:hi])
+        lo = hi
+    return _output(params, sums)
 
 
 def mse(params: np.ndarray, data: Dataset, activations: Activations | None = None) -> float:

@@ -1,8 +1,8 @@
 """Model persistence, angle correction, evaluation and experiment orchestration.
 
 A compensation model (trained network or fitted Fourier series) is stored
-as a versioned JSON weight file.  At run time the model predicts the
-systematic error at a measured encoder angle and the corrected angle is
+as a versioned JSON weight file.  At run time one model call predicts the
+systematic error at a batch of measured encoder angles, each corrected to
 
     corrected = measured - predicted_error / 60    (wrapped into [0, 360))
 
@@ -27,6 +27,7 @@ from .caldata import (
     ErrorProfile,
     ProfileStats,
     error_profile,
+    json_float,
     json_int,
     partition_even_odd,
     readonly,
@@ -58,11 +59,8 @@ from .network import (
     INPUT_NORM,
     TARGET_OUT_RANGE,
     Network,
-    _design,
-    _hidden,
-    _output,
-    _output_sums,
     dataset_from_profile,
+    forward_batch,
     init_params,
 )
 from .optim import TrainingConfig, TrainingHistory, trainer
@@ -76,33 +74,10 @@ KIND_FOURIER = "fourier"
 MAX_FOURIER_ORDER = 2 ** 53
 
 # The widest hidden layer a fit accepts: 25 times the paper's 80 nodes and
-# 6 001 parameters against the 180 patterns of a 2-degree grid.  Up to J = 1 777
-# a `predict_error` chunk with a one-row remainder added still holds its hidden
-# block under `CHUNK_ELEMENTS`; from J = 1 778 the 8-row floor of `chunk_rows`
-# makes that block 9 rows, 144 KB at this width.  One LM Jacobian row is 48 KB.
+# 6 001 parameters against the 180 patterns of a 2-degree grid.  From J = 1 778
+# a `network.forward_batch` chunk outgrows `network.CHUNK_ELEMENTS`: 9 rows with
+# a one-row remainder, 144 KB at this width.  One LM Jacobian row is 48 KB.
 MAX_HIDDEN = 2000
-
-# Element bound of `predict_error`'s hidden buffer of `chunk_rows(width) + 1`
-# rows (fewer for a shorter batch), which one call allocates once and reuses for
-# every chunk, and of a Fourier chunk's temporaries: 125 KiB, under glibc's
-# default 128 KiB mmap threshold.  An unchunked (1 024, 80) hidden block is
-# 640 KiB: it is mmapped, and freeing it raises glibc's threshold, so later
-# temporaries of a few hundred KiB (the 241 x 241 normal equations of a fit in
-# the same process) come from the heap instead of fresh mmaps and run at a
-# different speed.
-CHUNK_ELEMENTS = 16_000
-# Chunk lengths are multiples of this: a matrix-vector kernel computes the rows
-# of a product in groups, and a group rounds differently from the rows left
-# over after the last group, so a row keeps its bits only when every chunk
-# starts at a group boundary of the whole batch.
-CHUNK_ROW_MULTIPLE = 8
-
-
-def chunk_rows(width: int) -> int:
-    """Rows per kernel call for a batch whose temporaries are `width` wide,
-    leaving room for the one-row remainder that joins a batch's last chunk."""
-    rows = CHUNK_ELEMENTS // max(width, 1) - 1
-    return max(CHUNK_ROW_MULTIPLE, rows - rows % CHUNK_ROW_MULTIPLE)
 
 
 # the model-file keys that hold each model kind's payload
@@ -137,9 +112,8 @@ def _affine_to_doc(m: AffineMap) -> dict:
 
 def _affine_from_doc(doc) -> AffineMap:
     try:
-        return AffineMap(float(doc["lo"]), float(doc["hi"]),
-                         float(doc["out_lo"]), float(doc["out_hi"]))
-    except (KeyError, TypeError, ValueError, OverflowError, DegenerateBounds) as exc:
+        return AffineMap(*(json_float(doc[key], key) for key in ("lo", "hi", "out_lo", "out_hi")))
+    except (KeyError, TypeError, DegenerateBounds) as exc:
         raise CorruptFile(f"bad affine map entry: {doc!r}") from exc
 
 
@@ -168,8 +142,8 @@ def save_model(path, model: CompensationModel) -> None:
 
 def _float_list(doc, key, expected_len) -> list[float]:
     try:
-        values = [float(v) for v in doc[key]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        values = [json_float(v, key) for v in doc[key]]
+    except (KeyError, TypeError) as exc:
         raise CorruptFile(f"missing or non-numeric {key!r}") from exc
     if len(values) != expected_len:
         raise CorruptFile(f"{key!r} has {len(values)} entries, expected {expected_len}")
@@ -231,11 +205,13 @@ def load_model(path) -> CompensationModel:
         return CompensationModel(encoder_id, Network(w + theta + v + theta_out, target_norm))
 
     try:
-        a0 = float(doc["a0"])
+        a0 = json_float(doc["a0"], "a0")
         series = FourierModel(a0, tuple(
-            FourierTerm(json_int(t, "n"), float(t["a"]), float(t["b"])) for t in doc["terms"]
+            FourierTerm(json_int(t, "n"), json_float(t["a"], "a"), json_float(t["b"], "b"))
+            for t in doc["terms"]
         ))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    # ValueError: BadOrders, for repeated or non-positive orders
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"bad fourier payload: {exc}") from exc
     if not math.isfinite(a0) or not all(
         math.isfinite(t.a) and math.isfinite(t.b) for t in series.terms
@@ -253,40 +229,18 @@ def load_model(path) -> CompensationModel:
 
 def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray:
     """Model-predicted systematic error (arc-min) at an encoder angle in
-    degrees (returns a float) or at a 1-D array of them (returns an array).
-
-    A batch runs through the net's kernel or `eval_fourier` in chunks of
-    `chunk_rows(width)` rows, the width being J or the number of Fourier
-    terms; every value has the bits of one kernel call over the batch.  A
-    net builds its design once per call, reuses one hidden buffer across the
-    chunks, writes each chunk's output sums into the result, and adds the
-    output threshold and applies the sigmoid once per call."""
+    degrees (returns a float) or at a 1-D array of them (returns an array),
+    wrapped into [0, 360) and passed to `forward_batch` or `eval_fourier` in one call."""
     theta = np.asarray(theta_enc_deg, dtype=float)
     if theta.ndim > 1:
         raise ShapeMismatch(f"need one angle or a 1-D batch of angles, got shape {theta.shape}")
     wrapped = wrap_deg(np.atleast_1d(theta))
     payload = model.payload
-    ann = model.kind == KIND_ANN
-    width = payload.n_hidden if ann else len(payload.terms)
-    n, rows = len(wrapped), chunk_rows(width)
-    pred = np.empty(n)
-    if ann:
-        params, design = payload.params, _design(INPUT_NORM.normalize(wrapped)[:, np.newaxis])
-        sums = pred.reshape(n, 1)   # the output sums, written into `pred`
-        hidden = np.empty((min(n, rows + 1), width))
-    # numpy computes a one-row product as a dot product, which rounds
-    # differently from the matrix-vector kernel of a longer batch, so a
-    # one-row remainder joins the chunk before it
-    lo = 0
-    for hi in [*range(rows, n - 1, rows), n]:
-        if ann:
-            chunk_hidden = _hidden(params, design[lo:hi], out=hidden[:hi - lo])
-            _output_sums(params, chunk_hidden, out=sums[lo:hi])
-        else:
-            pred[lo:hi] = eval_fourier(payload, wrapped[lo:hi])
-        lo = hi
-    if ann:
-        pred = payload.target_norm.denormalize(_output(params, pred))
+    if model.kind == KIND_ANN:
+        out = forward_batch(payload, INPUT_NORM.normalize(wrapped)[:, np.newaxis])
+        pred = payload.target_norm.denormalize(out[:, 0])
+    else:
+        pred = eval_fourier(payload, wrapped)
     return float(pred[0]) if theta.ndim == 0 else pred
 
 
@@ -473,6 +427,9 @@ def run_experiment(
             "prune_rel_tol": cfg.prune_rel_tol,
             "norm_bounds": list(cfg.norm_bounds),
             "max_iterations": cfg.training.max_iterations,
+            "learning_rate": cfg.training.learning_rate,
+            "stall_window": cfg.training.stall_window,
+            "stall_tol": cfg.training.stall_tol,
             "seed": cfg.training.seed,
         },
         "n_train": len(train_set),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caldata import ARCMIN_PER_DEG, CalibrationSet, json_int, wrap_deg, write_json
+from .caldata import ARCMIN_PER_DEG, CalibrationSet, json_float, json_int, wrap_deg, write_json
 from .errors import BadGrid, BadSpec, CorruptFile
 
 # One least-significant bit of a 16-bit single-turn encoder, in degrees.
@@ -142,15 +142,18 @@ def spec_from_json(path) -> HarmonicSpec:
         raise CorruptFile("spec file must hold a JSON object")
     try:
         terms = tuple(
-            HarmonicTerm(json_int(t, "n"), float(t["amp_arcmin"]), float(t["phase_rad"]))
+            HarmonicTerm(json_int(t, "n"), json_float(t["amp_arcmin"], "amp_arcmin"),
+                         json_float(t["phase_rad"], "phase_rad"))
             for t in doc.get("terms", [])
         )
         return HarmonicSpec(
             terms=terms,
-            noise_sigma_arcmin=float(doc.get("noise_sigma_arcmin", 0.0)),
+            noise_sigma_arcmin=json_float(doc.get("noise_sigma_arcmin", 0.0),
+                                          "noise_sigma_arcmin"),
             seed=json_int(doc, "seed") if "seed" in doc else 0,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    # ValueError: BadSpec, for a term or noise level the spec rejects
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"bad spec: {exc!r}") from exc
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rescomp
-from rescomp import errors, pipeline
+from rescomp import errors, fourier, network, pipeline
 from rescomp.caldata import load_calibration
 from rescomp.cli import (
     STDIN_BATCH_LINES,
@@ -198,6 +198,35 @@ def test_stdin_stream_prints_per_angle_lines(stream_case, capsys, monkeypatch):
     path, _model, scalar = stream_case
     assert stream(path, monkeypatch, ALL_CODES) == 0
     assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar]
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of `module.name` made through any module of `rescomp`
+    that binds it, as the benchmark's tracer sees them."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for key, holder in list(sys.modules.items()):
+        if holder is not None and (key == "rescomp" or key.startswith("rescomp.")):
+            for attr, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, attr, counted)
+    return calls
+
+
+def test_stdin_stream_makes_one_model_call_per_block(stream_case, capsys, monkeypatch):
+    # 2B + 1 lines are three blocks; each block is one `forward_batch` or
+    # `eval_fourier` call, so a tracer of that name sees the stream's model time
+    path, model, scalar = stream_case
+    n = 2 * STDIN_BATCH_LINES + 1
+    calls = (count_calls(monkeypatch, network, "forward_batch") if model.kind == pipeline.KIND_ANN
+             else count_calls(monkeypatch, fourier, "eval_fourier"))
+    assert stream(path, monkeypatch, ALL_CODES[:n]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar[:n]]
+    assert len(calls) == 3
 
 
 def test_array_correct_agrees_with_scalar(stream_case):
@@ -536,6 +565,9 @@ def test_simulate_step_finer_than_lsb_fails_with_error_name(tmp_path, spec_file,
     '{"terms": [{"n": 2.5, "amp_arcmin": 1.0, "phase_rad": 0.0}]}',
     '[{"n": 1, "amp_arcmin": 1.0, "phase_rad": 0.0}]',
     '{"terms": [], "noise_sigma_arcmin": NaN}',
+    '{"terms": [], "noise_sigma_arcmin": "0.1"}',
+    '{"terms": [{"n": 1, "amp_arcmin": "3", "phase_rad": 0.0}]}',
+    '{"terms": [{"n": 1, "amp_arcmin": 3.0, "phase_rad": true}]}',
     "{ not json",
     pytest.param("[" * 200_000, id="nested-200000"),
     '{"terms": [], "seed": 2.7}',

@@ -20,24 +20,24 @@ from rescomp.errors import (
     TargetOutOfRange,
     UnsupportedVersion,
 )
-from rescomp.fourier import FourierModel, FourierTerm, eval_fourier
+from rescomp.fourier import FourierModel, FourierTerm
 from rescomp.network import (
+    CHUNK_ELEMENTS,
     INPUT_NORM,
     AffineMap,
     Network,
     _activations,
+    _design,
+    chunk_rows,
     dataset_from_profile,
-    forward_batch,
     init_params,
 )
 from rescomp.optim import TrainingConfig, train_lm
 from rescomp.pipeline import (
-    CHUNK_ELEMENTS,
     KIND_ANN,
     KIND_FOURIER,
     MAX_HIDDEN,
     CompensationModel,
-    chunk_rows,
     ExperimentConfig,
     correct,
     evaluate,
@@ -301,6 +301,32 @@ def test_non_integer_field_rejected(tmp_path, kind, field, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptFile):
         load_model(path)
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    (KIND_FOURIER, ("a0",), "0.5"),
+    (KIND_FOURIER, ("terms", 0, "a"), True),
+    (KIND_FOURIER, ("terms", 1, "b"), "2"),
+    (KIND_ANN, ("hidden_weights", 0), "0.5"),
+    (KIND_ANN, ("output_thresholds", 0), False),
+    (KIND_ANN, ("target_norm", "lo"), "-6"),
+    (KIND_ANN, ("input_norm", "out_hi"), True),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_non_numeric_field_rejected(tmp_path, kind, path, value):
+    """A JSON string or bool where a number belongs, which float() would take."""
+    file = tmp_path / "model.json"
+    payload = trained_like_net(hidden=4) if kind == KIND_ANN else fourier_model()
+    save_model(file, CompensationModel("enc", payload))
+    doc = json.loads(file.read_text())
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    file.write_text(json.dumps(doc))
+    name = [step for step in path if isinstance(step, str)][-1]
+    with pytest.raises(CorruptFile, match=f"^non-numeric or out-of-range '{name}': "):
+        load_model(file)
 
 
 @pytest.mark.parametrize("key", ["input_norm", "target_norm"])
@@ -599,19 +625,8 @@ def test_predict_error_ann_chunks_bit_identical_to_one_call(hidden):
         if n % rows == 1 and hidden in ONE_ROW_REMAINDER_ANGLES:
             angles[-1] = ONE_ROW_REMAINDER_ANGLES[hidden]
         x = INPUT_NORM.normalize(angles)[:, np.newaxis]
-        whole = net.target_norm.denormalize(forward_batch(net, x)[:, 0])
+        whole = net.target_norm.denormalize(_activations(net.params, _design(x))[1][:, 0])
         assert predict_error(model, angles).tobytes() == whole.tobytes()
-
-
-@pytest.mark.parametrize("n_terms", [10, 40])
-def test_predict_error_fourier_chunks_bit_identical_to_one_call(n_terms):
-    rng = np.random.default_rng(n_terms)
-    series = FourierModel(rng.normal(), tuple(
-        FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in range(1, n_terms + 1)))
-    model = CompensationModel("chunks", series)
-    for n in chunk_edge_counts(chunk_rows(n_terms)):
-        angles = rng.uniform(0.0, 360.0, n)
-        assert predict_error(model, angles).tobytes() == eval_fourier(series, angles).tobytes()
 
 
 def test_predict_error_peak_memory_is_one_chunk():
@@ -784,6 +799,9 @@ def test_run_experiment_writes_bundle(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["n_train"] == 180 and report["n_test"] == 180
     assert report["ann"]["iterations_run"] == result.history.iterations_run
+    # the stop rule that ended training, as well as its budget
+    assert {k: report["config"][k] for k in ("learning_rate", "stall_window", "stall_tol")} \
+        == {"learning_rate": 0.5, "stall_window": 20, "stall_tol": 0.1}
 
 
 def test_run_experiment_deterministic(tmp_path):
