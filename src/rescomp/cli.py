@@ -145,8 +145,6 @@ def _cmd_simulate(args) -> int:
         spec,
         grid_step_deg=args.step,
         grid_offset_deg=args.offset,
-        encoder_id=args.encoder_id,
-        epoch=args.epoch,
         quantize=not args.no_quantize,
     )
     caldata.save_calibration(args.out, cal)
@@ -154,32 +152,23 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _experiment_config(args)
+def _cmd_fit(args) -> int:
     cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
-    trained, history, _report = pipeline.fit_network(caldata.error_profile(cal), cfg)
-    model = pipeline.CompensationModel(cal.encoder_id, trained)
-    pipeline.save_model(args.out, model)
-    if args.history:
-        pipeline.write_history_csv(args.history, history)
-    print(
-        f"trained 1:{args.hidden}:1 with {args.optimizer}: "
-        f"{history.iterations_run} iterations ({history.stop_reason.value}), "
-        f"final mse {history.mse_per_iteration[-1]:.6e}"
-    )
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_prune(args) -> int:
-    cfg = _experiment_config(args)
-    cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
-    pruned_net, _history, report = pipeline.fit_network(caldata.error_profile(cal), cfg)
-    model = pipeline.CompensationModel(cal.encoder_id, pruned_net)
-    pipeline.save_model(args.out, model)
-    if args.report:
-        caldata.write_json(args.report, asdict(report))
-    print(f"pruned hidden layer {report.initial_hidden} -> {report.pruned_hidden}")
+    trained, history, report = pipeline.fit_network(caldata.error_profile(cal),
+                                                    _experiment_config(args))
+    pipeline.save_model(args.out, pipeline.CompensationModel(cal.encoder_id, trained))
+    if report is None:
+        if args.history:
+            pipeline.write_history_csv(args.history, history)
+        print(
+            f"trained 1:{args.hidden}:1 with {args.optimizer}: "
+            f"{history.iterations_run} iterations ({history.stop_reason.value}), "
+            f"final mse {history.mse_per_iteration[-1]:.6e}"
+        )
+    else:
+        if args.report:
+            caldata.write_json(args.report, asdict(report))
+        print(f"pruned hidden layer {report.initial_hidden} -> {report.pruned_hidden}")
     print(f"wrote {args.out}")
     return 0
 
@@ -306,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=2.0, help="grid step in degrees")
     p.add_argument("--offset", type=float, default=0.0, help="grid offset in degrees")
     p.add_argument("--out", required=True, help="output calibration CSV")
-    p.add_argument("--encoder-id", default="synthetic")
-    p.add_argument("--epoch", default="synthetic")
     p.add_argument("--no-quantize", action="store_true",
                    help="skip 16-bit quantization of encoder angles")
     p.set_defaults(func=_cmd_simulate)
@@ -318,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", help="optional convergence CSV (iteration,mse)")
     p.add_argument("--encoder-id", default="unknown")
     _add_training_flags(p)
-    p.set_defaults(func=_cmd_train, prune=False, top=DEFAULTS.top_orders,
+    p.set_defaults(func=_cmd_fit, prune=False, top=DEFAULTS.top_orders,
                    rel_tol=DEFAULTS.prune_rel_tol)
 
     p = sub.add_parser("prune", help="train, estimate redundancy, retrain smaller")
@@ -329,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="optional prune report JSON")
     p.add_argument("--encoder-id", default="unknown")
     _add_training_flags(p)
-    p.set_defaults(func=_cmd_prune, prune=True, top=DEFAULTS.top_orders)
+    p.set_defaults(func=_cmd_fit, prune=True, top=DEFAULTS.top_orders)
 
     p = sub.add_parser("fourier", help="fit the Fourier-series baseline")
     p.add_argument("--data", required=True, help="training calibration CSV")

@@ -106,10 +106,6 @@ class CompensationModel:
         return KIND_ANN if isinstance(self.payload, Network) else KIND_FOURIER
 
 
-def _affine_to_doc(m: AffineMap) -> dict:
-    return {"lo": m.lo, "hi": m.hi, "out_lo": m.out_lo, "out_hi": m.out_hi}
-
-
 def _affine_from_doc(doc) -> AffineMap:
     try:
         return AffineMap(*(json_float(doc[key], key) for key in ("lo", "hi", "out_lo", "out_hi")))
@@ -128,15 +124,13 @@ def save_model(path, model: CompensationModel) -> None:
     if model.kind == KIND_ANN:
         net, j = model.payload, model.payload.n_hidden
         doc["shape"] = {"n_inputs": 1, "n_hidden": j, "n_outputs": 1}
-        doc["input_norm"] = _affine_to_doc(INPUT_NORM)
-        doc["target_norm"] = _affine_to_doc(net.target_norm)
+        doc["input_norm"] = asdict(INPUT_NORM)
+        doc["target_norm"] = asdict(net.target_norm)
         # the parameter blocks, in canonical order, under the last four payload keys
         blocks = np.split(net.params, [j, 2 * j, 3 * j])
         doc.update((key, b.tolist()) for key, b in zip(_PAYLOAD_KEYS[KIND_ANN][3:], blocks))
     else:
-        fm = model.payload
-        doc["a0"] = fm.a0
-        doc["terms"] = [{"n": t.n, "a": t.a, "b": t.b} for t in fm.terms]
+        doc.update(asdict(model.payload))
     write_json(path, doc)
 
 
@@ -416,22 +410,13 @@ def run_experiment(
               [(cal.encoder_id, full_stats.mae_arcmin, full_stats.rms_arcmin,
                 fourier_report.post_stats.mae_arcmin, fourier_report.post_stats.rms_arcmin,
                 ann_report.post_stats.mae_arcmin, ann_report.post_stats.rms_arcmin)])
+    # `ExperimentConfig`'s fields in declared order, `training`'s fields in its place
+    config = asdict(cfg)
+    config.update(config.pop("training"))
     doc = {
         "encoder_id": cal.encoder_id,
         "epoch": cal.epoch,
-        "config": {
-            "hidden": cfg.hidden,
-            "optimizer": cfg.optimizer,
-            "top_orders": cfg.top_orders,
-            "prune": cfg.prune,
-            "prune_rel_tol": cfg.prune_rel_tol,
-            "norm_bounds": list(cfg.norm_bounds),
-            "max_iterations": cfg.training.max_iterations,
-            "learning_rate": cfg.training.learning_rate,
-            "stall_window": cfg.training.stall_window,
-            "stall_tol": cfg.training.stall_tol,
-            "seed": cfg.training.seed,
-        },
+        "config": config,
         "n_train": len(train_set),
         "n_test": len(test_set),
         "pre_full": asdict(full_stats),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .errors import BadGrid, BadSpec, CorruptFile
 # One least-significant bit of a 16-bit single-turn encoder, in degrees.
 LSB_DEG = 360.0 / 65536.0
 LSB_ARCMIN = LSB_DEG * ARCMIN_PER_DEG  # ~0.33 arc-min
+# a spec's largest amplitude or noise sigma, one turn, keeps every synthesized angle finite
+MAX_AMPLITUDE_ARCMIN = 360.0 * ARCMIN_PER_DEG
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,11 @@ class HarmonicTerm:
     def __post_init__(self) -> None:
         if self.n < 0 or self.n != int(self.n):
             raise BadSpec(f"harmonic order must be a non-negative integer, got {self.n!r}")
-        if not math.isfinite(self.amp_arcmin):
-            raise BadSpec(f"amplitude must be finite, got {self.amp_arcmin!r}")
+        if not abs(self.amp_arcmin) <= MAX_AMPLITUDE_ARCMIN:
+            raise BadSpec(f"amplitude must be finite and at most {MAX_AMPLITUDE_ARCMIN}' "
+                          f"(one turn) in size, got {self.amp_arcmin!r}")
+        if not math.isfinite(self.phase_rad):
+            raise BadSpec(f"phase must be finite, got {self.phase_rad!r}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,9 @@ class HarmonicSpec:
         orders = [t.n for t in self.terms]
         if len(set(orders)) != len(orders):
             raise BadSpec(f"harmonic orders must be distinct, got {orders}")
-        if not self.noise_sigma_arcmin >= 0:
-            raise BadSpec(f"noise sigma must be >= 0, got {self.noise_sigma_arcmin!r}")
+        if not 0 <= self.noise_sigma_arcmin <= MAX_AMPLITUDE_ARCMIN:
+            raise BadSpec(f"noise sigma must be >= 0 and at most {MAX_AMPLITUDE_ARCMIN}' "
+                          f"(one turn), got {self.noise_sigma_arcmin!r}")
         if self.seed < 0:
             raise BadSpec(f"seed must be >= 0, got {self.seed!r}")
 
@@ -118,15 +124,7 @@ def synthesize(
 
 def spec_to_json(spec: HarmonicSpec, path) -> None:
     """Write a HarmonicSpec as a JSON file."""
-    doc = {
-        "terms": [
-            {"n": t.n, "amp_arcmin": t.amp_arcmin, "phase_rad": t.phase_rad}
-            for t in spec.terms
-        ],
-        "noise_sigma_arcmin": spec.noise_sigma_arcmin,
-        "seed": spec.seed,
-    }
-    write_json(path, doc)
+    write_json(path, asdict(spec))
 
 
 def spec_from_json(path) -> HarmonicSpec:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -802,6 +803,9 @@ def test_run_experiment_writes_bundle(tmp_path):
     # the stop rule that ended training, as well as its budget
     assert {k: report["config"][k] for k in ("learning_rate", "stall_window", "stall_tol")} \
         == {"learning_rate": 0.5, "stall_window": 20, "stall_tol": 0.1}
+    # every setting of both configs, in declared order, `training` replaced by its fields
+    names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "training"]
+    assert list(report["config"]) == names + [f.name for f in dataclasses.fields(TrainingConfig)]
 
 
 def test_run_experiment_deterministic(tmp_path):

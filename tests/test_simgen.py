@@ -177,11 +177,15 @@ def test_negative_sigma_rejected():
     (lambda: HarmonicTerm(-1, 1.0, 0.0), "harmonic order must be a non-negative integer"),
     (lambda: HarmonicTerm(1.5, 1.0, 0.0), "harmonic order must be a non-negative integer"),
     (lambda: HarmonicTerm(1, math.inf, 0.0), "amplitude must be finite"),
+    (lambda: HarmonicTerm(1, 1e308, 0.0), "amplitude must be finite and at most 21600.0'"),
+    (lambda: HarmonicTerm(1, 1.0, math.nan), "phase must be finite, got nan"),
     (lambda: HarmonicSpec(terms=(), noise_sigma_arcmin=math.nan), "noise sigma must be >= 0"),
+    (lambda: HarmonicSpec(terms=(), noise_sigma_arcmin=math.inf),
+     "noise sigma must be >= 0 and at most 21600.0'"),
     (lambda: HarmonicSpec(terms=(), seed=-1), "seed must be >= 0"),
     (lambda: archetype_spec(5), "archetype index must be 1..4"),
-], ids=["negative-order", "fractional-order", "infinite-amplitude", "nan-sigma",
-        "negative-seed", "archetype-5"])
+], ids=["negative-order", "fractional-order", "infinite-amplitude", "huge-amplitude",
+        "nan-phase", "nan-sigma", "infinite-sigma", "negative-seed", "archetype-5"])
 def test_spec_errors_are_named_value_errors(make, message):
     with pytest.raises(BadSpec, match=message) as info:
         make()
