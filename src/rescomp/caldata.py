@@ -144,7 +144,7 @@ class ProfileStats:
     n_samples: int
 
 
-def load_calibration(path, encoder_id: str = "unknown", epoch: str = "unknown") -> CalibrationSet:
+def load_calibration(path, encoder_id: str = "unknown") -> CalibrationSet:
     """Read a calibration CSV (header + one sample per line) into a CalibrationSet.
 
     Raises MalformedRow for unparseable lines or bytes that are not UTF-8,
@@ -170,7 +170,7 @@ def load_calibration(path, encoder_id: str = "unknown", epoch: str = "unknown") 
             encoder.append(float(fields[1]))
         except ValueError as exc:
             raise MalformedRow(f"line {lineno}: non-numeric field in {line!r}") from exc
-    return CalibrationSet(table, encoder, encoder_id=encoder_id, epoch=epoch)
+    return CalibrationSet(table, encoder, encoder_id=encoder_id)
 
 
 def save_calibration(path, cal: CalibrationSet) -> None:
@@ -194,6 +194,21 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at `path`; CorruptFile, naming the file as
+    `what`, for bad JSON or UTF-8, or a top level that is not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    # ValueError: bad JSON, bad UTF-8 or an integer past Python's digit limit;
+    # RecursionError: arrays or objects nested too deep to decode
+    except (ValueError, RecursionError) as exc:
+        raise CorruptFile(f"not a valid {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorruptFile(f"{what} must hold a JSON object")
+    return doc
+
+
 def json_int(doc, key: str) -> int:
     """`doc[key]` where `doc` is a JSON object holding an integer there (a
     bool or a float such as 2.0 is not one); CorruptFile otherwise."""
@@ -204,9 +219,11 @@ def json_int(doc, key: str) -> int:
 
 
 def json_float(value, what: str) -> float:
-    """`value` as a float where it is a float or an int within the float range
-    (a bool or a string such as "0.5" is not one); CorruptFile naming `what` otherwise."""
-    if type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max):
+    """`value` as a float where it is a finite float or an int within the float
+    range (a bool, NaN, an infinity or a string such as "0.5" is not one);
+    CorruptFile naming `what` otherwise."""
+    # NaN compares false, so only a finite float or an int in range passes
+    if type(value) in (float, int) and abs(value) <= sys.float_info.max:
         return float(value)
     raise CorruptFile(f"non-numeric or out-of-range {what!r}: {value!r}")
 

@@ -235,7 +235,7 @@ def _correct_lines(model, lines: list[str], first_lineno: int) -> None:
 def _cmd_correct(args) -> int:
     model = pipeline.load_model(args.model)
     if args.angle is not None:
-        print(f"{pipeline.correct(model, args.angle):.6f}")
+        _write_corrected(model, np.array([args.angle]))
         return 0
     # on a terminal each line is answered before the next one is read
     block_lines = 1 if sys.stdin.isatty() else STDIN_BATCH_LINES
@@ -261,10 +261,7 @@ def _cmd_run_experiment(args) -> int:
     cfg = _experiment_config(args)
     if args.spec:
         spec = simgen.spec_from_json(args.spec)
-        cal = simgen.synthesize(
-            spec, grid_step_deg=args.step, grid_offset_deg=args.offset,
-            encoder_id=args.encoder_id,
-        )
+        cal = simgen.synthesize(spec, grid_step_deg=1.0, encoder_id=args.encoder_id)
     else:
         cal = caldata.load_calibration(args.csv, encoder_id=args.encoder_id)
     result = pipeline.run_experiment(cal, args.outdir, cfg)
@@ -344,11 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-experiment", help="full pipeline incl. evaluation bundle")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--spec", help="harmonic spec JSON (synthetic run)")
+    src.add_argument("--spec", help="harmonic spec JSON (synthetic run on a 1-degree grid)")
     src.add_argument("--csv", help="full calibration CSV on a 1-degree grid")
-    p.add_argument("--step", type=float, default=1.0,
-                   help="synthesis grid step (synthetic runs; default 1)")
-    p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--outdir", required=True, help="report bundle directory")
     p.add_argument("--top", type=int, default=DEFAULTS.top_orders)
     p.add_argument("--prune", action="store_true", help="prune and retrain the network")

@@ -13,7 +13,6 @@ both on the held-out grid, and write a deterministic report bundle.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import asdict, dataclass
@@ -30,6 +29,7 @@ from .caldata import (
     json_float,
     json_int,
     partition_even_odd,
+    read_json,
     readonly,
     stats,
     wrap_deg,
@@ -141,23 +141,12 @@ def _float_list(doc, key, expected_len) -> list[float]:
         raise CorruptFile(f"missing or non-numeric {key!r}") from exc
     if len(values) != expected_len:
         raise CorruptFile(f"{key!r} has {len(values)} entries, expected {expected_len}")
-    if not all(math.isfinite(v) for v in values):
-        raise CorruptFile(f"{key!r} contains non-finite values")
     return values
 
 
 def load_model(path) -> CompensationModel:
     """Read a model file, validating version, kind and payload shape."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    # ValueError: bad JSON, bad UTF-8 or an integer past Python's digit limit;
-    # RecursionError: arrays or objects nested too deep to decode
-    except (ValueError, RecursionError) as exc:
-        raise CorruptFile(f"not a valid model file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CorruptFile("model file must hold a JSON object")
-
+    doc = read_json(path, "model file")
     version = json_int(doc, "format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"unsupported format version {version}")
@@ -169,7 +158,9 @@ def load_model(path) -> CompensationModel:
     if any(k in doc for k in other_keys) and not all(k in doc for k in _PAYLOAD_KEYS[kind]):
         raise KindMismatch(f"kind {kind!r} but payload fields of the other kind")
 
-    encoder_id = str(doc.get("encoder_id", "unknown"))
+    encoder_id = doc.get("encoder_id", "unknown")
+    if not isinstance(encoder_id, str):
+        raise CorruptFile(f"non-string 'encoder_id': {encoder_id!r}")
 
     if kind == KIND_ANN:
         shape = doc.get("shape")
@@ -207,10 +198,6 @@ def load_model(path) -> CompensationModel:
     # ValueError: BadOrders, for repeated or non-positive orders
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"bad fourier payload: {exc}") from exc
-    if not math.isfinite(a0) or not all(
-        math.isfinite(t.a) and math.isfinite(t.b) for t in series.terms
-    ):
-        raise CorruptFile("fourier coefficients must be finite")
     for i, t in enumerate(series.terms):
         if t.n > MAX_FOURIER_ORDER:  # eval_fourier takes orders as floats
             raise CorruptFile(f"fourier term {i}: order n is above 2**53")

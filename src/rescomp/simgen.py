@@ -10,13 +10,13 @@ tests can check any compensation model against the closed form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .caldata import ARCMIN_PER_DEG, CalibrationSet, json_float, json_int, wrap_deg, write_json
+from .caldata import (ARCMIN_PER_DEG, CalibrationSet, json_float, json_int, read_json, wrap_deg,
+                      write_json)
 from .errors import BadGrid, BadSpec, CorruptFile
 
 # One least-significant bit of a 16-bit single-turn encoder, in degrees.
@@ -89,7 +89,6 @@ def synthesize(
     grid_step_deg: float = 2.0,
     grid_offset_deg: float = 0.0,
     encoder_id: str = "synthetic",
-    epoch: str = "synthetic",
     quantize: bool = True,
 ) -> CalibrationSet:
     """Generate a calibration set on a uniform table-angle grid.
@@ -119,7 +118,7 @@ def synthesize(
         err_arcmin = err_arcmin + spec.noise_sigma_arcmin * rng.standard_normal(n_points)
     encoder_angle = theta + err_arcmin / ARCMIN_PER_DEG
     encoder_angle = quantize16(encoder_angle) if quantize else wrap_deg(encoder_angle)
-    return CalibrationSet(theta, encoder_angle, encoder_id=encoder_id, epoch=epoch)
+    return CalibrationSet(theta, encoder_angle, encoder_id=encoder_id, epoch="synthetic")
 
 
 def spec_to_json(spec: HarmonicSpec, path) -> None:
@@ -129,15 +128,7 @@ def spec_to_json(spec: HarmonicSpec, path) -> None:
 
 def spec_from_json(path) -> HarmonicSpec:
     """Read a HarmonicSpec from a JSON file; CorruptFile if it is malformed."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    # as in `pipeline.load_model`: ValueError for bad JSON or UTF-8 or an
-    # over-long integer, RecursionError for nesting too deep to decode
-    except (ValueError, RecursionError) as exc:
-        raise CorruptFile(f"not a valid spec file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CorruptFile("spec file must hold a JSON object")
+    doc = read_json(path, "spec file")
     try:
         terms = tuple(
             HarmonicTerm(json_int(t, "n"), json_float(t["amp_arcmin"], "amp_arcmin"),

@@ -200,6 +200,36 @@ def test_stdin_stream_prints_per_angle_lines(stream_case, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar]
 
 
+# corrected angles on a `%.6f` rounding tie: the 1/128 steps are exact ties,
+# the others the nearest doubles to one
+TIE_TARGETS = [10 + 1 / 128, 123 + 5 / 128, 300 + 127 / 128, 45.1234565, 200.0000005]
+
+
+def angles_near_ties(model):
+    """Encoder angles whose corrected angles lie within 2**-20 micro-units of
+    each of `TIE_TARGETS`, and their neighbouring doubles."""
+    found = []
+    for target in TIE_TARGETS:
+        angle = target
+        for _ in range(10):  # the correction's slope is far below 1
+            angle += target - correct(model, angle)
+        assert _rounded_micro(correct(model, np.array([angle]))) is None
+        found += [np.nextafter(angle, 0.0), angle, np.nextafter(angle, 360.0)]
+    return [float(a) for a in found]
+
+
+def test_angle_prints_what_the_stream_prints(stream_case, capsys, monkeypatch):
+    path, model, _scalar = stream_case
+    angles = [0.0, 10.0, 123.456, 359.9999995, -0.0, 720.5, 1e300, LSB_DEG, 90.0000005,
+              *angles_near_ties(model)]
+    assert stream(path, monkeypatch, angles) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(lines) == len(angles)
+    for angle, line in zip(angles, lines):
+        assert main(["correct", "--model", str(path), f"--angle={angle!r}"]) == 0
+        assert capsys.readouterr().out == line
+
+
 def count_calls(monkeypatch, module, name):
     """Count the calls of `module.name` made through any module of `rescomp`
     that binds it, as the benchmark's tracer sees them."""
@@ -627,7 +657,6 @@ def test_malformed_csv_fails_with_error_name(tmp_path, capsys):
 
 @pytest.mark.parametrize("case, message", [
     ("simulate-step-360", r"calibration set needs >= 2 samples, got 1"),
-    ("run-experiment-step-180", r"the odd-degree \(test\) half has 0 samples, needs >= 2"),
     ("run-experiment-even-csv", r"the odd-degree \(test\) half has 0 samples, needs >= 2"),
 ])
 def test_too_few_samples_fails_with_error_name(tmp_path, spec_file, capsys, case, message):
@@ -637,8 +666,6 @@ def test_too_few_samples_fails_with_error_name(tmp_path, spec_file, capsys, case
     args = {
         "simulate-step-360": ["simulate", "--spec", str(spec_file), "--step", "360",
                               "--out", str(out)],
-        "run-experiment-step-180": ["run-experiment", "--spec", str(spec_file),
-                                    "--step", "180", "--outdir", str(out)],
         "run-experiment-even-csv": ["run-experiment", "--csv", str(even_csv),
                                     "--outdir", str(out)],
     }[case]
@@ -795,8 +822,7 @@ def command_lines(command, f):
         return st.tuples(models, st.one_of(angle, stdin)).map(
             lambda a: (["correct", "--model", a[0], *a[1][0]], a[1][1]))
     else:
-        argv = st.tuples(optional_flags(step=GRID_STEPS, offset=OFFSETS, top=TOPS,
-                                        rel_tol=REL_TOLS),
+        argv = st.tuples(optional_flags(top=TOPS, rel_tol=REL_TOLS),
                          switch("--prune"), TRAINING_FLAGS, OPTIMIZER_FLAGS).map(
             lambda a: ["run-experiment", "--spec", f["spec"], "--outdir", str(out / "bundle"),
                        *a[0], *a[1], *a[2], *a[3]])

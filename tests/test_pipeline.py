@@ -315,6 +315,12 @@ def test_non_integer_field_rejected(tmp_path, kind, field, value):
 ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_non_numeric_field_rejected(tmp_path, kind, path, value):
     """A JSON string or bool where a number belongs, which float() would take."""
+    assert_field_named(tmp_path, kind, path, value)
+
+
+def assert_field_named(tmp_path, kind, path, value):
+    """A saved 1:4:1 net or `fourier_model()` with `value` at the key path
+    `path` fails to load with CorruptFile naming the path's last key."""
     file = tmp_path / "model.json"
     payload = trained_like_net(hidden=4) if kind == KIND_ANN else fourier_model()
     save_model(file, CompensationModel("enc", payload))
@@ -328,6 +334,38 @@ def test_non_numeric_field_rejected(tmp_path, kind, path, value):
     name = [step for step in path if isinstance(step, str)][-1]
     with pytest.raises(CorruptFile, match=f"^non-numeric or out-of-range '{name}': "):
         load_model(file)
+
+
+# every float a model file holds
+FLOAT_FIELDS = [
+    (KIND_FOURIER, ("a0",)),
+    *((KIND_FOURIER, ("terms", i, c)) for i in (0, 1) for c in ("a", "b")),
+    *((KIND_ANN, (key, 0)) for key in ("hidden_weights", "hidden_thresholds",
+                                       "output_weights", "output_thresholds")),
+    *((KIND_ANN, (norm, bound)) for norm in ("input_norm", "target_norm")
+      for bound in ("lo", "hi", "out_lo", "out_hi")),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("kind, path", FLOAT_FIELDS,
+                         ids=["-".join(map(str, path)) for _kind, path in FLOAT_FIELDS])
+def test_non_finite_field_named(tmp_path, kind, path, value):
+    assert_field_named(tmp_path, kind, path, value)
+
+
+@pytest.mark.parametrize("value", [None, 7, True, ["enc"], {"id": "enc"}], ids=repr)
+def test_non_string_encoder_id_rejected(tmp_path, value):
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel("enc", fourier_model()))
+    doc = json.loads(path.read_text())
+    doc["encoder_id"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match=r"^non-string 'encoder_id': "):
+        load_model(path)
+    del doc["encoder_id"]  # a file without the key loads as "unknown"
+    path.write_text(json.dumps(doc))
+    assert load_model(path).encoder_id == "unknown"
 
 
 @pytest.mark.parametrize("key", ["input_norm", "target_norm"])

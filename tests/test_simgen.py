@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rescomp.caldata import error_profile, stats
-from rescomp.errors import BadGrid, BadSpec, RescompError
+from rescomp.errors import BadGrid, BadSpec, CorruptFile, RescompError
 from rescomp.simgen import (
     ARCHETYPE_MAE_TARGETS,
     LSB_ARCMIN,
@@ -198,3 +199,15 @@ def test_spec_json_roundtrip(tmp_path):
     spec_to_json(spec, p)
     again = spec_from_json(p)
     assert again == spec
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("field", ["amp_arcmin", "phase_rad", "noise_sigma_arcmin"])
+def test_non_finite_spec_field_named(tmp_path, field, value):
+    p = tmp_path / "spec.json"
+    spec_to_json(archetype_spec(1), p)
+    doc = json.loads(p.read_text())
+    (doc if field == "noise_sigma_arcmin" else doc["terms"][2])[field] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match=f"^non-numeric or out-of-range '{field}': "):
+        spec_from_json(p)
