@@ -69,9 +69,6 @@ from .prune import DEFAULT_RANK_REL_TOL, PruneReport, prune_and_retrain
 FORMAT_VERSION = 1
 KIND_ANN = "ann"
 KIND_FOURIER = "fourier"
-# the largest Fourier order a model file may hold: every integer up to 2**53 is
-# an exact float64
-MAX_FOURIER_ORDER = 2 ** 53
 
 # The widest hidden layer a fit accepts: 25 times the paper's 80 nodes and
 # 6 001 parameters against the 180 patterns of a 2-degree grid.  From J = 1 778
@@ -86,6 +83,8 @@ _PAYLOAD_KEYS = {
                "hidden_thresholds", "output_weights", "output_thresholds"),
     KIND_FOURIER: ("a0", "terms"),
 }
+# the model-file keys every kind shares
+_HEADER_KEYS = ("format_version", "kind", "encoder_id")
 
 
 @dataclass(frozen=True)
@@ -157,6 +156,9 @@ def load_model(path) -> CompensationModel:
     other_keys = [k for other, keys in _PAYLOAD_KEYS.items() if other != kind for k in keys]
     if any(k in doc for k in other_keys) and not all(k in doc for k in _PAYLOAD_KEYS[kind]):
         raise KindMismatch(f"kind {kind!r} but payload fields of the other kind")
+    for key in doc:
+        if key not in _HEADER_KEYS and key not in _PAYLOAD_KEYS[kind]:
+            raise CorruptFile(f"unknown key {key!r} in a model file of kind {kind!r}")
 
     encoder_id = doc.get("encoder_id", "unknown")
     if not isinstance(encoder_id, str):
@@ -189,21 +191,24 @@ def load_model(path) -> CompensationModel:
             raise CorruptFile(f"ann model {encoder_id!r}: target_norm maps past the float range")
         return CompensationModel(encoder_id, Network(w + theta + v + theta_out, target_norm))
 
+    terms = doc.get("terms")
+    if not isinstance(terms, list):
+        raise CorruptFile(f"fourier 'terms' must be a JSON list, got {terms!r}")
     try:
         a0 = json_float(doc["a0"], "a0")
         series = FourierModel(a0, tuple(
             FourierTerm(json_int(t, "n"), json_float(t["a"], "a"), json_float(t["b"], "b"))
-            for t in doc["terms"]
+            for t in terms
         ))
-    # ValueError: BadOrders, for repeated or non-positive orders
+    # ValueError: BadOrders, for repeated orders or orders outside [1, 2**20]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"bad fourier payload: {exc}") from exc
-    for i, t in enumerate(series.terms):
-        if t.n > MAX_FOURIER_ORDER:  # eval_fourier takes orders as floats
-            raise CorruptFile(f"fourier term {i}: order n is above 2**53")
-    # bounds every partial sum of the series, so a finite bound keeps the
-    # correction finite at every angle
-    if not math.isfinite(abs(a0) + sum(abs(t.a) + abs(t.b) for t in series.terms)):
+    # bounds every partial sum of the series: `eval_fourier`'s cosines and
+    # sines exceed 1 in size by less than 2**-20 (`fourier.MAX_ORDER`), so a
+    # bound that stays finite with that margin keeps the correction finite at
+    # every angle
+    bound = abs(a0) + sum(abs(t.a) + abs(t.b) for t in series.terms)
+    if not math.isfinite(bound * (1 + 2 ** -20)):
         raise CorruptFile(f"fourier model {encoder_id!r}: the series can overflow")
     return CompensationModel(encoder_id, series)
 

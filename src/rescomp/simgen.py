@@ -11,7 +11,7 @@ tests can check any compensation model against the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -121,6 +121,10 @@ def synthesize(
     return CalibrationSet(theta, encoder_angle, encoder_id=encoder_id, epoch="synthetic")
 
 
+# the keys of a spec file: `HarmonicSpec`'s fields, which `spec_to_json` writes
+_SPEC_KEYS = tuple(f.name for f in fields(HarmonicSpec))
+
+
 def spec_to_json(spec: HarmonicSpec, path) -> None:
     """Write a HarmonicSpec as a JSON file."""
     write_json(path, asdict(spec))
@@ -129,11 +133,17 @@ def spec_to_json(spec: HarmonicSpec, path) -> None:
 def spec_from_json(path) -> HarmonicSpec:
     """Read a HarmonicSpec from a JSON file; CorruptFile if it is malformed."""
     doc = read_json(path, "spec file")
+    for key in doc:
+        if key not in _SPEC_KEYS:
+            raise CorruptFile(f"unknown key {key!r} in a spec file")
+    raw_terms = doc.get("terms", [])
+    if not isinstance(raw_terms, list):
+        raise CorruptFile(f"spec 'terms' must be a JSON list, got {raw_terms!r}")
     try:
         terms = tuple(
             HarmonicTerm(json_int(t, "n"), json_float(t["amp_arcmin"], "amp_arcmin"),
                          json_float(t["phase_rad"], "phase_rad"))
-            for t in doc.get("terms", [])
+            for t in raw_terms
         )
         return HarmonicSpec(
             terms=terms,

@@ -608,6 +608,8 @@ def test_simulate_step_finer_than_lsb_fails_with_error_name(tmp_path, spec_file,
     '{"terms": [{"n": 1, "amp_arcmin": 1.0, "phase_rad": NaN}]}',
     '{"terms": [], "noise_sigma_arcmin": Infinity}',
     '{"terms": [{"n": 1, "amp_arcmin": 1e308, "phase_rad": 0.0}]}',
+    # a misspelled spec, which would otherwise simulate 180 error-free samples
+    '{"terms": {}, "noise_sigma": 0.5, "sed": 3}',
 ])
 def test_bad_spec_file_fails_with_error_name(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rescomp.caldata import ErrorProfile, error_profile
+from rescomp.caldata import (
+    ARCMIN_PER_DEG,
+    ErrorProfile,
+    error_profile,
+    partition_even_odd,
+    wrap_deg,
+)
+from rescomp.cli import format_angles
 from rescomp.errors import (
     BadConfig,
     BadOrders,
@@ -13,6 +20,7 @@ from rescomp.errors import (
     UnderdeterminedFit,
 )
 from rescomp.fourier import (
+    MAX_ORDER,
     FourierModel,
     FourierTerm,
     HarmonicSpectrum,
@@ -20,9 +28,11 @@ from rescomp.fourier import (
     eval_fourier,
     fit_fourier,
     harmonic_spectrum,
+    _phasors,
     select_top,
 )
-from rescomp.simgen import archetype_spec, synthesize
+from rescomp.pipeline import CompensationModel, correct, fit_fourier_baseline
+from rescomp.simgen import LSB_DEG, archetype_spec, synthesize
 
 
 def grid_profile(fn, n=180):
@@ -252,15 +262,83 @@ def eval_term_by_term(model, theta_deg):
     return value
 
 
-@pytest.mark.parametrize("orders", [range(1, 11), [2 ** k for k in range(16)]])
-def test_eval_bit_identical_to_term_by_term(orders):
-    rng = np.random.default_rng(61)
-    model = FourierModel(rng.normal(), tuple(
+# the order sets of the kernel tests: consecutive low orders, as fits select
+# them, and powers of two up to the largest order a 16-bit fit can select
+ORDER_SETS = [range(1, 11), [2 ** k for k in range(16)]]
+
+
+def seeded_model(orders, seed=61):
+    rng = np.random.default_rng(seed)
+    return FourierModel(rng.normal(), tuple(
         FourierTerm(n, *rng.normal(0.0, 1.0, 2)) for n in orders))
-    angles = rng.uniform(-720.0, 720.0, 1000)
-    assert np.array_equal(eval_fourier(model, angles), eval_term_by_term(model, angles))
-    for theta in angles[:50].tolist():
-        assert eval_fourier(model, theta) == float(eval_term_by_term(model, theta))
+
+
+@pytest.mark.parametrize("orders", ORDER_SETS)
+def test_eval_bits_do_not_depend_on_the_batch(orders):
+    model = seeded_model(orders)
+    angles = np.random.default_rng(62).uniform(-720.0, 720.0, 1000)
+    batch = eval_fourier(model, angles)
+    assert np.array_equal(eval_fourier(model, angles[1::7]), batch[1::7])
+    for i, theta in enumerate(angles[:50].tolist()):
+        for form in (theta, np.float64(theta), np.array(theta), np.array([theta])):
+            value = eval_fourier(model, form)
+            assert np.array_equal(value, batch[i:i + 1] if np.ndim(form) else batch[i])
+
+
+def test_eval_takes_numpy_integer_orders():
+    model = seeded_model(ORDER_SETS[0])
+    numpy_orders = FourierModel(model.a0, tuple(
+        FourierTerm(np.int64(t.n), t.a, t.b) for t in model.terms))
+    angles = np.random.default_rng(66).uniform(0.0, 360.0, 100)
+    assert np.array_equal(eval_fourier(numpy_orders, angles), eval_fourier(model, angles))
+
+
+def test_phasor_bits_do_not_depend_on_the_other_orders():
+    theta = np.radians(np.random.default_rng(63).uniform(0.0, 360.0, 64))
+    for n in (*range(1, 130), *(2 ** k + d for k in range(7, 21) for d in (-1, 1)), MAX_ORDER):
+        alone, = _phasors(theta, [n])
+        _, among, _ = _phasors(theta, [1, n, 81])
+        assert np.array_equal(alone, among), n
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("orders", ORDER_SETS)
+def test_eval_error_at_most_that_of_term_by_term(orders):
+    # measured against the series at the exact angle, summed in long double:
+    # the phasor kernel may err at most 1.5 times as much as np.cos and np.sin
+    model = seeded_model(orders)
+    angles = np.random.default_rng(64).uniform(-720.0, 720.0, 1000)
+    theta = angles.astype(np.longdouble) * (4 * np.arctan(np.longdouble(1)) / 180)
+    exact = np.full(theta.shape, np.longdouble(model.a0))
+    for t in model.terms:
+        exact += (np.longdouble(t.a) * np.cos(t.n * theta)
+                  + np.longdouble(t.b) * np.sin(t.n * theta))
+    kernel_err = np.max(np.abs(eval_fourier(model, angles) - exact))
+    reference_err = np.max(np.abs(eval_term_by_term(model, angles) - exact))
+    assert kernel_err <= 1.5 * reference_err
+
+
+# the ten orders the Fourier baseline selects on each archetype's even-degree
+# half of its 1-degree grid (order 0 is the DC term)
+ARCHETYPE_ORDERS = {
+    1: [1, 2, 16, 0, 35, 70, 43, 64, 80, 84],
+    2: [0, 1, 2, 16, 46, 72, 60, 85, 38, 59],
+    3: [1, 16, 2, 0, 81, 4, 51, 17, 9, 30],
+    4: [0, 1, 16, 2, 18, 51, 43, 33, 85, 66],
+}
+
+
+@pytest.mark.parametrize("archetype", sorted(ARCHETYPE_ORDERS))
+def test_archetype_corrections_print_as_term_by_term(archetype):
+    # every 16-bit code corrects to the line the np.cos and np.sin series gives
+    train, _test = partition_even_odd(synthesize(archetype_spec(archetype), grid_step_deg=1.0))
+    series, _spectrum, orders = fit_fourier_baseline(error_profile(train), 10)
+    assert orders == ARCHETYPE_ORDERS[archetype]
+    codes = wrap_deg(np.arange(65536) * LSB_DEG)
+    reference = wrap_deg(codes - eval_term_by_term(series, codes) / ARCMIN_PER_DEG)
+    corrected = correct(CompensationModel("arch", series), codes)
+    assert format_angles(corrected) == format_angles(reference)
 
 
 def test_model_rejects_duplicate_orders():
@@ -271,7 +349,10 @@ def test_model_rejects_duplicate_orders():
 def test_order_errors_are_named_value_errors():
     profile = grid_profile(math.cos)
     for make in (lambda: FourierModel(a0=0.0, terms=(FourierTerm(0, 1.0, 0.0),)),
-                 lambda: fit_fourier(profile, [1, -2])):
+                 lambda: FourierModel(a0=0.0, terms=(FourierTerm(MAX_ORDER + 1, 1.0, 0.0),)),
+                 lambda: FourierModel(a0=0.0, terms=(FourierTerm(2.5, 1.0, 0.0),)),
+                 lambda: fit_fourier(profile, [1, -2]),
+                 lambda: fit_fourier(profile, [1, 2 ** 60])):
         with pytest.raises(BadOrders) as info:
             make()
         assert isinstance(info.value, RescompError) and isinstance(info.value, ValueError)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -21,7 +22,7 @@ from rescomp.errors import (
     TargetOutOfRange,
     UnsupportedVersion,
 )
-from rescomp.fourier import FourierModel, FourierTerm
+from rescomp.fourier import MAX_ORDER, FourierModel, FourierTerm
 from rescomp.network import (
     CHUNK_ELEMENTS,
     INPUT_NORM,
@@ -461,10 +462,10 @@ def test_fourier_series_past_float_range_rejected(tmp_path, a, loads):
 
 
 # values that have broken loaders: zero, a duplicate order, an order past
-# 2**53, an int too large for a float, non-finite floats, a bool and a string
-# where numbers belong
-EDGE_VALUES = st.sampled_from([0, 1, -1, 2 ** 53, 2 ** 53 + 1, 10 ** 400, 1e308, math.nan,
-                               math.inf, True, "1", None, [], {}])
+# 2**20 or 2**53, an int too large for a float, non-finite floats, a bool and
+# a string where numbers belong
+EDGE_VALUES = st.sampled_from([0, 1, -1, 2 ** 20, 2 ** 20 + 1, 2 ** 53, 2 ** 53 + 1, 10 ** 400,
+                               1e308, math.nan, math.inf, True, "1", None, [], {}])
 JSON_VALUES = EDGE_VALUES | st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -536,8 +537,9 @@ def test_load_model_fuzz(tmp_path_factory, model_texts, data):
 
 
 @pytest.mark.parametrize("order, loads", [
-    pytest.param(2 ** 53, True, id="2**53"),
-    pytest.param(2 ** 53 + 1, False, id="2**53+1"),
+    pytest.param(MAX_ORDER, True, id="2**20"),
+    pytest.param(MAX_ORDER + 1, False, id="2**20+1"),
+    pytest.param(2 ** 53, False, id="2**53"),
     pytest.param(10 ** 400, False, id="10**400"),
 ])
 def test_fourier_order_bounded(tmp_path, order, loads):
@@ -549,8 +551,46 @@ def test_fourier_order_bounded(tmp_path, order, loads):
     if loads:
         assert 0.0 <= correct(load_model(path), 10.0) < 360.0
     else:
-        with pytest.raises(CorruptFile, match=r"^fourier term 1: order n is above 2\*\*53$"):
+        with pytest.raises(CorruptFile, match=r"^bad fourier payload: term orders must be "
+                                              r"distinct integers in \[1, 2\*\*20\], got \[1, "):
             load_model(path)
+
+
+def test_top_order_with_bound_just_inside_the_limit_corrects_finitely(tmp_path):
+    # the largest coefficients the overflow guard admits at the largest order
+    a = math.nextafter(sys.float_info.max / (2 * (1 + 2 ** -20)), 0.0)
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel("enc", FourierModel(0.0, (FourierTerm(MAX_ORDER, a, a),))))
+    doc = json.loads(path.read_text())
+    doc["terms"][0]["a"] = math.nextafter(sys.float_info.max / (1 + 2 ** -20) - a, math.inf)
+    path.with_name("past.json").write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match=r"^fourier model 'enc': the series can overflow$"):
+        load_model(path.with_name("past.json"))
+    model = load_model(path)
+    angles = np.random.default_rng(65).uniform(0.0, 360.0, 10_000)
+    assert np.all(np.isfinite(predict_error(model, angles)))
+    corrected = correct(model, angles)
+    assert np.all((0.0 <= corrected) & (corrected < 360.0))
+
+
+@pytest.mark.parametrize("payload, key, value, message", [
+    (fourier_model(), "terms", {}, r"^fourier 'terms' must be a JSON list, got \{\}$"),
+    (fourier_model(), "terms", "", r"^fourier 'terms' must be a JSON list, got ''$"),
+    (fourier_model(), "shape", {"n_inputs": 1, "n_hidden": 1, "n_outputs": 1},
+     r"^unknown key 'shape' in a model file of kind 'fourier'$"),
+    (fourier_model(), "a1", 0.5, r"^unknown key 'a1' in a model file of kind 'fourier'$"),
+    (trained_like_net(hidden=2), "a0", 0.5, r"^unknown key 'a0' in a model file of kind 'ann'$"),
+    (trained_like_net(hidden=2), "comment", "x", r"^unknown key 'comment' in a model file of kind 'ann'$"),
+], ids=["terms-object", "terms-string", "ann-key-in-fourier", "a1", "fourier-key-in-ann",
+        "comment"])
+def test_model_file_schema_is_strict(tmp_path, payload, key, value, message):
+    path = tmp_path / "model.json"
+    save_model(path, CompensationModel("enc", payload))
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match=message):
+        load_model(path)
 
 
 def test_constructor_rejects_mismatched_payload():

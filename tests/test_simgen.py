@@ -201,6 +201,22 @@ def test_spec_json_roundtrip(tmp_path):
     assert again == spec
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("terms", {}, r"^spec 'terms' must be a JSON list, got \{\}$"),
+    ("terms", "", r"^spec 'terms' must be a JSON list, got ''$"),
+    ("noise_sigma", 0.5, r"^unknown key 'noise_sigma' in a spec file$"),
+    ("sed", 3, r"^unknown key 'sed' in a spec file$"),
+], ids=["terms-object", "terms-string", "noise_sigma", "sed"])
+def test_spec_file_schema_is_strict(tmp_path, key, value, message):
+    p = tmp_path / "spec.json"
+    spec_to_json(archetype_spec(1), p)
+    doc = json.loads(p.read_text())
+    doc[key] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match=message):
+        spec_from_json(p)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
 @pytest.mark.parametrize("field", ["amp_arcmin", "phase_rad", "noise_sigma_arcmin"])
 def test_non_finite_spec_field_named(tmp_path, field, value):
