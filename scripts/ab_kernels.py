@@ -28,11 +28,14 @@ predict nets and the 10-term series at seeded batches of every length 0-420
 and of 961, 1 001, 1 025 and 4 097 angles, around the chunk edges of
 `network.forward_batch`.  Those predictions, and every training history, trained
 parameter vector, prune report (pruned width, both spectra and both MSEs),
-timed prediction and stream's standard output bytes must be identical
-between the trees; the script exits 1 at the first difference.  It writes,
-per case, both trees' medians and quartiles, the ratio of medians (change /
-base) and the number of pairs the change won, with the Python, numpy and
-BLAS thread settings and the CPU model.
+timed prediction and stream's standard output bytes are compared between
+the trees.  It writes, per case, both trees' medians and quartiles, the
+ratio of medians (change / base), the number of pairs the change won and
+whether the case's results were identical in every round, with the model
+files and batch lengths whose predictions differ and the Python, numpy and
+BLAS thread settings and the CPU model.  Every case is timed even when the
+trees differ, as they do by design in a change to a kernel's bits; the
+script then exits 1 once the report is written.
 
 The script uses only these names of a tree, so it compares any two trees
 that share them and read version-1 model files: `simgen.synthesize`,
@@ -172,23 +175,26 @@ def predict_case(m, model_path: Path, calls: int):
     return run
 
 
-def predictions_match(trees: dict, model_paths) -> bool:
-    """Whether both trees' `predict_error` give the same bytes for each model
-    file at seeded batches of every length in CHECK_LENGTHS."""
+def prediction_differences(trees: dict, model_paths) -> dict:
+    """{model file name: the lengths in CHECK_LENGTHS at which the trees'
+    `predict_error` of seeded batches give different bytes}, for each model
+    file with any."""
     rng = np.random.default_rng(SEED)
     batches = [rng.uniform(0.0, 360.0, n) for n in CHECK_LENGTHS]
+    differences = {}
     for path in model_paths:
         predicted = {}
         for side, m in trees.items():
             model = m["pipeline"].load_model(path)
             predicted[side] = [m["pipeline"].predict_error(model, angles).tobytes()
                                for angles in batches]
-        for n, base, change in zip(CHECK_LENGTHS, predicted["base"], predicted["change"]):
-            if base != change:
-                print(f"{path.name}: the trees' predictions differ at {n} angles",
-                      file=sys.stderr)
-                return False
-    return True
+        lengths = [n for n, base, change in zip(CHECK_LENGTHS, predicted["base"],
+                                                predicted["change"]) if base != change]
+        if lengths:
+            print(f"{path.name}: the trees' predictions differ at {len(lengths)} of "
+                  f"{len(CHECK_LENGTHS)} batch lengths", file=sys.stderr)
+            differences[path.name] = lengths
+    return differences
 
 
 def write_stream_inputs(lsb_deg: float, workdir: Path) -> dict:
@@ -229,10 +235,12 @@ def stream_case(m, model: Path, codes: Path, runs: int):
     return run
 
 
-def time_rounds(cases: dict, rounds: int) -> dict | None:
-    """Per case and tree, the wall seconds of each round's run; the tree that
-    runs first alternates.  None at the first round whose results differ."""
+def time_rounds(cases: dict, rounds: int) -> tuple[dict, dict]:
+    """Per case and tree, the wall seconds of each round's run, the tree that
+    runs first alternating; and per case, whether both trees' results were
+    identical in every round."""
     seconds = {name: {"base": [], "change": []} for name in cases}
+    identical = dict.fromkeys(cases, True)
     for r in range(rounds):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
         for name, runs in cases.items():
@@ -241,11 +249,11 @@ def time_rounds(cases: dict, rounds: int) -> dict | None:
                 start = time.perf_counter()
                 results[side] = runs[side]()
                 seconds[name][side].append(time.perf_counter() - start)
-            if results["base"] != results["change"]:
+            if results["base"] != results["change"] and identical[name]:
                 print(f"{name}: the trees' results differ in round {r}", file=sys.stderr)
-                return None
+                identical[name] = False
         print(f"round {r + 1}/{rounds} done", file=sys.stderr)
-    return seconds
+    return seconds, identical
 
 
 def quartiles(values):
@@ -303,11 +311,8 @@ def main(argv=None) -> int:
             cases[name] = {side: stream_case(m, model, codes, scaled(STREAM_RUNS))
                            for side, m in trees.items()}
         checked.append(streams["stream-fourier-10"][0])
-        if not predictions_match(trees, checked):
-            return 1
-        seconds = time_rounds(cases, args.rounds)
-    if seconds is None:
-        return 1
+        differing = prediction_differences(trees, checked)
+        seconds, identical = time_rounds(cases, args.rounds)
 
     report = {}
     for name, by_side in seconds.items():
@@ -322,13 +327,16 @@ def main(argv=None) -> int:
             "ratio_change_over_base": change_q[1] / base_q[1],
             "change_faster_pairs": wins,
             "pairs": args.rounds,
+            "identical": identical[name],
         }
         print(f"{name:16s} base {base_q[1]:.5f} s  change {change_q[1]:.5f} s  "
-              f"ratio {change_q[1] / base_q[1]:.3f}  faster in {wins}/{args.rounds}")
+              f"ratio {change_q[1] / base_q[1]:.3f}  faster in {wins}/{args.rounds}"
+              + ("" if identical[name] else "  results differ"))
 
     doc = {
         "what": "medians of per-case wall seconds, both trees in one process",
-        "identical_results": True,
+        "identical_results": all(identical.values()) and not differing,
+        "differing_predictions": differing,
         "rounds": args.rounds,
         "scale": args.scale,
         "trainings": {name: {"optimizer": o, "hidden": j, "archetype": a,
@@ -353,7 +361,7 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    return 0 if doc["identical_results"] else 1
 
 
 if __name__ == "__main__":

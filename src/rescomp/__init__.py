@@ -32,7 +32,7 @@ _EXPORTS = {
     "fourier": (
         "FourierModel",
         "FourierTerm",
-        "HarmonicSpectrum",
+        "SpectrumEntry",
         "eval_fourier",
         "fit_fourier",
         "harmonic_spectrum",

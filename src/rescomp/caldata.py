@@ -77,7 +77,6 @@ class CalibrationSet:
     table_deg: np.ndarray
     encoder_deg: np.ndarray
     encoder_id: str = "unknown"
-    epoch: str = "unknown"
 
     def __post_init__(self) -> None:
         table, encoder = readonly(self.table_deg), readonly(self.encoder_deg)
@@ -259,8 +258,7 @@ def partition_even_odd(cal: CalibrationSet) -> tuple[CalibrationSet, Calibration
         count = np.count_nonzero(mask)
         if count < 2:
             raise TooFewSamples(f"the {name} half has {count} samples, needs >= 2")
-        halves.append(CalibrationSet(cal.table_deg[mask], cal.encoder_deg[mask],
-                                     cal.encoder_id, cal.epoch))
+        halves.append(CalibrationSet(cal.table_deg[mask], cal.encoder_deg[mask], cal.encoder_id))
     return halves[0], halves[1]
 
 

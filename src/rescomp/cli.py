@@ -111,13 +111,11 @@ def _experiment_config(args) -> pipeline.ExperimentConfig:
         optimizer=args.optimizer,
         top_orders=args.top,
         prune=args.prune,
-        prune_rel_tol=args.rel_tol,
         norm_bounds=(args.norm_lo, args.norm_hi),
         training=optim.TrainingConfig(
             max_iterations=args.max_iterations,
             learning_rate=args.learning_rate,
             stall_window=args.stall_window,
-            stall_tol=args.stall_tol,
             seed=args.seed,
         ),
     )
@@ -132,7 +130,6 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=int, default=t.max_iterations)
     p.add_argument("--learning-rate", type=float, default=t.learning_rate)
     p.add_argument("--stall-window", type=int, default=t.stall_window)
-    p.add_argument("--stall-tol", type=float, default=t.stall_tol)
     p.add_argument("--norm-lo", type=float, default=d.norm_bounds[0],
                    help="lower error bound mapped to 0.1 (arc-min)")
     p.add_argument("--norm-hi", type=float, default=d.norm_bounds[1],
@@ -302,13 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", help="optional convergence CSV (iteration,mse)")
     p.add_argument("--encoder-id", default="unknown")
     _add_training_flags(p)
-    p.set_defaults(func=_cmd_fit, prune=False, top=DEFAULTS.top_orders,
-                   rel_tol=DEFAULTS.prune_rel_tol)
+    p.set_defaults(func=_cmd_fit, prune=False, top=DEFAULTS.top_orders)
 
     p = sub.add_parser("prune", help="train, estimate redundancy, retrain smaller")
     p.add_argument("--data", required=True, help="training calibration CSV")
-    p.add_argument("--rel-tol", type=float, default=DEFAULTS.prune_rel_tol,
-                   help="singular-value threshold relative to the largest (default %(default)s)")
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--report", help="optional prune report JSON")
     p.add_argument("--encoder-id", default="unknown")
@@ -346,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True, help="report bundle directory")
     p.add_argument("--top", type=int, default=DEFAULTS.top_orders)
     p.add_argument("--prune", action="store_true", help="prune and retrain the network")
-    p.add_argument("--rel-tol", type=float, default=DEFAULTS.prune_rel_tol)
     p.add_argument("--encoder-id", default="unknown")
     _add_training_flags(p)
     p.set_defaults(func=_cmd_run_experiment)

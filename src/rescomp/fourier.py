@@ -53,25 +53,6 @@ class SpectrumEntry:
 
 
 @dataclass(frozen=True)
-class HarmonicSpectrum:
-    """Per-order amplitudes, sorted by descending amplitude (ties: lower order)."""
-
-    entries: tuple[SpectrumEntry, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def amplitude(self, order: int) -> float:
-        for e in self.entries:
-            if e.order == order:
-                return e.amplitude_arcmin
-        raise KeyError(f"order {order} not in spectrum")
-
-
-@dataclass(frozen=True)
 class FourierTerm:
     n: int
     a: float  # cosine coefficient, arc-min
@@ -132,8 +113,9 @@ def _check_uniform(angles: np.ndarray) -> None:
         )
 
 
-def harmonic_spectrum(profile: ErrorProfile) -> HarmonicSpectrum:
-    """Amplitude per harmonic order from discrete Fourier projections.
+def harmonic_spectrum(profile: ErrorProfile) -> tuple[SpectrumEntry, ...]:
+    """Amplitude per harmonic order from discrete Fourier projections,
+    sorted by descending amplitude (ties: lower order first).
 
     Orders run from 0 (DC) up to the grid Nyquist order (P // 2 for P
     points).  At the exact Nyquist order of an even-count grid, where the
@@ -157,14 +139,14 @@ def harmonic_spectrum(profile: ErrorProfile) -> HarmonicSpectrum:
             b /= math.sqrt(2.0)
         entries.append(SpectrumEntry(n, math.hypot(a, b)))
     entries.sort(key=lambda e: (-e.amplitude_arcmin, e.order))
-    return HarmonicSpectrum(tuple(entries))
+    return tuple(entries)
 
 
-def select_top(spectrum: HarmonicSpectrum, count: int) -> list[int]:
+def select_top(spectrum: tuple[SpectrumEntry, ...], count: int) -> list[int]:
     """The `count` orders of largest amplitude, descending (ties: lower order first)."""
     if count < 0 or count > len(spectrum):
         raise BadConfig(f"count must be in [0, {len(spectrum)}], got {count}")
-    return [e.order for e in spectrum.entries[:count]]
+    return [e.order for e in spectrum[:count]]
 
 
 def fit_fourier(profile: ErrorProfile, orders) -> FourierModel:

@@ -48,30 +48,28 @@ _LAMBDA_FACTOR = 10.0
 _LAMBDA_MIN = 1e-15
 # Rejected-step retries per iteration before giving up.
 _MAX_ESCALATIONS = 30
+# The relative MSE cut below which a `stall_window` of iterations stops training.
+_STALL_TOL = 0.1
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
     max_iterations: int = 10000
     learning_rate: float = 0.5        # gradient descent only
-    # stop once `stall_window` iterations cut the MSE by less than `stall_tol`
+    # stop once `stall_window` iterations cut the MSE by less than `_STALL_TOL`
     # (relative); a window at or above max_iterations never fires
     stall_window: int = 200
-    stall_tol: float = 0.1
     seed: int = 42
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise BadConfig("max_iterations must be >= 1")
-        for name in ("learning_rate", "stall_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise BadConfig(f"{name} must be finite")
+        if not math.isfinite(self.learning_rate):
+            raise BadConfig("learning_rate must be finite")
         if self.learning_rate <= 0:
             raise BadConfig("learning_rate must be > 0")
         if self.stall_window < 1:
             raise BadConfig("stall_window must be >= 1")
-        if self.stall_tol <= 0:
-            raise BadConfig("stall_tol must be > 0")
         if self.seed < 0:
             raise BadConfig(f"seed must be >= 0, got {self.seed!r}")
 
@@ -93,7 +91,7 @@ class TrainingHistory:
 
 def stopping_rule(mse_history, cfg: TrainingConfig) -> bool:
     """True once the trailing `stall_window` iterations improved the MSE
-    by less than `stall_tol` (relative)."""
+    by less than `_STALL_TOL` (relative)."""
     window = cfg.stall_window
     if len(mse_history) < window:
         return False
@@ -101,7 +99,7 @@ def stopping_rule(mse_history, cfg: TrainingConfig) -> bool:
     new = mse_history[-1]
     if old == 0.0:
         return True
-    return (old - new) / abs(old) < cfg.stall_tol
+    return (old - new) / abs(old) < _STALL_TOL
 
 
 def _scored(params: np.ndarray, data: Dataset) -> tuple[float, Activations]:

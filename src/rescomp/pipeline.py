@@ -47,7 +47,7 @@ from .errors import (
 from .fourier import (
     FourierModel,
     FourierTerm,
-    HarmonicSpectrum,
+    SpectrumEntry,
     eval_fourier,
     fit_fourier,
     harmonic_spectrum,
@@ -64,7 +64,7 @@ from .network import (
     init_params,
 )
 from .optim import TrainingConfig, TrainingHistory, trainer
-from .prune import DEFAULT_RANK_REL_TOL, PruneReport, prune_and_retrain
+from .prune import PruneReport, prune_and_retrain
 
 FORMAT_VERSION = 1
 KIND_ANN = "ann"
@@ -278,7 +278,6 @@ class ExperimentConfig:
     optimizer: str = "lm"            # "lm" | "backprop"
     top_orders: int = 10
     prune: bool = False
-    prune_rel_tol: float = DEFAULT_RANK_REL_TOL
     norm_bounds: tuple[float, float] = DEFAULT_TARGET_BOUNDS_ARCMIN
     training: TrainingConfig = TrainingConfig()
 
@@ -292,8 +291,6 @@ class ExperimentConfig:
             raise BadConfig(f"top_orders must be >= 0, got {self.top_orders!r}")
         if self.prune and self.hidden < 2:
             raise BadConfig("pruning needs hidden >= 2")
-        if not 0.0 < self.prune_rel_tol < 1.0:
-            raise BadConfig(f"prune_rel_tol must be in (0, 1), got {self.prune_rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -308,9 +305,8 @@ class ExperimentResult:
     files: tuple[str, ...]
 
 
-def write_spectrum_csv(path, spectrum: HarmonicSpectrum) -> None:
-    write_csv(path, "order,amplitude_arcmin",
-              ((e.order, e.amplitude_arcmin) for e in spectrum.entries))
+def write_spectrum_csv(path, spectrum: tuple[SpectrumEntry, ...]) -> None:
+    write_csv(path, "order,amplitude_arcmin", ((e.order, e.amplitude_arcmin) for e in spectrum))
 
 
 def write_history_csv(path, history: TrainingHistory) -> None:
@@ -336,27 +332,26 @@ def fit_network(
     params, history = train_fn(init_params(cfg.hidden, cfg.training.seed), data, cfg.training)
     report = None
     if cfg.prune:
-        params, history, report = prune_and_retrain(params, data, cfg.training,
-                                                    rel_tol=cfg.prune_rel_tol, train_fn=train_fn)
+        params, history, report = prune_and_retrain(params, data, cfg.training, train_fn=train_fn)
     return Network(params, target_norm), history, report
 
 
 def fit_fourier_baseline(
     profile: ErrorProfile, top: int
-) -> tuple[FourierModel, HarmonicSpectrum, list[int]]:
+) -> tuple[FourierModel, tuple[SpectrumEntry, ...], list[int]]:
     """Fit the Fourier series on the `top` strongest harmonics of a profile.
     Returns the model, the spectrum (every order) and the fitted orders.
 
     The Nyquist order P/2 of a profile of an even count P is never selected:
     its sine column is zero on an exact grid and badly conditioned on a
-    jittered one.  BadConfig names `top` and the largest value the profile
-    can fit: every order but 0 (the DC term, always fitted) adds two
-    coefficients, and a profile of P samples fits at most P of them."""
+    jittered one.  BadConfig names `top` and its largest value, the count of
+    orders below P/2 (0, the DC term, included): every order but 0 adds two
+    coefficients, so all of them take P - 1 coefficients for an even P and P
+    for an odd one, never more than the P samples."""
     spectrum = harmonic_spectrum(profile)
     p = len(profile)
-    candidates = HarmonicSpectrum(tuple(e for e in spectrum.entries if 2 * e.order != p))
-    coefficients = 1 + 2 * np.cumsum([e.order != 0 for e in candidates.entries])
-    limit = int(np.searchsorted(coefficients, p, side="right"))
+    candidates = tuple(e for e in spectrum if 2 * e.order != p)
+    limit = len(candidates)
     if not 0 <= top <= limit:
         raise BadConfig(f"top must be in [0, {limit}] for a profile of {p} "
                         f"samples, got {top}")
@@ -407,7 +402,6 @@ def run_experiment(
     config.update(config.pop("training"))
     doc = {
         "encoder_id": cal.encoder_id,
-        "epoch": cal.epoch,
         "config": config,
         "n_train": len(train_set),
         "n_test": len(test_set),

@@ -25,7 +25,7 @@ from .errors import BadConfig, NonFiniteArray
 from .network import Dataset, _hidden, _width, init_params, mse
 from .optim import TrainingConfig, TrainingHistory
 
-DEFAULT_RANK_REL_TOL = 1e-3
+RANK_REL_TOL = 1e-3
 
 
 def activation_matrix(params: np.ndarray, data: Dataset) -> np.ndarray:
@@ -41,14 +41,12 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.svd(matrix, compute_uv=False)
 
 
-def effective_rank(spectrum: np.ndarray, rel_tol: float = DEFAULT_RANK_REL_TOL) -> int:
-    """Count of singular values above rel_tol * sigma_max (0 for a zero matrix)."""
-    if not 0.0 < rel_tol < 1.0:
-        raise BadConfig(f"rel_tol must be in (0, 1), got {rel_tol!r}")
+def effective_rank(spectrum: np.ndarray) -> int:
+    """Count of singular values above RANK_REL_TOL * sigma_max (0 for a zero matrix)."""
     spectrum = np.asarray(spectrum, dtype=float)
     if len(spectrum) == 0 or spectrum[0] == 0.0:
         return 0
-    return int(np.sum(spectrum > rel_tol * spectrum[0]))
+    return int(np.sum(spectrum > RANK_REL_TOL * spectrum[0]))
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,6 @@ def prune_and_retrain(
     params: np.ndarray,
     data: Dataset,
     cfg: TrainingConfig,
-    rel_tol: float = DEFAULT_RANK_REL_TOL,
     *,
     train_fn,
 ) -> tuple[np.ndarray, TrainingHistory, PruneReport]:
@@ -82,7 +79,7 @@ def prune_and_retrain(
     if initial_hidden < 2:
         raise BadConfig(f"pruning needs a net of width >= 2, got {initial_hidden}")
     spectrum_full = singular_values(activation_matrix(params, data))
-    rank = max(effective_rank(spectrum_full, rel_tol), 1)
+    rank = max(effective_rank(spectrum_full), 1)
 
     trained_small, history = train_fn(init_params(rank, cfg.seed), data, cfg)
     spectrum_small = singular_values(activation_matrix(trained_small, data))

@@ -118,7 +118,7 @@ def synthesize(
         err_arcmin = err_arcmin + spec.noise_sigma_arcmin * rng.standard_normal(n_points)
     encoder_angle = theta + err_arcmin / ARCMIN_PER_DEG
     encoder_angle = quantize16(encoder_angle) if quantize else wrap_deg(encoder_angle)
-    return CalibrationSet(theta, encoder_angle, encoder_id=encoder_id, epoch="synthetic")
+    return CalibrationSet(theta, encoder_angle, encoder_id=encoder_id)
 
 
 # the keys of a spec file: `HarmonicSpec`'s fields, which `spec_to_json` writes

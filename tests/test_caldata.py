@@ -257,7 +257,7 @@ def test_partition_non_integer_grid():
 def test_partition_idempotent():
     cal = synthesize(archetype_spec(1), grid_step_deg=1.0)
     train, test = partition_even_odd(cal)
-    merged = CalibrationSet(*merged_halves(train, test), cal.encoder_id, cal.epoch)
+    merged = CalibrationSet(*merged_halves(train, test), cal.encoder_id)
     train2, test2 = partition_even_odd(merged)
     for again, half in ((train2, train), (test2, test)):
         assert again.table_deg.tobytes() == half.table_deg.tobytes()

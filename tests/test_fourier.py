@@ -23,7 +23,6 @@ from rescomp.fourier import (
     MAX_ORDER,
     FourierModel,
     FourierTerm,
-    HarmonicSpectrum,
     SpectrumEntry,
     eval_fourier,
     fit_fourier,
@@ -47,24 +46,24 @@ def grid_profile(fn, n=180):
 def test_pure_cosine_spectrum():
     profile = grid_profile(lambda t: 3.0 * math.cos(2 * t))
     spectrum = harmonic_spectrum(profile)
-    assert spectrum.entries[0].order == 2
-    assert spectrum.entries[0].amplitude_arcmin == pytest.approx(3.0, abs=1e-10)
-    for e in spectrum.entries[1:]:
+    assert spectrum[0].order == 2
+    assert spectrum[0].amplitude_arcmin == pytest.approx(3.0, abs=1e-10)
+    for e in spectrum[1:]:
         assert e.amplitude_arcmin < 1e-10
 
 
 def test_constant_profile_is_dc_only():
     profile = grid_profile(lambda t: 1.0)
     spectrum = harmonic_spectrum(profile)
-    assert spectrum.entries[0].order == 0
-    assert spectrum.entries[0].amplitude_arcmin == pytest.approx(1.0, abs=1e-12)
-    for e in spectrum.entries[1:]:
+    assert spectrum[0].order == 0
+    assert spectrum[0].amplitude_arcmin == pytest.approx(1.0, abs=1e-12)
+    for e in spectrum[1:]:
         assert e.amplitude_arcmin < 1e-12
 
 
 def test_spectrum_extends_to_nyquist():
     spectrum = harmonic_spectrum(grid_profile(lambda t: math.cos(t), n=180))
-    orders = {e.order for e in spectrum.entries}
+    orders = {e.order for e in spectrum}
     assert orders == set(range(0, 91))
 
 
@@ -91,9 +90,9 @@ def test_parseval_even_grid_with_offset():
     errors = rng.normal(0, 1.0, n)
     profile = ErrorProfile(tuple(zip(angles, errors)))
     spectrum = harmonic_spectrum(profile)
-    dc = spectrum.amplitude(0)
+    dc = next(e.amplitude_arcmin for e in spectrum if e.order == 0)
     energy = dc**2 + sum(
-        e.amplitude_arcmin**2 / 2.0 for e in spectrum.entries if e.order > 0
+        e.amplitude_arcmin**2 / 2.0 for e in spectrum if e.order > 0
     )
     assert energy == pytest.approx(float(np.mean(errors**2)), rel=1e-8)
 
@@ -104,9 +103,9 @@ def test_parseval_odd_grid():
     step = 360.0 / n
     profile = ErrorProfile(tuple((i * step, rng.normal()) for i in range(n)))
     spectrum = harmonic_spectrum(profile)
-    dc = spectrum.amplitude(0)
+    dc = next(e.amplitude_arcmin for e in spectrum if e.order == 0)
     energy = dc**2 + sum(
-        e.amplitude_arcmin**2 / 2.0 for e in spectrum.entries if e.order > 0
+        e.amplitude_arcmin**2 / 2.0 for e in spectrum if e.order > 0
     )
     errors = np.array(profile.errors_arcmin())
     assert energy == pytest.approx(float(np.mean(errors**2)), rel=1e-8)
@@ -123,19 +122,17 @@ def test_select_top_default_count():
 
 
 def test_select_top_zero():
-    spectrum = HarmonicSpectrum((SpectrumEntry(0, 1.0),))
+    spectrum = (SpectrumEntry(0, 1.0),)
     assert select_top(spectrum, 0) == []
 
 
 def test_select_top_tie_breaks_by_lower_order():
-    spectrum = HarmonicSpectrum(
-        (SpectrumEntry(4, 2.0), SpectrumEntry(7, 2.0), SpectrumEntry(1, 0.5))
-    )
+    spectrum = (SpectrumEntry(4, 2.0), SpectrumEntry(7, 2.0), SpectrumEntry(1, 0.5))
     assert select_top(spectrum, 2) == [4, 7]
 
 
 def test_select_top_count_out_of_range():
-    spectrum = HarmonicSpectrum((SpectrumEntry(0, 1.0),))
+    spectrum = (SpectrumEntry(0, 1.0),)
     with pytest.raises(BadConfig):
         select_top(spectrum, 2)
     with pytest.raises(BadConfig):
@@ -145,7 +142,7 @@ def test_select_top_count_out_of_range():
 def test_spectrum_sorted_with_ties():
     profile = grid_profile(lambda t: math.cos(4 * t) + math.cos(7 * t), n=60)
     spectrum = harmonic_spectrum(profile)
-    amps = [e.amplitude_arcmin for e in spectrum.entries]
+    amps = [e.amplitude_arcmin for e in spectrum]
     assert amps == sorted(amps, reverse=True)
 
 

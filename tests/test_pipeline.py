@@ -726,7 +726,7 @@ def test_predict_error_peak_memory_is_one_chunk():
 
 def zero_error_calset(n=8):
     angles = [float(i * 360 // n) for i in range(n)]
-    return CalibrationSet(angles, angles, "perfect", "now")
+    return CalibrationSet(angles, angles, "perfect")
 
 
 def test_evaluate_perfect_model():
@@ -878,9 +878,9 @@ def test_run_experiment_writes_bundle(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["n_train"] == 180 and report["n_test"] == 180
     assert report["ann"]["iterations_run"] == result.history.iterations_run
-    # the stop rule that ended training, as well as its budget
-    assert {k: report["config"][k] for k in ("learning_rate", "stall_window", "stall_tol")} \
-        == {"learning_rate": 0.5, "stall_window": 20, "stall_tol": 0.1}
+    # the stop window that ended training, as well as its budget
+    assert {k: report["config"][k] for k in ("learning_rate", "stall_window")} \
+        == {"learning_rate": 0.5, "stall_window": 20}
     # every setting of both configs, in declared order, `training` replaced by its fields
     names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "training"]
     assert list(report["config"]) == names + [f.name for f in dataclasses.fields(TrainingConfig)]

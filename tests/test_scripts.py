@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,9 +46,40 @@ def test_ab_kernels_runs_at_tiny_budget(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["identical_results"] and doc["environment"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert doc["differing_predictions"] == {}
+    assert all(case["identical"] for case in doc["cases"].values())
     assert set(doc["cases"]) == {"gd-80", "lm-80", "lm-40", "lm-6", "prune-40", "predict-1024x6",
                                  "predict-1024x40", "predict-1024x80", "stream-ann-80",
                                  "stream-fourier-10"}
+
+
+def test_ab_kernels_times_every_case_when_fourier_bits_differ(tmp_path):
+    """A change tree whose Fourier series starts one float above `a0`: the
+    script times all ten cases, writes which predictions differ, and exits 1."""
+    src = Path(rescomp.__file__).parents[1]
+    change = tmp_path / "change"
+    shutil.copytree(src / "rescomp", change / "rescomp",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fourier = change / "rescomp" / "fourier.py"
+    text = fourier.read_text()
+    start = "value = np.full(flat.shape, model.a0)"
+    assert text.count(start) == 1
+    fourier.write_text(text.replace(
+        start, "value = np.full(flat.shape, np.nextafter(model.a0, np.inf))"))
+    out = tmp_path / "ab.json"
+    args = [sys.executable, str(SCRIPTS / "ab_kernels.py"), "--base", str(src),
+            "--change", str(change), "--out", str(out), "--rounds", "1", "--scale", "0.01"]
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(out.read_text())
+    assert not doc["identical_results"]
+    assert len(doc["cases"]) == 10
+    assert all(case["base_median"] > 0 and case["change_median"] > 0
+               for case in doc["cases"].values())
+    assert list(doc["differing_predictions"]) == ["stream-fourier-10.json"]
+    assert all(doc["cases"][name]["identical"] for name in (
+        "gd-80", "lm-80", "lm-40", "lm-6", "prune-40", "predict-1024x6", "predict-1024x40",
+        "predict-1024x80", "stream-ann-80"))
 
 
 def test_margin_report_runs_at_tiny_budget():
