@@ -16,9 +16,9 @@ even-degree training half of a simulated archetype (180 patterns):
     prune-40 Levenberg-Marquardt, 1:40:1 with SVD prune and retrain,
              archetype 2, 600 iterations per fit
 
-`pipeline.predict_error` of a seeded 1:J:1 model on 1 024 angles (the
-`correct --stdin` block call, row chunks included) at J = 6, 40 and 80, each
-sample a run of calls, and each tree's
+`pipeline.predict_error` of a seeded 1:J:1 model on 1 024 angles (one
+batch call of several row chunks, a quarter of a 4 096-line `correct --stdin`
+block) at J = 6, 40 and 80, each sample a run of calls, and each tree's
 `cli.main(["correct", "--model", M, "--stdin"])` over the same 6 000 seeded
 16-bit codes, for a 1:80:1 net and a 10-term Fourier model (stream-ann-80,
 stream-fourier-10), each sample a few runs of the stream.  The seeded models

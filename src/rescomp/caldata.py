@@ -52,9 +52,9 @@ def wrap_deg(angle_deg):
         raise OutOfRange(f"angle {float(angle[~finite][0])!r} is not finite")
     # in place (each `correct` batch wraps twice), into an array even for a scalar
     wrapped = np.fmod(angle, 360.0, out=np.empty_like(angle))
-    wrapped[wrapped < 0.0] += 360.0
-    # fmod can return -eps, which rounds up to 360.0 after the += 360
-    wrapped[wrapped >= 360.0] -= 360.0
+    np.add(wrapped, 360.0, out=wrapped, where=wrapped < 0.0)
+    # fmod can return -eps, which rounds up to 360.0 after the add
+    np.subtract(wrapped, 360.0, out=wrapped, where=wrapped >= 360.0)
     return wrapped
 
 

@@ -20,14 +20,22 @@ import numpy as np
 from . import caldata, optim, pipeline, simgen
 from .errors import MalformedRow, OutOfRange, RescompError
 
-# Lines of `correct --stdin` read per block: one parse, one `pipeline.correct`
-# call and one `format_angles` call each.  Per-call dispatch dominates short
-# blocks: on a 1:80:1 net at one BLAS thread, 6 144 angles took 3.32 ms in
-# 128-row calls and 1.73 ms in 1 024-row calls.  `network.forward_batch` runs
+# Lines of `correct --stdin` read per block: one parse and one
+# `pipeline.correct` call each.  Every block pays a fixed cost whatever its
+# length (about 44 us in `pipeline.correct` and 14 us per `format_angles`
+# call, timed on one angle): on a 1:80:1 net at one BLAS thread, correcting
+# and printing 6 144 angles took 2.11 ms in 1 024-line blocks and 1.88 ms
+# in 4 096-line blocks (medians of 25 runs).  `network.forward_batch` runs
 # a block in row chunks through one hidden buffer of at most 125 KiB, the
-# Fourier series sums it term by term in 8 KiB arrays, and every array of a
-# block stays under glibc's 128 KiB mmap threshold.
-STDIN_BATCH_LINES = 1024
+# Fourier series sums it term by term in 64 KiB complex arrays, and every
+# array of a block stays under glibc's 128 KiB mmap threshold.  From a pipe
+# a block's answers wait for its last line or EOF.
+STDIN_BATCH_LINES = 4096
+# Values per `format_angles` call.  Its temporaries take about 44 B a value
+# (46 KB for 1 024 values, 181 KB for 4 096), so a slice stays under the mmap
+# threshold, and a value near a rounding tie sends only its own slice down
+# the `%` path.
+PRINT_SLICE_VALUES = 1024
 
 # `format_angles` prints v with `"%.6f"` from q = rint(v * 1e6) when v is in
 # [0, FAST_FORMAT_BOUND): there v * 1e6 < 2**30, so the product is within
@@ -204,9 +212,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _write_corrected(model, angles) -> None:
-    """Print the corrected angle of each of `angles`, one `"%.6f"` line each."""
+    """Print the corrected angle of each of `angles`, one `"%.6f"` line each,
+    `PRINT_SLICE_VALUES` values per `format_angles` call."""
     if len(angles):
-        sys.stdout.write(format_angles(pipeline.correct(model, angles)))
+        corrected = pipeline.correct(model, angles)
+        for lo in range(0, corrected.size, PRINT_SLICE_VALUES):
+            sys.stdout.write(format_angles(corrected[lo:lo + PRINT_SLICE_VALUES]))
 
 
 def _correct_lines(model, lines: list[str], first_lineno: int) -> None:

@@ -9,15 +9,18 @@ predictions to (0, 1), raw arc-minute errors are unreachable as targets;
 an affine map sends a configurable error range onto [0.1, 0.9] (margins
 keep targets away from sigmoid saturation), and the inverse map converts
 predictions back to arc-minutes.  Inputs use degrees / 360.  The hidden
-layer `_hidden` and the output layer (sums hidden @ w_out, then `_output`)
+layer `_hidden` and the output layer (sums hidden @ -w_out, then `_output`)
 feed the residual Jacobian, the gradient (which contracts J^T r block by
 block without building J) and the pruning activation matrix through
 `_activations`, and a trained net's forward pass through `forward_batch`,
 chunk by chunk.  They take the inputs as the (P, 2) design matrix [x, 1],
 so the hidden pre-activations x w_j + theta_j of all patterns are one matrix
-product with the (2, J) view [w_hidden; theta_hidden] of the parameter
-vector, and apply the sigmoid in place, in the arrays they allocate or in
-the buffers they are given.  A `Dataset` builds its design once.
+product with the (2, J) matrix [w_hidden; theta_hidden] of the parameter
+vector.  Both layers multiply by negated weights, which is exact, so they
+compute the negated pre-activations bit for bit, and the sigmoid runs on
+those in four in-place passes (clip, exp, add 1, divide), in the arrays
+they allocate or in the buffers they are given.  A `Dataset` builds its
+design once.
 
 Training never reads the maps: `init_params` draws a bare parameter vector
 (steep hidden sigmoids whose centres are spread over the input range, after
@@ -58,21 +61,23 @@ def sigmoid(z):
     overflow warning is raised, even for +-inf.  Works on a float64 copy of
     `z`, never on `z` itself; a scalar gives a scalar.
     """
-    return _sigmoid_in_place(np.array(z, dtype=float))[()]
+    neg = np.array(z, dtype=float)
+    return _sigmoid_in_place(np.negative(neg, out=neg))[()]
 
 
-def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
-    """`sigmoid` of the float64 array `z`, written over `z` and returned.
+def _sigmoid_in_place(neg: np.ndarray) -> np.ndarray:
+    """`sigmoid(z)` from the float64 array `neg` = -z, written over `neg`
+    and returned.
 
-    Five in-place passes: negate, clip to [-36, 709], exp, add 1, divide 1
-    by the result.  Negating before the clip gives the bits of
-    1 / (1 + exp(-clip(z, -709, 36))), +-0, +-inf and NaN included.
+    Four in-place passes: clip to [-36, 709], exp, add 1, divide 1 by the
+    result.  The kernels hand it negated pre-activations, products with
+    negated weights, which are exact, so no pass negates.  The bits are those
+    of 1 / (1 + exp(-clip(z, -709, 36))), +-0, +-inf and NaN included.
     """
-    np.negative(z, out=z)
-    np.clip(z, -36.0, 709.0, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    return np.divide(1.0, z, out=z)
+    np.clip(neg, -36.0, 709.0, out=neg)
+    np.exp(neg, out=neg)
+    neg += 1.0
+    return np.divide(1.0, neg, out=neg)
 
 
 @dataclass(frozen=True)
@@ -219,37 +224,39 @@ def _hidden(params: np.ndarray, design: np.ndarray, out: np.ndarray | None = Non
     """Hidden (P, J) activations of `params` for a (P, 2) design [x, 1],
     written into `out` (a C-contiguous (P, J) float64 array) when given.
 
-    The hidden pre-activations are one product, design @ [w_hidden;
-    theta_hidden], with a zero-copy (2, J) view of the parameters.  The
-    matrix-matrix kernel rounds x w_j and then adds theta_j: the bits of the
-    broadcast x * w_hidden + theta_hidden.  The x column must come first; a
-    kernel that fuses multiply and add would otherwise round x w_j + theta_j
-    once.  numpy hands a one-row or one-column product to a matrix-vector
-    kernel, which fuses even in this order, so those shapes keep the broadcast.
-    The sigmoid runs in place.
+    The negated hidden pre-activations are one product, design @ -[w_hidden;
+    theta_hidden], with the (2, J) negated copy of the parameters; negation
+    is exact, so they are the bits of -(x w_j + theta_j).  The matrix-matrix
+    kernel rounds x w_j and then adds theta_j: the bits of the broadcast
+    x * w_hidden + theta_hidden.  The x column must come first; a kernel
+    that fuses multiply and add would otherwise round x w_j + theta_j once.
+    numpy hands a one-row or one-column product to a matrix-vector kernel,
+    which fuses even in this order, so those shapes keep the broadcast.  The
+    sigmoid runs in place on the negated pre-activations.
     """
     j = _width(params)
-    w_theta = params[:2 * j].reshape(2, j)
+    neg_w_theta = np.negative(params[:2 * j]).reshape(2, j)
     if design.shape[0] > 1 and j > 1:
-        pre = np.matmul(design, w_theta, out=out)
+        neg_pre = np.matmul(design, neg_w_theta, out=out)
     else:
-        pre = np.multiply(design[:, :1], w_theta[0], out=out)
-        pre += w_theta[1]
-    return _sigmoid_in_place(pre)
+        neg_pre = np.multiply(design[:, :1], neg_w_theta[0], out=out)
+        neg_pre += neg_w_theta[1]
+    return _sigmoid_in_place(neg_pre)
 
 
-def _output(params: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Output activations g(sums + theta) of the (P, 1) sums hidden @ w_out, in place."""
-    sums += params[-1:]
-    return _sigmoid_in_place(sums)
+def _output(params: np.ndarray, neg_sums: np.ndarray) -> np.ndarray:
+    """Output activations g(sums + theta) of the negated (P, 1) sums
+    hidden @ -w_out, in place."""
+    neg_sums -= params[-1:]
+    return _sigmoid_in_place(neg_sums)
 
 
 def _activations(params: np.ndarray, design: np.ndarray) -> Activations:
     """Hidden (P, J) and output (P, 1) activations of `params` for a (P, 2)
-    design [x, 1]: `_hidden`, then the output sums and `_output`."""
+    design [x, 1]: `_hidden`, then the negated output sums and `_output`."""
     j = _width(params)
     hidden = _hidden(params, design)
-    return hidden, _output(params, hidden @ params[2 * j:3 * j, np.newaxis])
+    return hidden, _output(params, hidden @ np.negative(params[2 * j:3 * j, np.newaxis]))
 
 
 # Element bound of `forward_batch`'s one hidden buffer of `chunk_rows(J) + 1`
@@ -276,13 +283,13 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     """Outputs for a (P, 1) batch of normalized inputs; returns (P, 1) in (0, 1).
 
     Chunks of `chunk_rows(J)` rows share one design and one hidden buffer and
-    write their output sums in place; every value has the bits of
+    write their negated output sums in place; every value has the bits of
     `_activations` over the whole batch."""
     params, width = net.params, net.n_hidden
-    w_out = params[2 * width:3 * width, np.newaxis]
+    neg_w_out = np.negative(params[2 * width:3 * width, np.newaxis])
     design = _design(np.asarray(x, dtype=float))
     n, rows = design.shape[0], chunk_rows(width)
-    sums = np.empty((n, 1))
+    neg_sums = np.empty((n, 1))
     hidden = np.empty((min(n, rows + 1), width))
     # numpy computes a one-row product as a dot product, which rounds
     # differently from the matrix-vector kernel of a longer batch, so a
@@ -290,9 +297,9 @@ def forward_batch(net: Network, x: np.ndarray) -> np.ndarray:
     lo = 0
     for hi in [*range(rows, n - 1, rows), n]:
         chunk = _hidden(params, design[lo:hi], out=hidden[:hi - lo])
-        np.matmul(chunk, w_out, out=sums[lo:hi])
+        np.matmul(chunk, neg_w_out, out=neg_sums[lo:hi])
         lo = hi
-    return _output(params, sums)
+    return _output(params, neg_sums)
 
 
 def mse(params: np.ndarray, data: Dataset, activations: Activations | None = None) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rescomp.caldata import (
@@ -334,6 +334,14 @@ def reference_wrap_deg(angle):
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20)
        | st.just([-1e-30, -5e-324, -360.0, 720.0, -0.0, 359.99999999999994]))
+# fmod gives -0.0 for -0.0 and -360.0, which stay -0.0, and -eps for -5e-324,
+# which rounds to 360.0 and wraps to 0.0; 720.0 wraps to 0.0, and the largest
+# double below 360 stays where it is
+@example([-0.0])
+@example([-5e-324])
+@example([-360.0])
+@example([720.0])
+@example([359.99999999999994])
 def test_wrap_deg_matches_scalar_reference(angles):
     wrapped = wrap_deg(angles)
     reference = np.array([reference_wrap_deg(a) for a in angles])

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rescomp
-from rescomp import errors, fourier, network, pipeline
+from rescomp import cli, errors, fourier, network, pipeline
 from rescomp.caldata import load_calibration
 from rescomp.cli import (
+    PRINT_SLICE_VALUES,
     STDIN_BATCH_LINES,
     _experiment_config,
     _format_tables,
@@ -307,7 +308,7 @@ def test_stdin_crlf_and_padded_lines(stream_case, capsys, monkeypatch, pad):
     assert capsys.readouterr().out.splitlines() == [f"{c:.6f}" for c in scalar[:n]]
 
 
-BAD_LINE = 2 * STDIN_BATCH_LINES + 7  # 263 at 128-line blocks
+BAD_LINE = 2 * STDIN_BATCH_LINES + 7  # 8 199 at 4 096-line blocks
 
 
 @pytest.mark.parametrize("line, message", [
@@ -404,7 +405,7 @@ def test_format_angles_either_side_of_a_tie(k):
         assert format_angles(np.array([v])) == percent_lines([v])
 
 
-@pytest.mark.parametrize("n", [0, 1, STDIN_BATCH_LINES - 1, STDIN_BATCH_LINES])
+@pytest.mark.parametrize("n", [0, 1, PRINT_SLICE_VALUES - 1, PRINT_SLICE_VALUES])
 def test_format_angles_blocks(n):
     values = np.random.default_rng(n).uniform(0.0, 360.0, n)
     assert format_angles(values) == percent_lines(values.tolist())
@@ -416,7 +417,7 @@ def test_format_angles_every_16_bit_code():
 
 
 def test_format_angles_takes_the_table_path_for_a_block():
-    assert _rounded_micro(np.random.default_rng(0).uniform(0.0, 360.0, STDIN_BATCH_LINES)) \
+    assert _rounded_micro(np.random.default_rng(0).uniform(0.0, 360.0, PRINT_SLICE_VALUES)) \
         is not None
     assert _rounded_micro(np.array([10.0, 2.0 ** -7])) is None
 
@@ -430,6 +431,28 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def test_stdin_block_prints_each_slice_on_its_own_path(tmp_path, capsys, monkeypatch):
+    """One full block through a zero model prints its angles unchanged, in
+    `PRINT_SLICE_VALUES`-value slices: a value within 2**-20 of a `%.6f` tie
+    sends the third slice down the `%` path, and the others take the tables."""
+    path = tmp_path / "zero.json"
+    save_model(path, CompensationModel("zero", FourierModel(0.0, ())))
+    values = np.random.default_rng(3).uniform(0.0, 360.0, STDIN_BATCH_LINES)
+    values[2 * PRINT_SLICE_VALUES + 17] = near_ties(123_456_789)[0]
+    slices = values.reshape(-1, PRINT_SLICE_VALUES)
+    assert [_rounded_micro(part) is None for part in slices] == [False, False, True, False]
+    sizes = []
+
+    def counted(block):
+        sizes.append(block.size)
+        return format_angles(block)
+
+    monkeypatch.setattr(cli, "format_angles", counted)
+    assert stream(path, monkeypatch, values.tolist()) == 0
+    assert capsys.readouterr().out == percent_lines(values.tolist())
+    assert sizes == [PRINT_SLICE_VALUES] * (STDIN_BATCH_LINES // PRINT_SLICE_VALUES)
+
+
 def test_format_tables_build_under_mmap_threshold():
     """No temporary of the build may reach glibc's 128 KiB mmap threshold:
     freeing one raises the threshold for the rest of the process."""
@@ -437,7 +460,8 @@ def test_format_tables_build_under_mmap_threshold():
 
 
 def test_format_angles_block_peak_memory():
-    values = np.random.default_rng(1).uniform(0.0, 360.0, STDIN_BATCH_LINES)
+    # the values of one `format_angles` call of a stream block
+    values = np.random.default_rng(1).uniform(0.0, 360.0, PRINT_SLICE_VALUES)
     assert traced_peak(format_angles, values) < 64 * 1024
 
 
