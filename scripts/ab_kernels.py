@@ -142,8 +142,8 @@ def write_model(path: Path, kind: str, payload: dict) -> Path:
 
 
 def ann_payload(params: np.ndarray) -> dict:
-    """The model-file payload of the 1:J:1 net of `params`, with the input map
-    every fit writes and the target map of the default bounds."""
+    """The model-file payload of the 1:J:1 net of `params`, with the input and
+    target maps every fit writes."""
     j = (len(params) - 1) // 3
     payload = {"shape": {"n_inputs": 1, "n_hidden": j, "n_outputs": 1},
                "input_norm": {"lo": 0.0, "hi": 360.0, "out_lo": 0.0, "out_hi": 1.0},

@@ -67,7 +67,7 @@ def readonly(values, order: str = "K") -> np.ndarray:
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Calibration columns for one encoder at one epoch.
+    """Calibration columns for one encoder.
 
     `table_deg[i]` is a reference table angle and `encoder_deg[i]` the angle
     the encoder reported there; both are read-only float64 columns with

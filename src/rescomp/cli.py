@@ -119,10 +119,8 @@ def _experiment_config(args) -> pipeline.ExperimentConfig:
         optimizer=args.optimizer,
         top_orders=args.top,
         prune=args.prune,
-        norm_bounds=(args.norm_lo, args.norm_hi),
         training=optim.TrainingConfig(
             max_iterations=args.max_iterations,
-            learning_rate=args.learning_rate,
             stall_window=args.stall_window,
             seed=args.seed,
         ),
@@ -136,12 +134,7 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
                    help="hidden-layer width (default %(default)s)")
     p.add_argument("--seed", type=int, default=t.seed, help="init seed (default %(default)s)")
     p.add_argument("--max-iterations", type=int, default=t.max_iterations)
-    p.add_argument("--learning-rate", type=float, default=t.learning_rate)
     p.add_argument("--stall-window", type=int, default=t.stall_window)
-    p.add_argument("--norm-lo", type=float, default=d.norm_bounds[0],
-                   help="lower error bound mapped to 0.1 (arc-min)")
-    p.add_argument("--norm-hi", type=float, default=d.norm_bounds[1],
-                   help="upper error bound mapped to 0.9 (arc-min)")
 
 
 def _cmd_simulate(args) -> int:
@@ -341,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--angle", type=float, help="one encoder angle in degrees")
     g.add_argument("--stdin", action="store_true",
-                   help="read angles line by line, write corrected angles")
+                   help="read one angle per line, write corrected angles: from a "
+                        f"pipe or file in {STDIN_BATCH_LINES}-line blocks, each answered "
+                        "at its last line or EOF; from a terminal line by line")
     p.set_defaults(func=_cmd_correct)
 
     p = sub.add_parser("run-experiment", help="full pipeline incl. evaluation bundle")

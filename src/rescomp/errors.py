@@ -63,7 +63,8 @@ class DegenerateBounds(RescompError):
 
 
 class TargetOutOfRange(RescompError):
-    """A profile error lies beyond what the target normalization maps into [0, 1]."""
+    """A profile error lies past +-7.5 arc-min, which the fixed target map of
+    the +-6 arc-min tolerance band onto [0.1, 0.9] sends outside [0, 1]."""
 
 
 class EmptyDataset(RescompError):
@@ -100,7 +101,8 @@ class SingularNormalEquations(RescompError):
 # --- fourier ---
 
 class BadOrders(RescompError, ValueError):
-    """Fourier orders are negative, or a model's term orders repeat or are below 1."""
+    """Fourier orders are negative or above 2**20, or a model's term orders
+    repeat or lie outside [1, 2**20]."""
 
 
 class NonUniformGrid(RescompError):

@@ -6,8 +6,8 @@ The net maps one normalized encoder angle x to one normalized error value:
 
 with g the logistic sigmoid.  Because g at the output layer confines
 predictions to (0, 1), raw arc-minute errors are unreachable as targets;
-an affine map sends a configurable error range onto [0.1, 0.9] (margins
-keep targets away from sigmoid saturation), and the inverse map converts
+`TARGET_NORM` sends the encoder's +-6 arc-min tolerance band onto [0.1, 0.9]
+(margins keep targets away from sigmoid saturation), and its inverse converts
 predictions back to arc-minutes.  Inputs use degrees / 360.  The hidden
 layer `_hidden` and the output layer (sums hidden @ -w_out, then `_output`)
 feed the residual Jacobian, the gradient (which contracts J^T r block by
@@ -26,7 +26,7 @@ Training never reads the maps: `init_params` draws a bare parameter vector
 (steep hidden sigmoids whose centres are spread over the input range, after
 Nguyen & Widrow) and `mse`, `residual_jacobian` and `gradient` take one (J
 follows from its length 3J + 1), so trainers and pruning carry vectors, and
-`pipeline.fit_network` pairs the trained vector with its target map.  The
+`pipeline.fit_network` wraps the trained vector in a `Network`.  The
 kernels also take the `(hidden, out)` activations already computed, so a
 trainer runs each candidate's forward pass once.
 
@@ -113,21 +113,21 @@ class AffineMap:
 
 
 INPUT_NORM = AffineMap(0.0, 360.0, 0.0, 1.0)
-TARGET_OUT_RANGE = (0.1, 0.9)
-DEFAULT_TARGET_BOUNDS_ARCMIN = (-6.0, 6.0)  # manufacturer tolerance band
+# the manufacturer's +-6 arc-min tolerance band, onto [0.1, 0.9]
+TARGET_NORM = AffineMap(-6.0, 6.0, 0.1, 0.9)
 
 
 @dataclass(frozen=True)
 class Network:
-    """A 1:J:1 sigmoid net: its parameters and target map.
+    """A 1:J:1 sigmoid net: its parameters.
 
     `params` holds the 3J + 1 parameters in canonical order: hidden
     weights, hidden thresholds, output weights, output threshold.  The
-    width J follows from the length.  Inputs always go through `INPUT_NORM`.
+    width J follows from the length.  Inputs always go through `INPUT_NORM`,
+    outputs through the inverse of `TARGET_NORM`.
     """
 
     params: np.ndarray
-    target_norm: AffineMap
 
     def __post_init__(self) -> None:
         params = readonly(self.params)
@@ -358,20 +358,20 @@ def gradient(
     return (2.0 / x.size) * np.concatenate(blocks)
 
 
-def dataset_from_profile(profile: ErrorProfile, target_norm: AffineMap) -> Dataset:
+def dataset_from_profile(profile: ErrorProfile) -> Dataset:
     """Build a normalized Dataset from an error profile: angles through
-    `INPUT_NORM`, errors through `target_norm`.
+    `INPUT_NORM`, errors through `TARGET_NORM`.
 
-    TargetOutOfRange names the first error that the target map sends outside
+    TargetOutOfRange names the first error that `TARGET_NORM` sends outside
     [0, 1], which the output sigmoid cannot reach."""
     angles, errors = profile.angles_deg(), profile.errors_arcmin()
-    targets = target_norm.normalize(errors)
+    targets = TARGET_NORM.normalize(errors)
     outside = np.flatnonzero(~((targets >= 0.0) & (targets <= 1.0)))
     if outside.size:
         i = outside[0]
         raise TargetOutOfRange(
             f"error {float(errors[i])!r}' at {float(angles[i])!r} deg maps outside [0, 1] "
-            f"with normalization bounds [{target_norm.lo!r}, {target_norm.hi!r}]'"
+            f"with normalization bounds [{TARGET_NORM.lo!r}, {TARGET_NORM.hi!r}]'"
         )
     return Dataset(
         inputs=INPUT_NORM.normalize(angles)[:, np.newaxis],

@@ -14,8 +14,7 @@ non-increasing.
 
 Trainers take and return bare parameter vectors: `(params, data, cfg) ->
 (params, history)`.  The loop's state is the vector, its MSE and its
-activations, and the normalization maps never enter it; the caller that
-built `data` pairs the returned vector with its maps.  Each candidate
+activations, and the normalization maps never enter it.  Each candidate
 vector is checked to be finite once, and its forward pass runs once: the
 activations that score it are carried, once it is accepted, into the next
 iteration's gradient or Jacobian.  Training is deterministic: identical
@@ -25,7 +24,6 @@ inputs give bit-identical histories.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +48,13 @@ _LAMBDA_MIN = 1e-15
 _MAX_ESCALATIONS = 30
 # The relative MSE cut below which a `stall_window` of iterations stops training.
 _STALL_TOL = 0.1
+# Gradient descent's step: param <- param - _LEARNING_RATE * grad(MSE).
+_LEARNING_RATE = 0.5
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
     max_iterations: int = 10000
-    learning_rate: float = 0.5        # gradient descent only
     # stop once `stall_window` iterations cut the MSE by less than `_STALL_TOL`
     # (relative); a window at or above max_iterations never fires
     stall_window: int = 200
@@ -64,10 +63,6 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise BadConfig("max_iterations must be >= 1")
-        if not math.isfinite(self.learning_rate):
-            raise BadConfig("learning_rate must be finite")
-        if self.learning_rate <= 0:
-            raise BadConfig("learning_rate must be > 0")
         if self.stall_window < 1:
             raise BadConfig("stall_window must be >= 1")
         if self.seed < 0:
@@ -141,14 +136,14 @@ def _train(
 def train_backprop(
     params: np.ndarray, data: Dataset, cfg: TrainingConfig
 ) -> tuple[np.ndarray, TrainingHistory]:
-    """Full-batch gradient descent: param <- param - lr * grad(MSE).
+    """Full-batch gradient descent: param <- param - `_LEARNING_RATE` * grad(MSE).
 
     Returns the best-MSE vector seen.  Raises DivergenceDetected if the
     MSE or any parameter becomes non-finite.
     """
 
     def step(params: np.ndarray, _current_mse: float, activations: Activations):
-        params = params - cfg.learning_rate * gradient(params, data, activations)
+        params = params - _LEARNING_RATE * gradient(params, data, activations)
         if not np.all(np.isfinite(params)):
             raise DivergenceDetected("parameters became non-finite")
         m, activations = _scored(params, data)

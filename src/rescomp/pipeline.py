@@ -54,10 +54,9 @@ from .fourier import (
     select_top,
 )
 from .network import (
-    AffineMap,
-    DEFAULT_TARGET_BOUNDS_ARCMIN,
     INPUT_NORM,
-    TARGET_OUT_RANGE,
+    TARGET_NORM,
+    AffineMap,
     Network,
     dataset_from_profile,
     forward_batch,
@@ -124,7 +123,7 @@ def save_model(path, model: CompensationModel) -> None:
         net, j = model.payload, model.payload.n_hidden
         doc["shape"] = {"n_inputs": 1, "n_hidden": j, "n_outputs": 1}
         doc["input_norm"] = asdict(INPUT_NORM)
-        doc["target_norm"] = asdict(net.target_norm)
+        doc["target_norm"] = asdict(TARGET_NORM)
         # the parameter blocks, in canonical order, under the last four payload keys
         blocks = np.split(net.params, [j, 2 * j, 3 * j])
         doc.update((key, b.tolist()) for key, b in zip(_PAYLOAD_KEYS[KIND_ANN][3:], blocks))
@@ -178,18 +177,10 @@ def load_model(path) -> CompensationModel:
         if not (all(math.isfinite(abs(a) + abs(b)) for a, b in zip(w, theta))
                 and math.isfinite(sum(map(abs, v)) + abs(theta_out[0]))):
             raise CorruptFile(f"ann model {encoder_id!r}: the forward pass can overflow")
-        if _affine_from_doc(doc.get("input_norm")) != INPUT_NORM:
-            raise CorruptFile(f"ann model {encoder_id!r}: input_norm must be {INPUT_NORM}")
-        target_norm = _affine_from_doc(doc.get("target_norm"))
-        if (target_norm.out_lo, target_norm.out_hi) != TARGET_OUT_RANGE:
-            raise CorruptFile(f"ann model {encoder_id!r}: target_norm must map onto "
-                              f"{TARGET_OUT_RANGE}")
-        # the net's outputs lie in (0, 1), so a map finite at both ends is finite inside
-        with np.errstate(over="ignore"):
-            ends = target_norm.denormalize([0.0, 1.0])
-        if not np.all(np.isfinite(ends)):
-            raise CorruptFile(f"ann model {encoder_id!r}: target_norm maps past the float range")
-        return CompensationModel(encoder_id, Network(w + theta + v + theta_out, target_norm))
+        for key, norm in (("input_norm", INPUT_NORM), ("target_norm", TARGET_NORM)):
+            if _affine_from_doc(doc.get(key)) != norm:
+                raise CorruptFile(f"ann model {encoder_id!r}: {key} must be {norm}")
+        return CompensationModel(encoder_id, Network(w + theta + v + theta_out))
 
     terms = doc.get("terms")
     if not isinstance(terms, list):
@@ -224,7 +215,7 @@ def predict_error(model: CompensationModel, theta_enc_deg) -> float | np.ndarray
     payload = model.payload
     if model.kind == KIND_ANN:
         out = forward_batch(payload, INPUT_NORM.normalize(wrapped)[:, np.newaxis])
-        pred = payload.target_norm.denormalize(out[:, 0])
+        pred = TARGET_NORM.denormalize(out[:, 0])
     else:
         pred = eval_fourier(payload, wrapped)
     return float(pred[0]) if theta.ndim == 0 else pred
@@ -278,7 +269,6 @@ class ExperimentConfig:
     optimizer: str = "lm"            # "lm" | "backprop"
     top_orders: int = 10
     prune: bool = False
-    norm_bounds: tuple[float, float] = DEFAULT_TARGET_BOUNDS_ARCMIN
     training: TrainingConfig = TrainingConfig()
 
     def __post_init__(self) -> None:
@@ -324,16 +314,14 @@ def fit_network(
     """Train the 1:J:1 net on an error profile as `cfg` says and, with
     `cfg.prune`, prune the trained net and retrain it at the pruned width.
     Returns the net, the history of its training and the prune report (None
-    without pruning).  The one place a fit's target map is decided, from
-    `cfg.norm_bounds`, and the one place the wide net is drawn."""
-    target_norm = AffineMap(*cfg.norm_bounds, *TARGET_OUT_RANGE)
-    data = dataset_from_profile(profile, target_norm)
+    without pruning).  The one place the wide net is drawn."""
+    data = dataset_from_profile(profile)
     train_fn = trainer(cfg.optimizer)
     params, history = train_fn(init_params(cfg.hidden, cfg.training.seed), data, cfg.training)
     report = None
     if cfg.prune:
         params, history, report = prune_and_retrain(params, data, cfg.training, train_fn=train_fn)
-    return Network(params, target_norm), history, report
+    return Network(params), history, report
 
 
 def fit_fourier_baseline(

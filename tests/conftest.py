@@ -28,14 +28,7 @@ import numpy as np
 import pytest
 
 from rescomp.caldata import error_profile, partition_even_odd
-from rescomp.network import (
-    DEFAULT_TARGET_BOUNDS_ARCMIN,
-    TARGET_OUT_RANGE,
-    AffineMap,
-    Network,
-    dataset_from_profile,
-    init_params,
-)
+from rescomp.network import Network, dataset_from_profile, init_params
 from rescomp.optim import TrainingConfig, train_backprop, train_lm
 from rescomp.pipeline import CompensationModel, predict_error
 from rescomp.prune import prune_and_retrain
@@ -47,18 +40,14 @@ from rescomp.simgen import archetype_spec, synthesize
 TRAINING_SECONDS: dict[str, float] = {}
 
 
-# the target map a fit builds from the default normalization bounds
-DEFAULT_TARGET_NORM = AffineMap(*DEFAULT_TARGET_BOUNDS_ARCMIN, *TARGET_OUT_RANGE)
-
-
 @pytest.fixture(scope="session")
 def training_seconds():
     return TRAINING_SECONDS
 
 
-def make_net(params, target_norm=DEFAULT_TARGET_NORM):
-    """The Network of a parameter vector with `target_norm`."""
-    return Network(np.asarray(params, dtype=float), target_norm)
+def make_net(params):
+    """The Network of a parameter vector."""
+    return Network(np.asarray(params, dtype=float))
 
 
 def heldout_residuals(net, profile):
@@ -77,7 +66,7 @@ def arch1_data():
     test_prof = error_profile(test_set)
     params0 = init_params(80, seed=42)
     params0.setflags(write=False)  # shared by every test of the session
-    dataset = dataset_from_profile(train_prof, DEFAULT_TARGET_NORM)
+    dataset = dataset_from_profile(train_prof)
     return {
         "cal": cal,
         "train_set": train_set,

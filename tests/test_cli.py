@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rescomp
-from rescomp import cli, errors, fourier, network, pipeline
+from rescomp import cli, errors, fourier, network, optim, pipeline
 from rescomp.caldata import load_calibration
 from rescomp.cli import (
     PRINT_SLICE_VALUES,
@@ -29,9 +29,9 @@ from rescomp.cli import (
     main,
 )
 from rescomp.fourier import FourierModel, FourierTerm
-from rescomp.network import AffineMap, init_params
+from rescomp.network import init_params
 from rescomp.pipeline import CompensationModel, correct, load_model, save_model
-from rescomp.simgen import LSB_DEG, archetype_spec, spec_to_json
+from rescomp.simgen import LSB_DEG, HarmonicSpec, HarmonicTerm, archetype_spec, spec_to_json
 from tests.conftest import make_net
 
 
@@ -554,12 +554,15 @@ def test_readme_commands_parse(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["train", "prune"])
-def test_overflowing_gradient_step_fails_with_error_name(tmp_path, train_csv, capsys, command):
+def test_overflowing_gradient_step_fails_with_error_name(
+    tmp_path, train_csv, capsys, monkeypatch, command
+):
     """A learning rate whose step overflows float64 ends in the named error,
     with no numpy warning before it."""
+    monkeypatch.setattr(optim, "_LEARNING_RATE", 1e300)
     out = tmp_path / "m.json"
     args = [command, "--data", str(train_csv), "--out", str(out), "--optimizer", "backprop",
-            "--hidden", "8", "--max-iterations", "5", "--learning-rate", "1e300"]
+            "--hidden", "8", "--max-iterations", "5"]
     assert main(args) == 1
     assert capsys.readouterr().err == "DivergenceDetected: parameters became non-finite\n"
     assert not out.exists()
@@ -724,40 +727,33 @@ def test_too_few_samples_fails_with_error_name(tmp_path, spec_file, capsys, case
 
 
 @pytest.mark.parametrize("command", ["train", "run-experiment"])
-def test_errors_beyond_normalization_bounds_fail_with_error_name(
-    tmp_path, spec_file, train_csv, capsys, command
-):
-    # archetype 1 errors reach about +3.9', beyond what [-1', 1'] maps into [0, 1]
-    out = tmp_path / "out"
-    args = {"train": ["train", "--data", str(train_csv), "--out", str(out)],
-            "run-experiment": ["run-experiment", "--spec", str(spec_file),
+def test_errors_beyond_normalization_bounds_fail_with_error_name(tmp_path, capsys, command):
+    # an 8' term, past the 7.5' that the +-6' band maps onto 0 and 1
+    spec, csv, out = tmp_path / "spec.json", tmp_path / "wide.csv", tmp_path / "out"
+    spec_to_json(HarmonicSpec(terms=(HarmonicTerm(1, 8.0, 0.0),)), spec)
+    assert main(["simulate", "--spec", str(spec), "--step", "2", "--out", str(csv)]) == 0
+    args = {"train": ["train", "--data", str(csv), "--out", str(out)],
+            "run-experiment": ["run-experiment", "--spec", str(spec),
                                "--outdir", str(out)]}[command]
-    assert main([*args, "--norm-lo", "-1", "--norm-hi", "1", "--hidden", "4"]) == 1
+    assert main([*args, "--hidden", "4"]) == 1
     assert re.fullmatch(r"TargetOutOfRange: error \S+' at \S+ deg maps outside \[0, 1\] "
-                        r"with normalization bounds \[-1\.0, 1\.0\]'\n",
+                        r"with normalization bounds \[-6\.0, 6\.0\]'\n",
                         capsys.readouterr().err)
     assert not out.exists()
 
 
-def test_overflowing_statistics_fail_with_error_name(tmp_path, spec_file, train_csv, capsys):
-    """Bounds of +-1e200' give residuals whose squares overflow: no RMS of inf
-    is printed or written, and no warning either."""
-    out = tmp_path / "out"
-    args = ["run-experiment", "--spec", str(spec_file), "--outdir", str(out), "--hidden", "4",
-            "--max-iterations", "3", "--optimizer", "backprop",
-            "--norm-lo=-1e200", "--norm-hi=1e200"]
+def test_overflowing_statistics_fail_with_error_name(tmp_path, train_csv, capsys):
+    """A series offset of 1e200' gives residuals whose squares overflow: no
+    RMS of inf is printed or written, and no warning either."""
     model, report = tmp_path / "wide.json", tmp_path / "report.json"
-    save_model(model, CompensationModel("wide", make_net(init_params(4, seed=1),
-                                                         AffineMap(-1e200, 1e200, 0.1, 0.9))))
+    save_model(model, CompensationModel("wide", FourierModel(1e200, (FourierTerm(1, 0.5, -0.5),))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(args) == 1
-        assert re.fullmatch(r"NonFiniteStats: MAE \S+' or RMS inf' of 180 errors is not finite\n",
-                            capsys.readouterr().err)
         assert main(["evaluate", "--model", str(model), "--data", str(train_csv),
                      "--report", str(report)]) == 1
-        assert capsys.readouterr().err.startswith("NonFiniteStats: ")
-    assert not out.exists() and not report.exists()
+        assert re.fullmatch(r"NonFiniteStats: MAE \S+' or RMS inf' of 180 errors is not finite\n",
+                            capsys.readouterr().err)
+    assert not report.exists()
 
 
 # a command-line byte that is not UTF-8 decodes to a lone surrogate
@@ -812,9 +808,7 @@ TRAINING_FLAGS = st.tuples(
     mostly(st.integers(1, 8), st.integers(-1, 0)), mostly(st.integers(1, 5), st.integers(-1, 0)),
     optional_flags(
         seed=mostly(st.integers(0, 2 ** 64), st.just(-1)),
-        learning_rate=mostly(st.floats(1e-3, 10.0)),
         stall_window=mostly(st.integers(1, 10), st.integers(-1, 0)),
-        norm_lo=mostly(st.floats(-100.0, -4.0)), norm_hi=mostly(st.floats(4.0, 100.0)),
         encoder_id=ARGV_TEXT,
     ),
 ).map(lambda a: [f"--hidden={a[0]}", f"--max-iterations={a[1]}", *a[2]])

@@ -21,6 +21,7 @@ from rescomp.errors import (
 from rescomp.network import (
     INIT_SLOPE,
     INPUT_NORM,
+    TARGET_NORM,
     AffineMap,
     Dataset,
     _activations,
@@ -33,7 +34,7 @@ from rescomp.network import (
     residual_jacobian,
     sigmoid,
 )
-from tests.conftest import DEFAULT_TARGET_NORM, make_net
+from tests.conftest import make_net
 
 
 def fd_gradient(net, data, h=1e-5):
@@ -103,7 +104,7 @@ def test_degenerate_bounds():
 # --- normalization ---
 
 def test_target_norm_endpoints():
-    m = AffineMap(-6.0, 6.0, 0.1, 0.9)
+    m = TARGET_NORM
     assert m.normalize(-6.0) == pytest.approx(0.1, abs=1e-15)
     assert m.normalize(6.0) == pytest.approx(0.9, abs=1e-15)
     assert m.normalize(0.0) == pytest.approx(0.5, abs=1e-15)
@@ -116,7 +117,7 @@ def test_input_norm_endpoints():
 
 
 def test_norm_roundtrip_tight():
-    m = AffineMap(-6.0, 6.0, 0.1, 0.9)
+    m = TARGET_NORM
     rng = np.random.default_rng(3)
     values = rng.uniform(-6, 6, 1000)
     assert np.max(np.abs(m.denormalize(m.normalize(values)) - values)) < 1e-12
@@ -436,7 +437,7 @@ def test_jacobian_buffer_matches_concatenated_blocks(hidden):
 
 def test_dataset_from_profile():
     profile = ErrorProfile(((0.0, -6.0), (180.0, 0.0), (359.0, 6.0)))
-    data = dataset_from_profile(profile, DEFAULT_TARGET_NORM)
+    data = dataset_from_profile(profile)
     assert_allclose(data.inputs[:, 0], [0.0, 0.5, 359.0 / 360.0])
     assert_allclose(data.targets[:, 0], [0.1, 0.5, 0.9], atol=1e-15)
 
@@ -450,12 +451,12 @@ def test_dataset_from_profile_accepts_what_dataset_accepts(errors):
     targets would reject them ([-6', 6'] maps onto [0.1, 0.9], so [0, 1] is
     [-7.5', 7.5'] up to rounding)."""
     profile = ErrorProfile(tuple((float(i), e) for i, e in enumerate(errors)))
-    targets = DEFAULT_TARGET_NORM.normalize(errors)[:, np.newaxis]
+    targets = TARGET_NORM.normalize(errors)[:, np.newaxis]
     try:
         Dataset(inputs=np.zeros_like(targets), targets=targets)
     except PatternOutOfRange:
         with pytest.raises(TargetOutOfRange, match=r"maps outside \[0, 1\] with "
                                                    r"normalization bounds \[-6\.0, 6\.0\]'$"):
-            dataset_from_profile(profile, DEFAULT_TARGET_NORM)
+            dataset_from_profile(profile)
     else:
-        dataset_from_profile(profile, DEFAULT_TARGET_NORM)
+        dataset_from_profile(profile)

@@ -26,7 +26,7 @@ from rescomp.fourier import MAX_ORDER, FourierModel, FourierTerm
 from rescomp.network import (
     CHUNK_ELEMENTS,
     INPUT_NORM,
-    AffineMap,
+    TARGET_NORM,
     Network,
     _activations,
     _design,
@@ -79,7 +79,6 @@ def test_ann_roundtrip_bit_exact(tmp_path):
     assert loaded.encoder_id == "enc-1"
     again = loaded.payload
     assert np.array_equal(again.params, net.params)  # all 241 params
-    assert again.target_norm == net.target_norm
 
 
 def test_fourier_roundtrip_bit_exact(tmp_path):
@@ -393,27 +392,22 @@ def write_ann_with_map(tmp_path, key, bounds):
 
 
 @pytest.mark.parametrize("key, bounds", [
-    # finite spans and scale factors and the out range a fit writes, but the
-    # net's output 0 lands past the float range: -1.7e308 - 1.7e308 / 8
+    # finite spans and scale factors and the out range of `TARGET_NORM`, but
+    # the net's output 0 would land past the float range: -1.7e308 - 1.7e308 / 8
     ("target_norm", (-1.7e308, -3e307, 0.1, 0.9)),
-    # finite, but not the one input map every fit uses
+    # finite, but not the one map every fit uses
     ("input_norm", (0.0, 360.0, 0.0, 0.5)),
+    ("target_norm", (-6.0, 6.0, 0.2, 0.8)),
+    ("target_norm", (-8.0, 8.0, 0.1, 0.9)),
 ])
 def test_norm_map_past_float_range_rejected(tmp_path, key, bounds):
     path = write_ann_with_map(tmp_path, key, bounds)
-    message = ("target_norm maps past the float range" if key == "target_norm"
-               else re.escape(f"input_norm must be {INPUT_NORM}"))
+    norm = INPUT_NORM if key == "input_norm" else TARGET_NORM
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-        with pytest.raises(CorruptFile, match=rf"^ann model 'enc': {message}$"):
+        with pytest.raises(CorruptFile,
+                           match=rf"^ann model 'enc': {re.escape(f'{key} must be {norm}')}$"):
             load_model(path)
-
-
-def test_target_out_range_other_than_a_fit_writes_rejected(tmp_path):
-    path = write_ann_with_map(tmp_path, "target_norm", (-6.0, 6.0, 0.2, 0.8))
-    with pytest.raises(CorruptFile,
-                       match=r"^ann model 'enc': target_norm must map onto \(0\.1, 0\.9\)$"):
-        load_model(path)
 
 
 def overflow_edge_net(hidden_weight, hidden_threshold, output_weight, output_threshold):
@@ -704,7 +698,7 @@ def test_predict_error_ann_chunks_bit_identical_to_one_call(hidden):
         if n % rows == 1 and hidden in ONE_ROW_REMAINDER_ANGLES:
             angles[-1] = ONE_ROW_REMAINDER_ANGLES[hidden]
         x = INPUT_NORM.normalize(angles)[:, np.newaxis]
-        whole = net.target_norm.denormalize(_activations(net.params, _design(x))[1][:, 0])
+        whole = TARGET_NORM.denormalize(_activations(net.params, _design(x))[1][:, 0])
         assert predict_error(model, angles).tobytes() == whole.tobytes()
 
 
@@ -819,26 +813,23 @@ def test_fourier_baseline_fits_every_top_up_to_the_limit(n):
         fit_fourier_baseline(profile, limit + 1)
 
 
-def wide_error_profile():
-    """Errors of up to 9' on the 180-point even-degree grid: past the 7.5'
-    that the default [-6', 6'] bounds map onto 0 and 1."""
+def cosine_error_profile(amplitude):
+    """Errors `amplitude` * cos(angle) arc-min on the 180-point even-degree grid."""
     angles = np.arange(0.0, 360.0, 2.0)
-    return ErrorProfile(np.stack((angles, 9.0 * np.cos(np.radians(angles))), axis=1))
+    return ErrorProfile(np.stack((angles, amplitude * np.cos(np.radians(angles))), axis=1))
 
 
 @pytest.mark.parametrize("hidden, prune", [(6, False), (6, True), (1, False), (2, False)],
                          ids=["plain", "prune", "plain-1", "plain-2"])
-def test_fit_network_with_non_default_bounds(hidden, prune):
-    """The bounds reach the dataset the trainers see and the returned net's
-    target map, with and without pruning, down to the tiny widths 1 and 2."""
-    profile = wide_error_profile()
+def test_fit_network_matches_train_and_prune(hidden, prune):
+    """`fit_network` trains on the `TARGET_NORM` dataset and prunes as its
+    parts do, with and without pruning, down to the tiny widths 1 and 2; a
+    profile past the 7.5' that the band maps onto 0 and 1 stops it."""
+    profile = cosine_error_profile(5.0)
     training = TrainingConfig(max_iterations=20, seed=3)
-    cfg = ExperimentConfig(hidden=hidden, prune=prune, norm_bounds=(-8.0, 8.0),
-                           training=training)
+    cfg = ExperimentConfig(hidden=hidden, prune=prune, training=training)
     net, history, report = fit_network(profile, cfg)
-    target_norm = AffineMap(-8.0, 8.0, 0.1, 0.9)
-    assert net.target_norm == target_norm
-    data = dataset_from_profile(profile, target_norm)
+    data = dataset_from_profile(profile)
     params, expected_history = train_lm(init_params(hidden, seed=3), data, training)
     expected_report = None
     if prune:
@@ -848,10 +839,10 @@ def test_fit_network_with_non_default_bounds(hidden, prune):
     assert np.array_equal(net.params, params)
     outputs = _activations(params, data.design)[1][:, 0]
     predicted = predict_error(CompensationModel("wide", net), profile.angles_deg())
-    assert np.array_equal(predicted, target_norm.denormalize(outputs))
+    assert np.array_equal(predicted, TARGET_NORM.denormalize(outputs))
     assert np.all(np.isfinite(history.mse_per_iteration))
     with pytest.raises(TargetOutOfRange):
-        fit_network(profile, ExperimentConfig(hidden=hidden, prune=prune, training=training))
+        fit_network(cosine_error_profile(9.0), cfg)
 
 
 @pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
@@ -859,9 +850,9 @@ def test_fit_network_builds_one_network(monkeypatch, prune):
     built = []
     validate = Network.__post_init__
     monkeypatch.setattr(Network, "__post_init__", lambda net: built.append(validate(net)))
-    cfg = ExperimentConfig(hidden=4, prune=prune, norm_bounds=(-8.0, 8.0),
+    cfg = ExperimentConfig(hidden=4, prune=prune,
                            training=TrainingConfig(max_iterations=5, seed=1))
-    fit_network(wide_error_profile(), cfg)
+    fit_network(cosine_error_profile(5.0), cfg)
     assert len(built) == 1
 
 
@@ -879,8 +870,7 @@ def test_run_experiment_writes_bundle(tmp_path):
     assert report["n_train"] == 180 and report["n_test"] == 180
     assert report["ann"]["iterations_run"] == result.history.iterations_run
     # the stop window that ended training, as well as its budget
-    assert {k: report["config"][k] for k in ("learning_rate", "stall_window")} \
-        == {"learning_rate": 0.5, "stall_window": 20}
+    assert report["config"]["stall_window"] == 20
     # every setting of both configs, in declared order, `training` replaced by its fields
     names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "training"]
     assert list(report["config"]) == names + [f.name for f in dataclasses.fields(TrainingConfig)]
