@@ -43,7 +43,10 @@ that share them and read version-1 model files: `simgen.synthesize`,
 `error_profile`, `optim.TrainingConfig`, `pipeline.ExperimentConfig`,
 `fit_network` (its net's `params` and its prune report's `pruned_hidden`,
 `spectrum_initial`, `spectrum_pruned`, `mse_initial` and `mse_pruned`),
-`load_model` and `predict_error`, and `cli.main`.
+`load_model` and `predict_error`, and `cli.main`.  It reaches the settings
+and the fit through `optim` and `pipeline`, not through `config` and
+`experiment`, where they are defined now, so that it also loads trees from
+before those modules existed; `pipeline` forwards the names.
 
 Usage:
     python scripts/ab_kernels.py --base OLD/src --change NEW/src --out ab.json

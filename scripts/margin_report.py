@@ -41,14 +41,9 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 import numpy as np  # noqa: E402
 
 from rescomp.caldata import ARCMIN_PER_DEG, error_profile, partition_even_odd  # noqa: E402
-from rescomp.optim import TrainingConfig  # noqa: E402
-from rescomp.pipeline import (  # noqa: E402
-    CompensationModel,
-    ExperimentConfig,
-    correct,
-    evaluate,
-    fit_network,
-)
+from rescomp.config import ExperimentConfig, TrainingConfig  # noqa: E402
+from rescomp.experiment import fit_network  # noqa: E402
+from rescomp.pipeline import CompensationModel, correct, evaluate  # noqa: E402
 from rescomp.simgen import (  # noqa: E402
     LSB_DEG,
     archetype_spec,

@@ -16,8 +16,8 @@ import time
 from pathlib import Path
 
 from rescomp.caldata import write_csv
-from rescomp.optim import TrainingConfig
-from rescomp.pipeline import ExperimentConfig, run_experiment
+from rescomp.config import ExperimentConfig, TrainingConfig
+from rescomp.experiment import run_experiment
 from rescomp.simgen import archetype_spec, synthesize
 
 

@@ -16,8 +16,8 @@ import time
 from pathlib import Path
 
 from rescomp.caldata import error_profile, partition_even_odd, write_csv
-from rescomp.optim import OPTIMIZERS, TrainingConfig
-from rescomp.pipeline import ExperimentConfig, fit_network, write_history_csv
+from rescomp.config import OPTIMIZERS, ExperimentConfig, TrainingConfig
+from rescomp.experiment import fit_network, write_history_csv
 from rescomp.simgen import archetype_spec, synthesize
 
 SWEEP_WIDTHS = range(10, 111, 10)

@@ -28,7 +28,9 @@ _EXPORTS = {
         "save_calibration",
         "stats",
     ),
+    "config": ("ExperimentConfig", "TrainingConfig"),
     "errors": ("RescompError",),
+    "experiment": ("ExperimentResult", "run_experiment"),
     "fourier": (
         "FourierModel",
         "FourierTerm",
@@ -51,7 +53,6 @@ _EXPORTS = {
     ),
     "optim": (
         "StopReason",
-        "TrainingConfig",
         "TrainingHistory",
         "stopping_rule",
         "train_backprop",
@@ -60,13 +61,10 @@ _EXPORTS = {
     "pipeline": (
         "CompensationModel",
         "EvaluationReport",
-        "ExperimentConfig",
-        "ExperimentResult",
         "correct",
         "evaluate",
         "load_model",
         "predict_error",
-        "run_experiment",
         "save_model",
     ),
     "prune": (

@@ -5,6 +5,11 @@ a network, prune it, fit the Fourier baseline, evaluate a model against a
 calibration file, correct angles (one-shot or streaming), and run the
 end-to-end experiment.  Exit status is 0 on success; on failure the
 process prints `ErrorName: detail` on stderr and exits nonzero.
+
+At start-up the module loads the correction side (`pipeline`) and the
+settings its flags default to (`config`); a subcommand that fits or
+simulates imports `experiment` or `simgen` when it runs, so `correct`
+starts without the training code.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import caldata, optim, pipeline, simgen
+from . import caldata, config, pipeline
 from .errors import MalformedRow, OutOfRange, RescompError
 
 # Lines of `correct --stdin` read per block: one parse and one
@@ -110,16 +115,16 @@ def format_angles(values: np.ndarray) -> str:
 
 
 # the library's experiment defaults, which every flag's default reads
-DEFAULTS = pipeline.ExperimentConfig()
+DEFAULTS = config.ExperimentConfig()
 
 
-def _experiment_config(args) -> pipeline.ExperimentConfig:
-    return pipeline.ExperimentConfig(
+def _experiment_config(args) -> config.ExperimentConfig:
+    return config.ExperimentConfig(
         hidden=args.hidden,
         optimizer=args.optimizer,
         top_orders=args.top,
         prune=args.prune,
-        training=optim.TrainingConfig(
+        training=config.TrainingConfig(
             max_iterations=args.max_iterations,
             stall_window=args.stall_window,
             seed=args.seed,
@@ -129,7 +134,7 @@ def _experiment_config(args) -> pipeline.ExperimentConfig:
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
     d, t = DEFAULTS, DEFAULTS.training
-    p.add_argument("--optimizer", choices=optim.OPTIMIZERS, default=d.optimizer)
+    p.add_argument("--optimizer", choices=config.OPTIMIZERS, default=d.optimizer)
     p.add_argument("--hidden", type=int, default=d.hidden,
                    help="hidden-layer width (default %(default)s)")
     p.add_argument("--seed", type=int, default=t.seed, help="init seed (default %(default)s)")
@@ -138,6 +143,8 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simgen
+
     spec = simgen.spec_from_json(args.spec)
     cal = simgen.synthesize(
         spec,
@@ -151,13 +158,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import experiment
+
     cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
-    trained, history, report = pipeline.fit_network(caldata.error_profile(cal),
-                                                    _experiment_config(args))
+    trained, history, report = experiment.fit_network(caldata.error_profile(cal),
+                                                      _experiment_config(args))
     pipeline.save_model(args.out, pipeline.CompensationModel(cal.encoder_id, trained))
     if report is None:
         if args.history:
-            pipeline.write_history_csv(args.history, history)
+            experiment.write_history_csv(args.history, history)
         print(
             f"trained 1:{args.hidden}:1 with {args.optimizer}: "
             f"{history.iterations_run} iterations ({history.stop_reason.value}), "
@@ -172,11 +181,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
+    from . import experiment
+
     cal = caldata.load_calibration(args.data, encoder_id=args.encoder_id)
-    model, spectrum, orders = pipeline.fit_fourier_baseline(caldata.error_profile(cal), args.top)
+    model, spectrum, orders = experiment.fit_fourier_baseline(caldata.error_profile(cal),
+                                                              args.top)
     pipeline.save_model(args.out, pipeline.CompensationModel(cal.encoder_id, model))
     if args.spectrum:
-        pipeline.write_spectrum_csv(args.spectrum, spectrum)
+        experiment.write_spectrum_csv(args.spectrum, spectrum)
     print(f"fit orders {orders}")
     print(f"wrote {args.out}")
     return 0
@@ -196,7 +208,9 @@ def _cmd_evaluate(args) -> int:
         }
         caldata.write_json(args.report, doc)
     if args.residuals:
-        pipeline.write_residuals_csv(args.residuals, report)
+        from . import experiment
+
+        experiment.write_residuals_csv(args.residuals, report)
     pre, post = report.pre_stats, report.post_stats
     print(f"pre  compensation: MAE {pre.mae_arcmin:.4f}'  RMS {pre.rms_arcmin:.4f}'")
     print(f"post compensation: MAE {post.mae_arcmin:.4f}'  RMS {post.rms_arcmin:.4f}'  "
@@ -259,13 +273,15 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_run_experiment(args) -> int:
+    from . import experiment, simgen
+
     cfg = _experiment_config(args)
     if args.spec:
         spec = simgen.spec_from_json(args.spec)
         cal = simgen.synthesize(spec, grid_step_deg=1.0, encoder_id=args.encoder_id)
     else:
         cal = caldata.load_calibration(args.csv, encoder_id=args.encoder_id)
-    result = pipeline.run_experiment(cal, args.outdir, cfg)
+    result = experiment.run_experiment(cal, args.outdir, cfg)
     pre = result.pre_full_stats
     ann = result.ann_report.post_stats
     fou = result.fourier_report.post_stats

@@ -26,7 +26,7 @@ Training never reads the maps: `init_params` draws a bare parameter vector
 (steep hidden sigmoids whose centres are spread over the input range, after
 Nguyen & Widrow) and `mse`, `residual_jacobian` and `gradient` take one (J
 follows from its length 3J + 1), so trainers and pruning carry vectors, and
-`pipeline.fit_network` wraps the trained vector in a `Network`.  The
+`experiment.fit_network` wraps the trained vector in a `Network`.  The
 kernels also take the `(hidden, out)` activations already computed, so a
 trainer runs each candidate's forward pass once.
 

@@ -13,12 +13,13 @@ that strictly lower the MSE, so its recorded MSE sequence is
 non-increasing.
 
 Trainers take and return bare parameter vectors: `(params, data, cfg) ->
-(params, history)`.  The loop's state is the vector, its MSE and its
-activations, and the normalization maps never enter it.  Each candidate
-vector is checked to be finite once, and its forward pass runs once: the
-activations that score it are carried, once it is accepted, into the next
-iteration's gradient or Jacobian.  Training is deterministic: identical
-inputs give bit-identical histories.
+(params, history)`, with `cfg` a `config.TrainingConfig` (the settings live
+in `config`, so that reading them loads no training code).  The loop's
+state is the vector, its MSE and its activations, and the normalization
+maps never enter it.  Each candidate vector is checked to be finite once,
+and its forward pass runs once: the activations that score it are carried,
+once it is accepted, into the next iteration's gradient or Jacobian.
+Training is deterministic: identical inputs give bit-identical histories.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, DivergenceDetected, SingularNormalEquations
+from .config import TrainingConfig, check_optimizer
+from .errors import DivergenceDetected, SingularNormalEquations
 from .network import (
     Activations,
     Dataset,
@@ -50,23 +52,6 @@ _MAX_ESCALATIONS = 30
 _STALL_TOL = 0.1
 # Gradient descent's step: param <- param - _LEARNING_RATE * grad(MSE).
 _LEARNING_RATE = 0.5
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    max_iterations: int = 10000
-    # stop once `stall_window` iterations cut the MSE by less than `_STALL_TOL`
-    # (relative); a window at or above max_iterations never fires
-    stall_window: int = 200
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise BadConfig("max_iterations must be >= 1")
-        if self.stall_window < 1:
-            raise BadConfig("stall_window must be >= 1")
-        if self.seed < 0:
-            raise BadConfig(f"seed must be >= 0, got {self.seed!r}")
 
 
 class StopReason(enum.Enum):
@@ -226,12 +211,8 @@ def train_lm(
         return _train(params, data, cfg, step)
 
 
-OPTIMIZERS = ("lm", "backprop")
-
-
 def trainer(optimizer: str):
-    """The training function for an optimizer name in OPTIMIZERS."""
-    if optimizer not in OPTIMIZERS:
-        raise BadConfig(f"optimizer must be 'lm' or 'backprop', got {optimizer!r}")
+    """The training function for an optimizer name in `config.OPTIMIZERS`."""
+    check_optimizer(optimizer)
     return train_lm if optimizer == "lm" else train_backprop
 

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainingConfig
 from .errors import BadConfig, NonFiniteArray
 from .network import Dataset, _hidden, _width, init_params, mse
-from .optim import TrainingConfig, TrainingHistory
+from .optim import TrainingHistory
 
 RANK_REL_TOL = 1e-3
 
@@ -70,7 +71,7 @@ def prune_and_retrain(
 ) -> tuple[np.ndarray, TrainingHistory, PruneReport]:
     """Estimate the non-redundant width of the trained net `params` from its
     activation-matrix spectrum and retrain a fresh net at that width with
-    `train_fn` (a trainer of `optim`, as `pipeline.fit_network` picks it).
+    `train_fn` (a trainer of `optim`, as `experiment.fit_network` picks it).
 
     Returns the pruned net's parameter vector, the retraining's history and
     a report carrying both widths, both final MSEs and both spectra.

@@ -29,7 +29,8 @@ import pytest
 
 from rescomp.caldata import error_profile, partition_even_odd
 from rescomp.network import Network, dataset_from_profile, init_params
-from rescomp.optim import TrainingConfig, train_backprop, train_lm
+from rescomp.config import TrainingConfig
+from rescomp.optim import train_backprop, train_lm
 from rescomp.pipeline import CompensationModel, predict_error
 from rescomp.prune import prune_and_retrain
 from rescomp.simgen import archetype_spec, synthesize

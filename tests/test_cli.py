@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rescomp
-from rescomp import cli, errors, fourier, network, optim, pipeline
+from rescomp import cli, config, errors, experiment, fourier, network, optim, pipeline
 from rescomp.caldata import load_calibration
 from rescomp.cli import (
     PRINT_SLICE_VALUES,
@@ -523,7 +523,7 @@ def test_bad_training_flag_fails_with_error_name(tmp_path, train_csv, capsys, fl
 ])
 def test_flag_defaults_are_the_library_defaults(command, required):
     args = build_parser().parse_args([command, *required])
-    assert _experiment_config(args) == pipeline.ExperimentConfig(prune=command == "prune")
+    assert _experiment_config(args) == config.ExperimentConfig(prune=command == "prune")
 
 
 def readme_commands() -> list[list[str]]:
@@ -580,7 +580,7 @@ def test_negative_top_fails_with_error_name(tmp_path, spec_file, train_csv, caps
         "BadConfig: top must be in [0, 90] for a profile of 180 samples, got -1\n")
     assert not out.exists()
 
-    monkeypatch.setattr(pipeline, "fit_network", no_training)
+    monkeypatch.setattr(experiment, "fit_network", no_training)
     args = ["run-experiment", "--spec", str(spec_file), "--outdir", str(out), "--top", "-3"]
     assert main(args) == 1
     assert capsys.readouterr().err == "BadConfig: top_orders must be >= 0, got -3\n"
@@ -600,7 +600,7 @@ def test_unfittable_top_fails_with_error_name(
     assert capsys.readouterr().err == message
     assert not out.exists()
 
-    monkeypatch.setattr(pipeline, "fit_network", no_training)
+    monkeypatch.setattr(experiment, "fit_network", no_training)
     args = ["run-experiment", "--spec", str(spec_file), "--outdir", str(out), "--top", top]
     assert main(args) == 1
     assert capsys.readouterr().err == message
@@ -608,14 +608,14 @@ def test_unfittable_top_fails_with_error_name(
 
 
 @pytest.mark.parametrize("command", ["train", "prune", "run-experiment"])
-@pytest.mark.parametrize("hidden", [pipeline.MAX_HIDDEN + 1, 10_000_000])
+@pytest.mark.parametrize("hidden", [config.MAX_HIDDEN + 1, 10_000_000])
 def test_hidden_above_bound_fails_before_allocating(
     tmp_path, spec_file, train_csv, capsys, monkeypatch, command, hidden
 ):
     """Never allocates the net: building one would fail the test, and the
     peak traced memory stays far below one (P, J) block."""
-    monkeypatch.setattr(pipeline, "init_params", no_training)
-    monkeypatch.setattr(pipeline, "fit_network", no_training)
+    monkeypatch.setattr(experiment, "init_params", no_training)
+    monkeypatch.setattr(experiment, "fit_network", no_training)
     out = tmp_path / "out"
     args = {"run-experiment": ["--spec", str(spec_file), "--outdir", str(out)],
             "train": ["--data", str(train_csv), "--out", str(out)],

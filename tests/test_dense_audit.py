@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from rescomp.caldata import ARCMIN_PER_DEG, error_profile, partition_even_odd
-from rescomp.pipeline import CompensationModel, ExperimentConfig, correct, fit_network
+from rescomp.config import ExperimentConfig
+from rescomp.experiment import fit_network
+from rescomp.pipeline import CompensationModel, correct
 from rescomp.simgen import LSB_DEG, archetype_spec, harmonic_error_arcmin, quantize16, synthesize
 from tests.conftest import FULL_BUDGET
 

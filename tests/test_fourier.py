@@ -19,6 +19,7 @@ from rescomp.errors import (
     RescompError,
     UnderdeterminedFit,
 )
+from rescomp.experiment import fit_fourier_baseline
 from rescomp.fourier import (
     MAX_ORDER,
     FourierModel,
@@ -30,7 +31,7 @@ from rescomp.fourier import (
     _phasors,
     select_top,
 )
-from rescomp.pipeline import CompensationModel, correct, fit_fourier_baseline
+from rescomp.pipeline import CompensationModel, correct
 from rescomp.simgen import LSB_DEG, archetype_spec, synthesize
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rescomp import optim
+from rescomp.config import TrainingConfig
 from rescomp.errors import BadConfig, RescompError, SingularNormalEquations
 from rescomp.network import (
     Dataset,
@@ -16,7 +17,6 @@ from rescomp.network import (
 )
 from rescomp.optim import (
     StopReason,
-    TrainingConfig,
     TrainingHistory,
     stopping_rule,
     train_backprop,

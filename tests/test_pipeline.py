@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescomp.caldata import CalibrationSet, ErrorProfile
+from rescomp.config import MAX_HIDDEN, ExperimentConfig, TrainingConfig
 from rescomp.errors import (
     BadConfig,
     CorruptFile,
@@ -22,6 +23,7 @@ from rescomp.errors import (
     TargetOutOfRange,
     UnsupportedVersion,
 )
+from rescomp.experiment import fit_fourier_baseline, fit_network, run_experiment
 from rescomp.fourier import MAX_ORDER, FourierModel, FourierTerm
 from rescomp.network import (
     CHUNK_ELEMENTS,
@@ -34,20 +36,15 @@ from rescomp.network import (
     dataset_from_profile,
     init_params,
 )
-from rescomp.optim import TrainingConfig, train_lm
+from rescomp.optim import train_lm
 from rescomp.pipeline import (
     KIND_ANN,
     KIND_FOURIER,
-    MAX_HIDDEN,
     CompensationModel,
-    ExperimentConfig,
     correct,
     evaluate,
-    fit_fourier_baseline,
-    fit_network,
     load_model,
     predict_error,
-    run_experiment,
     save_model,
 )
 from rescomp.prune import prune_and_retrain

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from rescomp.errors import BadConfig, NonFiniteArray, ShapeMismatch
 from rescomp.network import Dataset, init_params, sigmoid
-from rescomp.optim import TrainingConfig, train_lm
+from rescomp.config import TrainingConfig
+from rescomp.optim import train_lm
 from rescomp.prune import (
     activation_matrix,
     effective_rank,
